@@ -21,6 +21,7 @@ or an explicit inconclusive outcome.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from heapq import heapify, heappop, heappush
 from typing import Optional, Union
 
 from . import exactcolor
@@ -34,7 +35,7 @@ from .digraph import (
     underlying_graph,
 )
 from .errors import BudgetExceeded, NotAcyclic, NotFinalTree, NotStronglyConnected
-from .outtree import OutTree, finalize, is_ancestor, is_final, spanning_out_tree
+from .outtree import OutTree, finalize, is_final, spanning_out_tree
 from .witness import (
     CyclePattern,
     SubdivisionWitness,
@@ -115,17 +116,19 @@ def arc_partition(d: Digraph, t: OutTree, cls) -> ArcPartition:
     """Split the arcs induced by one class; requires a final tree."""
     if not is_final(d, t):
         raise NotFinalTree("arc partition requires a final out-tree")
+    level, num = t.level, t.numbering
     vset = set(cls)
     a1, a2, a3 = set(), set(), set()
-    for u, v in d.arcs:
-        if u not in vset or v not in vset:
-            continue
-        if t.level[u] < t.level[v] and is_ancestor(t, u, v):
-            a1.add((u, v))
-        elif t.level[u] > t.level[v] and is_ancestor(t, v, u):
-            a2.add((u, v))
-        else:
-            a3.add((u, v))
+    for u in vset:
+        for v in d.out_neighbors(u):
+            if v not in vset:
+                continue
+            if level[u] < level[v] and num.is_ancestor(u, v):
+                a1.add((u, v))
+            elif level[u] > level[v] and num.is_ancestor(v, u):
+                a2.add((u, v))
+            else:
+                a3.add((u, v))
     return ArcPartition(frozenset(a1), frozenset(a2), frozenset(a3))
 
 
@@ -151,19 +154,30 @@ class OutDegreeFailure:
 
 def peel_low_degree(sub: SubDigraph, threshold: int):
     """Repeatedly remove a vertex of underlying degree <= threshold, lowest
-    (degree, id) first. Returns (removal order, stuck core vertex set)."""
+    (degree, id) first. Returns (removal order, stuck core vertex set).
+
+    A degree drop pushes a fresh (degree, id) heap entry, which pops before
+    the vertex's older entries; those are skipped once the vertex is gone.
+    """
     deg = {v: len(sub.und_adj[v]) for v in sub.vertices}
+    heap = [(deg[v], v) for v in sub.vertices]
+    heapify(heap)
     alive = set(sub.vertices)
     order: list[int] = []
-    while alive:
-        v = min(alive, key=lambda u: (deg[u], u))
-        if deg[v] > threshold:
+    while heap:
+        dv, v = heap[0]
+        if v not in alive:
+            heappop(heap)
+            continue
+        if dv > threshold:
             break
+        heappop(heap)
         alive.discard(v)
         order.append(v)
         for w in sub.und_adj[v]:
             if w in alive:
                 deg[w] -= 1
+                heappush(heap, (deg[w], w))
     return order, alive
 
 
@@ -190,8 +204,9 @@ def color_d1(
     subdivision; the core (plus a 5-wheel inside it when found) is returned
     as the failure evidence.
     """
+    level, num = t.level, t.numbering
     for u, v in d1.arcs:
-        if not (t.level[u] < t.level[v] and is_ancestor(t, u, v)):
+        if not (level[u] < level[v] and num.is_ancestor(u, v)):
             raise ValueError(f"arc ({u},{v}) is not ancestor-increasing")
     order, core = peel_low_degree(d1, 5)
     if not core:
@@ -237,23 +252,25 @@ def split_by_out_degree(d2: SubDigraph):
 
 def _acyclic_peel_order(d2: SubDigraph, vertices) -> list[int]:
     """Repeatedly remove an in-degree-0 vertex (smallest id first) from the
-    induced subdigraph; raises NotAcyclic when stuck."""
+    induced subdigraph; raises NotAcyclic when stuck. Kahn's algorithm with
+    a min-heap of the vertices whose in-degree has dropped to 0."""
     vset = set(vertices)
     indeg = {v: sum(1 for u in d2.in_adj[v] if u in vset) for v in vset}
-    alive = set(vset)
+    ready = [v for v in vset if indeg[v] == 0]
+    heapify(ready)
     order: list[int] = []
-    while alive:
-        ready = [v for v in alive if indeg[v] == 0]
-        if not ready:
-            raise NotAcyclic(
-                "directed cycle found in a descendant-to-ancestor arc group"
-            )
-        v = min(ready)
-        alive.discard(v)
+    while ready:
+        v = heappop(ready)
         order.append(v)
         for w in d2.out_adj[v]:
-            if w in alive:
+            if w in vset:
                 indeg[w] -= 1
+                if indeg[w] == 0:
+                    heappush(ready, w)
+    if len(order) < len(vset):
+        raise NotAcyclic(
+            "directed cycle found in a descendant-to-ancestor arc group"
+        )
     return order
 
 

@@ -10,6 +10,7 @@ judged on an undirected graph.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from heapq import heapify, heappop, heappush
 from typing import Iterable, Optional, Sequence
 
 from .errors import ParseError
@@ -192,23 +193,26 @@ def degeneracy_order(g: UGraph) -> DegeneracyOrder:
     """Repeated minimum-degree removal; ties broken by smallest id.
 
     The reported d is the exact degeneracy: the max residual degree seen at
-    any removal step.
+    any removal step. A min-heap keyed (degree, id) picks each vertex; a
+    degree drop pushes a fresh entry, which pops before the older ones.
     """
     deg = [g.degree(v) for v in range(g.n)]
+    heap = [(deg[v], v) for v in range(g.n)]
+    heapify(heap)
     removed = [False] * g.n
     order: list[int] = []
     d = 0
-    for _ in range(g.n):
-        v = min(
-            (u for u in range(g.n) if not removed[u]),
-            key=lambda u: (deg[u], u),
-        )
-        d = max(d, deg[v])
+    while heap:
+        dv, v = heappop(heap)
+        if removed[v]:
+            continue
+        d = max(d, dv)
         removed[v] = True
         order.append(v)
         for w in g.neighbors(v):
             if not removed[w]:
                 deg[w] -= 1
+                heappush(heap, (deg[w], w))
     return DegeneracyOrder(tuple(order), d)
 
 

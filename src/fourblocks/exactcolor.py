@@ -6,30 +6,38 @@ explicit vertex set, so they work on induced subgraphs without relabeling.
 
 from __future__ import annotations
 
+from heapq import heapify, heappop, heappush
 from typing import Iterable, Mapping, Optional
 
 from .errors import BudgetExceeded
 
 
 def dsatur(vertices: Iterable[int], adj: Mapping[int, set[int]]) -> dict[int, int]:
-    """Greedy coloring by descending saturation; ties by degree then id."""
+    """Greedy coloring by descending saturation; ties by degree then id.
+
+    The heap is keyed (-saturation, -degree, id). A saturation rise pushes
+    a fresh entry, which pops before the vertex's older entries; those are
+    skipped once the vertex is colored.
+    """
     vs = sorted(vertices)
     vset = set(vs)
     colors: dict[int, int] = {}
     neighbor_colors: dict[int, set[int]] = {v: set() for v in vs}
     degree = {v: len(adj.get(v, set()) & vset) for v in vs}
-    for _ in vs:
-        v = max(
-            (u for u in vs if u not in colors),
-            key=lambda u: (len(neighbor_colors[u]), degree[u], -u),
-        )
+    heap = [(0, -degree[v], v) for v in vs]
+    heapify(heap)
+    while heap:
+        _, _, v = heappop(heap)
+        if v in colors:
+            continue
         c = 0
         while c in neighbor_colors[v]:
             c += 1
         colors[v] = c
         for w in adj.get(v, set()):
-            if w in vset and w not in colors:
+            if w in vset and w not in colors and c not in neighbor_colors[w]:
                 neighbor_colors[w].add(c)
+                heappush(heap, (-len(neighbor_colors[w]), -degree[w], w))
     return colors
 
 

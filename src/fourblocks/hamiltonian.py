@@ -49,7 +49,13 @@ class HamiltonianCycle:
 def find_hamiltonian_cycle(
     d: Digraph, budget: Optional[int] = None
 ) -> Optional[HamiltonianCycle]:
-    """Exact backtracking; canonical start at vertex 0."""
+    """Exact backtracking; canonical start at vertex 0.
+
+    Depth-first over out-neighbors in ascending order, with an explicit
+    stack of neighbor iterators (one per path vertex), so long cycles need
+    no recursion. Every path extension, the start included, costs one node
+    of the budget.
+    """
     from .witness import default_budget
 
     if budget is None:
@@ -59,31 +65,29 @@ def find_hamiltonian_cycle(
     used = bytearray(d.n)
     used[0] = 1
     path = [0]
-    nodes = 0
-
-    def extend(u: int) -> int:
-        nonlocal nodes
-        nodes += 1
-        if nodes > budget:
-            return -1
-        if len(path) == d.n:
-            return 1 if d.has_arc(u, 0) else 0
-        for v in d.out_neighbors(u):
-            if not used[v]:
-                used[v] = 1
-                path.append(v)
-                r = extend(v)
-                if r != 0:
-                    return r
-                path.pop()
-                used[v] = 0
-        return 0
-
-    r = extend(0)
-    if r == -1:
+    nodes = 1
+    if nodes > budget:
         raise BudgetExceeded(nodes)
-    if r == 1:
-        return HamiltonianCycle(tuple(path))
+    stack = [iter(d.out_neighbors(0))]
+    while stack:
+        for v in stack[-1]:
+            if used[v]:
+                continue
+            nodes += 1
+            if nodes > budget:
+                raise BudgetExceeded(nodes)
+            if len(path) + 1 == d.n:
+                if d.has_arc(v, 0):
+                    path.append(v)
+                    return HamiltonianCycle(tuple(path))
+                continue
+            used[v] = 1
+            path.append(v)
+            stack.append(iter(d.out_neighbors(v)))
+            break
+        else:
+            stack.pop()
+            used[path.pop()] = 0
     return None
 
 

@@ -5,7 +5,8 @@ has its parent's level plus one. An arc (x,y) of the host digraph is forward
 when level(x) < level(y) and backward otherwise (equal levels included).
 A tree is final when every backward arc points into its tail's ancestor
 chain; rotating offending arcs into the tree always terminates because each
-rotation strictly raises some vertex's level.
+rotation strictly raises some vertex's level. Ancestor tests on a built tree
+use its pre/post-order numbering and take O(1).
 """
 
 from __future__ import annotations
@@ -13,6 +14,8 @@ from __future__ import annotations
 from collections import deque
 from dataclasses import dataclass
 from enum import Enum
+from functools import cached_property
+from heapq import heapify, heappop, heappush
 from typing import Optional
 
 from .digraph import Digraph
@@ -41,6 +44,11 @@ class OutTree:
             (p, v) for v, p in enumerate(self.parent) if p is not None
         )
 
+    @cached_property
+    def numbering(self) -> "TreeNumbering":
+        """Pre/post-order numbers, built on first use in O(n)."""
+        return TreeNumbering(self)
+
     def dump(self) -> str:
         """One line per vertex: 'v parent level', '-' for the root's parent."""
         lines = []
@@ -48,6 +56,43 @@ class OutTree:
             p = self.parent[v]
             lines.append(f"{v} {'-' if p is None else p} {self.level[v]}")
         return "\n".join(lines) + "\n"
+
+
+class TreeNumbering:
+    """Pre/post-order numbers of an out-tree.
+
+    y is an ancestor of x (reflexively) iff pre[y] <= pre[x] and
+    post[x] <= post[y]. ``final_arcs`` holds the arc set the tree was last
+    found final for, so ``is_final`` scans the arcs once per (tree, digraph).
+    """
+
+    __slots__ = ("pre", "post", "final_arcs")
+
+    def __init__(self, t: OutTree):
+        children: list[list[int]] = [[] for _ in range(t.n)]
+        for v, p in enumerate(t.parent):
+            if p is not None:
+                children[p].append(v)
+        pre = [-1] * t.n
+        post = [-1] * t.n
+        entered = exited = 0
+        stack = [(t.root, False)]
+        while stack:
+            v, leaving = stack.pop()
+            if leaving:
+                post[v] = exited
+                exited += 1
+                continue
+            pre[v] = entered
+            entered += 1
+            stack.append((v, True))
+            stack.extend((c, False) for c in children[v])
+        self.pre = pre
+        self.post = post
+        self.final_arcs: Optional[frozenset[tuple[int, int]]] = None
+
+    def is_ancestor(self, y: int, x: int) -> bool:
+        return self.pre[y] <= self.pre[x] and self.post[x] <= self.post[y]
 
 
 def spanning_out_tree(d: Digraph, r: int) -> OutTree:
@@ -73,10 +118,7 @@ def spanning_out_tree(d: Digraph, r: int) -> OutTree:
 
 def is_ancestor(t: OutTree, y: int, x: int) -> bool:
     """True iff y lies on the tree path from the root to x (reflexive)."""
-    ly = t.level[y]
-    while t.level[x] > ly:
-        x = t.parent[x]  # type: ignore[assignment]
-    return x == y
+    return t.numbering.is_ancestor(y, x)
 
 
 def lca(t: OutTree, x: int, y: int) -> int:
@@ -98,49 +140,91 @@ def classify_arc(t: OutTree, arc: tuple[int, int]) -> ArcKind:
 
 def is_final(d: Digraph, t: OutTree) -> bool:
     """Every backward arc (x,y) must satisfy y on the root path of x."""
+    num = t.numbering
+    if num.final_arcs is d.arcs:
+        return True
+    level = t.level
     for x, y in d.arcs:
-        if t.level[x] >= t.level[y] and not is_ancestor(t, y, x):
+        if level[x] >= level[y] and not num.is_ancestor(y, x):
             return False
+    num.final_arcs = d.arcs
     return True
 
 
 def finalize(d: Digraph, t: OutTree) -> OutTree:
     """Rotate backward arcs into the tree until it is final.
 
-    Arcs are scanned in (tail, head) order; the first backward arc (x,y)
-    whose head is not an ancestor of its tail is rotated: y is reparented
-    under x and the levels of y's subtree are recomputed. Every rotation
-    strictly increases y's level, and no level ever decreases, so the total
-    level sum is a strictly increasing potential bounded by n*n.
+    An arc (x,y) offends when it is backward and y is not an ancestor of x.
+    The smallest offending arc in (tail, head) order is rotated: y is
+    reparented under x and the levels of y's subtree S are raised by the same
+    amount. Every rotation strictly increases y's level, and no level ever
+    decreases, so the total level sum is a strictly increasing potential
+    bounded by n*n.
+
+    Offending arcs wait in a min-heap keyed (tail, head). Invariant: the heap
+    holds every offending arc, plus stale entries that are dropped when
+    popped. A rotation changes the levels and root paths of S only. An arc
+    with both ends in S keeps its level difference and its ancestry. An arc
+    (w,u) entering S offends afterwards only if it offended before, because
+    u's level only rose and u was never an ancestor of w. So only arcs
+    leaving S can start to offend; those are pushed after each rotation. The
+    first popped entry that still offends is therefore the smallest
+    offending arc: exactly the arc a rescan of all arcs from the start would
+    pick, so the result is the same tree.
+
+    An entry (x, y, r) was found offending after r rotations. Its status can
+    only have changed if x or y moved since, so only then is it rechecked by
+    walking up the tree.
     """
+    n = t.n
     parent: list[Optional[int]] = list(t.parent)
     level: list[int] = list(t.level)
-    arcs = sorted(d.arcs)
+    children: list[set[int]] = [set() for _ in range(n)]
+    for v, p in enumerate(parent):
+        if p is not None:
+            children[p].add(v)
+    out_neighbors = d.out_neighbors
 
-    def ancestor(y: int, x: int) -> bool:
+    def offends(x: int, y: int) -> bool:
         ly = level[y]
+        if level[x] < ly:
+            return False
         while level[x] > ly:
             x = parent[x]  # type: ignore[assignment]
-        return x == y
+        return x != y
 
-    while True:
-        rotated = False
-        for x, y in arcs:
-            if level[x] >= level[y] and not ancestor(y, x):
-                parent[y] = x
-                # relevel the subtree of y
-                children: list[list[int]] = [[] for _ in range(d.n)]
-                for v, p in enumerate(parent):
-                    if p is not None:
-                        children[p].append(v)
-                level[y] = level[x] + 1
-                stack = [y]
-                while stack:
-                    u = stack.pop()
-                    for c in children[u]:
-                        level[c] = level[u] + 1
-                        stack.append(c)
-                rotated = True
-                break
-        if not rotated:
-            return OutTree(t.root, tuple(parent), tuple(level))
+    heap = [(x, y, 0) for x, y in d.arcs if offends(x, y)]
+    heapify(heap)
+    moved = [0] * n  # number of the last rotation whose subtree held the vertex
+    on_path = [0] * n  # number of the last rotation that marked it above x
+    rotations = 0
+    while heap:
+        x, y, r = heappop(heap)
+        if (moved[x] > r or moved[y] > r) and not offends(x, y):
+            continue
+        rotations += 1
+        children[parent[y]].discard(y)  # type: ignore[index]
+        parent[y] = x
+        children[x].add(y)
+        shift = level[x] + 1 - level[y]
+        subtree = [y]
+        for u in subtree:  # grows while it is walked
+            level[u] += shift
+            moved[u] = rotations
+            subtree.extend(children[u])
+        # Outside S, w is an ancestor of u in S iff it is an ancestor of x;
+        # the root path of x is marked once, only as far up as some w needs.
+        top = x
+        on_path[x] = rotations
+        for u in subtree:
+            lu = level[u]
+            for w in out_neighbors(u):
+                lw = level[w]
+                if lw > lu or moved[w] == rotations:
+                    continue
+                while level[top] > lw:
+                    top = parent[top]  # type: ignore[assignment]
+                    on_path[top] = rotations
+                if on_path[w] != rotations:
+                    heappush(heap, (u, w, rotations))
+    return OutTree(t.root, tuple(parent), tuple(level))

@@ -4,11 +4,18 @@ Everything here is deliberately written from scratch against the witness
 definitions, with no shared code or search strategy with the package
 kernels: plain enumeration over junction tuples, simple paths, vertex
 subsets and color assignments.
+
+The last section keeps the plain rescanning loops that the package's
+worklist and heap versions replaced (``finalize``, the peels, DSATUR and
+the recursive Hamiltonian search). They apply the same selection rule by
+brute force, so the package versions must return exactly their output.
 """
 
 from itertools import combinations, permutations
 
-from fourblocks import Digraph, UGraph, OutTree
+from fourblocks import BudgetExceeded, Digraph, UGraph, OutTree
+from fourblocks.digraph import DegeneracyOrder
+from fourblocks.errors import NotAcyclic
 
 
 def _simple_dipaths(d: Digraph, start: int, end: int, banned: set):
@@ -141,3 +148,150 @@ def chromatic_number(g: UGraph) -> int:
     while not is_colorable(g, q):
         q += 1
     return q
+
+
+# --- reference loops for the worklist and heap versions -------------------
+
+
+def finalize(d: Digraph, t: OutTree) -> OutTree:
+    """Rescan the arcs in (tail, head) order after every rotation and rotate
+    the first backward arc (x,y) whose head is not an ancestor of its tail."""
+    parent = list(t.parent)
+    level = list(t.level)
+    arcs = sorted(d.arcs)
+
+    def ancestor(y: int, x: int) -> bool:
+        ly = level[y]
+        while level[x] > ly:
+            x = parent[x]
+        return x == y
+
+    while True:
+        rotated = False
+        for x, y in arcs:
+            if level[x] >= level[y] and not ancestor(y, x):
+                parent[y] = x
+                children = [[] for _ in range(d.n)]
+                for v, p in enumerate(parent):
+                    if p is not None:
+                        children[p].append(v)
+                level[y] = level[x] + 1
+                stack = [y]
+                while stack:
+                    u = stack.pop()
+                    for c in children[u]:
+                        level[c] = level[u] + 1
+                        stack.append(c)
+                rotated = True
+                break
+        if not rotated:
+            return OutTree(t.root, tuple(parent), tuple(level))
+
+
+def peel_low_degree(sub, threshold: int):
+    deg = {v: len(sub.und_adj[v]) for v in sub.vertices}
+    alive = set(sub.vertices)
+    order = []
+    while alive:
+        v = min(alive, key=lambda u: (deg[u], u))
+        if deg[v] > threshold:
+            break
+        alive.discard(v)
+        order.append(v)
+        for w in sub.und_adj[v]:
+            if w in alive:
+                deg[w] -= 1
+    return order, alive
+
+
+def acyclic_peel_order(d2, vertices):
+    vset = set(vertices)
+    indeg = {v: sum(1 for u in d2.in_adj[v] if u in vset) for v in vset}
+    alive = set(vset)
+    order = []
+    while alive:
+        ready = [v for v in alive if indeg[v] == 0]
+        if not ready:
+            raise NotAcyclic("stuck")
+        v = min(ready)
+        alive.discard(v)
+        order.append(v)
+        for w in d2.out_adj[v]:
+            if w in alive:
+                indeg[w] -= 1
+    return order
+
+
+def dsatur(vertices, adj):
+    vs = sorted(vertices)
+    vset = set(vs)
+    colors = {}
+    neighbor_colors = {v: set() for v in vs}
+    degree = {v: len(adj.get(v, set()) & vset) for v in vs}
+    for _ in vs:
+        v = max(
+            (u for u in vs if u not in colors),
+            key=lambda u: (len(neighbor_colors[u]), degree[u], -u),
+        )
+        c = 0
+        while c in neighbor_colors[v]:
+            c += 1
+        colors[v] = c
+        for w in adj.get(v, set()):
+            if w in vset and w not in colors:
+                neighbor_colors[w].add(c)
+    return colors
+
+
+def degeneracy_order(g: UGraph) -> DegeneracyOrder:
+    deg = [g.degree(v) for v in range(g.n)]
+    removed = [False] * g.n
+    order = []
+    d = 0
+    for _ in range(g.n):
+        v = min(
+            (u for u in range(g.n) if not removed[u]),
+            key=lambda u: (deg[u], u),
+        )
+        d = max(d, deg[v])
+        removed[v] = True
+        order.append(v)
+        for w in g.neighbors(v):
+            if not removed[w]:
+                deg[w] -= 1
+    return DegeneracyOrder(tuple(order), d)
+
+
+def find_hamiltonian_cycle(d: Digraph, budget: int):
+    """Recursive backtracking from vertex 0; returns the cycle order or None,
+    raising BudgetExceeded with the node count at the first node past the
+    budget."""
+    if d.n < 2:
+        return None
+    used = bytearray(d.n)
+    used[0] = 1
+    path = [0]
+    nodes = 0
+
+    def extend(u: int) -> int:
+        nonlocal nodes
+        nodes += 1
+        if nodes > budget:
+            return -1
+        if len(path) == d.n:
+            return 1 if d.has_arc(u, 0) else 0
+        for v in d.out_neighbors(u):
+            if not used[v]:
+                used[v] = 1
+                path.append(v)
+                r = extend(v)
+                if r != 0:
+                    return r
+                path.pop()
+                used[v] = 0
+        return 0
+
+    r = extend(0)
+    if r == -1:
+        raise BudgetExceeded(nodes)
+    return tuple(path) if r == 1 else None

@@ -101,6 +101,14 @@ class TestColorHam:
         path = write_graph(tmp_path, tt(4))
         assert main(["color-ham", path]) == 5
 
+    def test_long_cycle_needs_no_recursion(self, tmp_path, capsys):
+        path = tmp_path / "c1500.dg"
+        assert main(["gen", "--family", "cycle", "--n", "1500", "-o", str(path)]) == 0
+        capsys.readouterr()
+        assert main(["color-ham", "--json", str(path)]) == 0
+        out = json.loads(capsys.readouterr().out)
+        assert out["outcome"] == "coloring" and len(out["colors"]) == 1500
+
 
 class TestFind:
     def test_found(self, tmp_path, capsys):

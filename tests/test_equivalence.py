@@ -1,0 +1,210 @@
+"""Seeded campaign: the worklist and heap versions return exactly what the
+plain rescanning loops in ``naive`` return.
+
+Each family is a list of (digraph, root) pairs; the root reaches every
+vertex. The campaign compares whole outputs (trees, orders, cores, color
+maps), not just their validity, and checks that it met stalled peels,
+NotAcyclic cases and full orders alike.
+"""
+
+from collections import Counter
+
+import pytest
+
+from fourblocks import (
+    BudgetExceeded,
+    Digraph,
+    Family,
+    GenSpec,
+    OutTree,
+    Rng,
+    degeneracy_order,
+    finalize,
+    find_hamiltonian_cycle,
+    generate,
+    spanning_out_tree,
+    underlying_graph,
+)
+from fourblocks.decomposition import (
+    SubDigraph,
+    _acyclic_peel_order,
+    arc_partition,
+    induced_subdigraph,
+    level_classes,
+    peel_low_degree,
+)
+from fourblocks.errors import NotAcyclic
+from fourblocks.exactcolor import dsatur
+
+import naive
+
+
+def sparse(seed):
+    n = 20 + 13 * seed
+    return generate(GenSpec(Family.RANDOM_STRONG, n, 2 * n, seed)), 0
+
+
+def dense(seed):
+    n = 12 + 4 * seed
+    return generate(GenSpec(Family.RANDOM_STRONG, n, 10 * n, seed)), 0
+
+
+def tournament(seed):
+    """Random tournament rooted at a vertex of maximum out-degree, which
+    reaches every vertex within two steps."""
+    rng = Rng(1000 + seed)
+    n = 6 + 3 * seed
+    arcs = [
+        (i, j) if rng.randrange(2) else (j, i)
+        for i in range(n)
+        for j in range(i + 1, n)
+    ]
+    d = Digraph(n, arcs)
+    root = max(range(d.n), key=lambda v: (d.out_degree(v), -v))
+    return d, root
+
+
+def long_cycle(seed):
+    """Directed cycle of n >= 1500 plus a few chords: BFS trees are deep."""
+    rng = Rng(2000 + seed)
+    n = 1500 + 250 * seed
+    arcs = {(i, (i + 1) % n) for i in range(n)}
+    while len(arcs) < n + 8:
+        u, v = rng.randrange(n), rng.randrange(n)
+        if u != v:
+            arcs.add((u, v))
+    return Digraph(n, arcs), 0
+
+
+FAMILIES = {
+    "sparse": [sparse(s) for s in range(10)],
+    "dense": [dense(s) for s in range(8)],
+    "tournament": [tournament(s) for s in range(8)]
+    + [(generate(GenSpec(Family.TRANSITIVE_TOURNAMENT, 12)), 0)],
+    "long-cycle": [long_cycle(s) for s in range(2)],
+}
+
+
+def random_tree(rng, n, root) -> OutTree:
+    """A uniformly shaped spanning tree unrelated to the digraph's arcs."""
+    others = [v for v in range(n) if v != root]
+    rng.shuffle(others)
+    placed = [root]
+    parent = [None] * n
+    level = [0] * n
+    level[root] = 1
+    for v in others:
+        p = placed[rng.randrange(len(placed))]
+        parent[v] = p
+        level[v] = level[p] + 1
+        placed.append(v)
+    return OutTree(root, tuple(parent), tuple(level))
+
+
+def both_peels(sub, vertices):
+    """(outcome, order) of the heap peel and of the reference peel."""
+    results = []
+    for peel in (_acyclic_peel_order, naive.acyclic_peel_order):
+        try:
+            results.append(("order", peel(sub, vertices)))
+        except NotAcyclic:
+            results.append(("NotAcyclic", None))
+    return results
+
+
+@pytest.mark.parametrize("family", sorted(FAMILIES))
+def test_finalize_matches_rescan(family):
+    rng = Rng(7)
+    rotated = 0
+    for d, root in FAMILIES[family]:
+        starts = [spanning_out_tree(d, root)]
+        if d.n <= 200:
+            starts.append(random_tree(rng, d.n, root))
+        for t0 in starts:
+            t1 = finalize(d, t0)
+            assert t1 == naive.finalize(d, t0)
+            rotated += t1 != t0
+    assert rotated > 0
+
+
+@pytest.mark.parametrize("family", sorted(FAMILIES))
+def test_degree_peels_match(family):
+    seen = Counter()
+    for d, _ in FAMILIES[family]:
+        g = underlying_graph(d)
+        want = naive.degeneracy_order(g)
+        assert degeneracy_order(g) == want
+        sub = induced_subdigraph(d, range(d.n))
+        for threshold in sorted({0, 2, want.d - 1, want.d}):
+            order, core = peel_low_degree(sub, threshold)
+            assert (order, core) == naive.peel_low_degree(sub, threshold)
+            seen["stall" if core else "full"] += 1
+    assert seen["stall"] and seen["full"]
+
+
+@pytest.mark.parametrize("family", sorted(FAMILIES))
+def test_acyclic_peel_matches(family):
+    rng = Rng(11)
+    seen = Counter()
+    for d, root in FAMILIES[family]:
+        whole = induced_subdigraph(d, range(d.n))
+        forward = SubDigraph(range(d.n), ((u, v) for u, v in d.arcs if u < v))
+        cases = [(whole, whole.vertices), (forward, forward.vertices)]
+        if d.n <= 200:
+            t = finalize(d, spanning_out_tree(d, root))
+            for cls in level_classes(t, 1).classes:
+                a2 = SubDigraph(cls, arc_partition(d, t, cls).a2)
+                cases.append((a2, a2.vertices))
+            for _ in range(4):
+                subset = [v for v in range(d.n) if rng.randrange(3)]
+                cases.append((whole, subset))
+        for sub, vertices in cases:
+            new, old = both_peels(sub, vertices)
+            assert new == old
+            seen[new[0]] += 1
+    assert seen["order"] and seen["NotAcyclic"]
+
+
+@pytest.mark.parametrize("family", sorted(FAMILIES))
+def test_dsatur_matches(family):
+    rng = Rng(13)
+    for d, _ in FAMILIES[family]:
+        sub = induced_subdigraph(d, range(d.n))
+        subsets = [sub.vertices]
+        if d.n <= 200:
+            subsets += [[v for v in range(d.n) if rng.randrange(2)] for _ in range(3)]
+        for vs in subsets:
+            assert dsatur(vs, sub.und_adj) == naive.dsatur(vs, sub.und_adj)
+
+
+def test_hamiltonian_search_matches_recursion():
+    """Same cycle, same node count at the budget cut, on small instances."""
+    seen = Counter()
+    for seed in range(40):
+        n = 4 + seed % 7
+        if seed % 3 == 0:
+            d = generate(GenSpec(Family.RANDOM_HAMILTONIAN, n, 2 * n, seed))
+        else:
+            d = generate(GenSpec(Family.RANDOM_STRONG, n, n + seed % n, seed))
+        for budget in (1, 3, 7, 20, 10**6):
+            try:
+                want = naive.find_hamiltonian_cycle(d, budget)
+            except BudgetExceeded as exc:
+                with pytest.raises(BudgetExceeded) as got:
+                    find_hamiltonian_cycle(d, budget)
+                assert got.value.nodes == exc.nodes
+                seen["budget"] += 1
+                continue
+            got = find_hamiltonian_cycle(d, budget)
+            assert (got.order if got is not None else None) == want
+            seen["none" if want is None else "cycle"] += 1
+    assert seen["budget"] and seen["none"] and seen["cycle"]
+
+
+def test_hamiltonian_search_on_a_long_cycle():
+    n = 3000
+    d = Digraph(n, ((i, (i + 1) % n) for i in range(n)))
+    assert find_hamiltonian_cycle(d).order == tuple(range(n))
+    with pytest.raises(BudgetExceeded) as exc:
+        find_hamiltonian_cycle(d, budget=n - 1)
+    assert exc.value.nodes == n

@@ -125,6 +125,11 @@ class TestIsFinal:
         d = Digraph(4, [(0, 1), (1, 2), (1, 3)])
         assert is_final(d, spanning_out_tree(d, 0))
 
+    def test_verdict_is_kept_per_digraph(self):
+        t = OutTree(0, (None, 0, 0), (1, 2, 2))
+        assert is_final(Digraph(3, [(0, 1), (0, 2)]), t)
+        assert not is_final(Digraph(3, [(0, 1), (0, 2), (1, 2)]), t)
+
 
 class TestFinalize:
     def test_identity_on_final_tree(self):
