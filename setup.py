@@ -1,14 +1,6 @@
 from setuptools import Extension, setup
 
-try:
-    from Cython.Build import cythonize
-
-    ext_modules = cythonize(
-        [Extension("fourblocks._subdiv_cy", ["src/fourblocks/_subdiv_cy.pyx"])],
-        compiler_directives={"language_level": "3"},
-    )
-except ImportError:
-    # the package falls back to the pure-Python kernel
-    ext_modules = []
-
-setup(ext_modules=ext_modules)
+# _subdiv.c is plain C with no Python headers: it builds into a shared
+# library that fourblocks.witness loads with ctypes. Without it the package
+# falls back to the pure-Python kernel.
+setup(ext_modules=[Extension("fourblocks._subdiv", ["src/fourblocks/_subdiv.c"])])

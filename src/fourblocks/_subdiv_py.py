@@ -1,8 +1,9 @@
 """Pure-Python kernel for the four-blocks cycle subdivision search.
 
-This module and the compiled twin (_subdiv_cy) implement the exact same
-backtracking search with the exact same visit order and node accounting, so
-either can back the public API interchangeably.
+This module and the compiled twin (_subdiv.c, loaded by _subdiv_ctypes)
+implement the exact same backtracking search with the exact same visit
+order and node accounting, so either can back the public API
+interchangeably. A change to one must land in the other.
 
 The target shape is an oriented cycle with four blocks: junctions j1..j4
 where j1 and j3 are sources and j2 and j4 are sinks, realized by four

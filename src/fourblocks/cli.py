@@ -20,6 +20,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import os
 import sys
 import time
 from pathlib import Path
@@ -61,11 +62,18 @@ def _budget(args) -> int:
 
 
 def _emit(args, json_obj: dict, text_lines: list[str]) -> None:
-    if args.json:
-        print(_canonical_json(json_obj))
-    else:
-        for line in text_lines:
-            print(line)
+    try:
+        if args.json:
+            print(_canonical_json(json_obj))
+        else:
+            for line in text_lines:
+                print(line)
+        sys.stdout.flush()
+    except BrokenPipeError:
+        # The reader closed the pipe early (`| head`). The exit code still
+        # reports the outcome; stdout goes to devnull so that the flush at
+        # interpreter exit does not raise again.
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
 
 
 def _parse_pattern(text: str) -> witness.CyclePattern:

@@ -11,9 +11,10 @@ Every finder is exhaustive under a search-node budget and raises
 BudgetExceeded rather than silently claiming absence. Every witness can be
 re-checked by a verifier that trusts nothing from the search bookkeeping.
 
-The subdivision search runs on a compiled kernel when the extension module
-is available, with a pure-Python twin as fallback; set FOURBLOCKS_PURE=1 to
-force the fallback. Both kernels produce identical results.
+The subdivision search runs on the compiled C kernel (_subdiv.c) when a
+library built from it sits next to this package, and on the pure-Python
+twin (_subdiv_py) otherwise; set FOURBLOCKS_PURE=1 to force the twin. Both
+kernels produce identical results.
 
 Witness JSON schema for subdivisions:
 
@@ -27,6 +28,7 @@ least pattern[i].
 
 from __future__ import annotations
 
+import importlib.machinery
 import os
 from dataclasses import dataclass
 from typing import Optional
@@ -35,29 +37,38 @@ from .digraph import Digraph, UGraph
 from .errors import BudgetExceeded
 from . import _subdiv_py
 
-_FORCE_PURE = os.environ.get("FOURBLOCKS_PURE", "") not in ("", "0")
-if _FORCE_PURE:
-    _kernel = _subdiv_py
-    KERNEL = "pure"
-else:
-    try:
-        from . import _subdiv_cy as _kernel  # type: ignore[no-redef]
 
-        KERNEL = "compiled"
-    except ImportError:
-        _kernel = _subdiv_py
-        KERNEL = "pure"
+def _load_compiled():
+    """The kernel in the library built next to this package, or None.
+
+    Looks only for a built file and never compiles; ctypes is imported only
+    when that file exists.
+    """
+    here = os.path.dirname(os.path.abspath(__file__))
+    for suffix in importlib.machinery.EXTENSION_SUFFIXES:
+        path = os.path.join(here, "_subdiv" + suffix)
+        if os.path.isfile(path):
+            from ._subdiv_ctypes import CompiledKernel
+
+            try:
+                return CompiledKernel(path)
+            except OSError:
+                return None
+    return None
+
+
+_FORCE_PURE = os.environ.get("FOURBLOCKS_PURE", "") not in ("", "0")
+_compiled = None if _FORCE_PURE else _load_compiled()
+_kernel = _subdiv_py if _compiled is None else _compiled
+KERNEL = "pure" if _compiled is None else "compiled"
 
 
 def available_kernels() -> dict:
-    """Name -> module for every importable subdivision kernel."""
+    """Name -> kernel for every loadable subdivision kernel."""
     kernels = {"pure": _subdiv_py}
-    try:
-        from . import _subdiv_cy
-
-        kernels["compiled"] = _subdiv_cy
-    except ImportError:
-        pass
+    compiled = _load_compiled()
+    if compiled is not None:
+        kernels["compiled"] = compiled
     return kernels
 
 

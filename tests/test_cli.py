@@ -1,7 +1,12 @@
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
+import fourblocks
 from fourblocks.cli import main
 from fourblocks import (
     CyclePattern,
@@ -108,6 +113,22 @@ class TestColorHam:
         assert main(["color-ham", "--json", str(path)]) == 0
         out = json.loads(capsys.readouterr().out)
         assert out["outcome"] == "coloring" and len(out["colors"]) == 1500
+
+    def test_reader_closing_early_is_not_a_crash(self, tmp_path):
+        # `fourblocks color-ham --json c1500.dg | head -c 50`, with the reader
+        # gone before the certificate is written
+        path = write_graph(tmp_path, cycle(1500), "c1500.dg")
+        src = str(Path(fourblocks.__file__).resolve().parents[1])
+        proc = subprocess.Popen(
+            [sys.executable, "-m", "fourblocks.cli", "color-ham", "--json", path],
+            stdout=subprocess.PIPE,
+            stderr=subprocess.PIPE,
+            env={**os.environ, "PYTHONPATH": src},
+        )
+        proc.stdout.close()
+        err = proc.stderr.read().decode()
+        assert proc.wait(timeout=120) == 0
+        assert "Traceback" not in err and "BrokenPipe" not in err
 
 
 class TestFind:
