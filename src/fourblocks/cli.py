@@ -61,19 +61,22 @@ def _budget(args) -> int:
     return witness.default_budget()
 
 
-def _emit(args, json_obj: dict, text_lines: list[str]) -> None:
+def _write(text: str) -> None:
     try:
-        if args.json:
-            print(_canonical_json(json_obj))
-        else:
-            for line in text_lines:
-                print(line)
+        sys.stdout.write(text)
         sys.stdout.flush()
     except BrokenPipeError:
         # The reader closed the pipe early (`| head`). The exit code still
         # reports the outcome; stdout goes to devnull so that the flush at
         # interpreter exit does not raise again.
         os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+
+
+def _emit(args, json_obj: dict, text_lines: list[str]) -> None:
+    if args.json:
+        _write(_canonical_json(json_obj) + "\n")
+    else:
+        _write("".join(line + "\n" for line in text_lines))
 
 
 def _parse_pattern(text: str) -> witness.CyclePattern:
@@ -200,7 +203,7 @@ def cmd_find(args) -> int:
         return 4
     if w is None:
         if not args.json:
-            print("no subdivision found")
+            _write("no subdivision found\n")
         return 3
     check = witness.verify_subdivision(d, w, pattern)
     assert check.ok, f"search produced an invalid witness: {check.reason}"
@@ -232,7 +235,7 @@ def cmd_verify(args) -> int:
     except (KeyError, TypeError, ValueError) as exc:
         print(f"malformed certificate: {exc}", file=sys.stderr)
         return 1
-    print(message)
+    _write(message + "\n")
     return 0 if ok else 3
 
 
@@ -313,7 +316,7 @@ def cmd_gen(args) -> int:
             _canonical_json(spec.to_json_dict()) + "\n"
         )
     else:
-        sys.stdout.write(text)
+        _write(text)
     return 0
 
 
@@ -414,8 +417,10 @@ def cmd_stress(args) -> int:
             dump = Path(f"stress_fail_{args.family}_{seed}.dg")
             dump.write_text(format_digraph(generators.generate(spec)))
             print(f"seed {seed}: FAIL ({detail}) -> {dump}", file=sys.stderr)
-    print(f"family={args.family} count={args.count} k1={args.k1} k3={args.k3}")
-    print(f"pass={counts['pass']} fail={counts['fail']} skip={counts['skip']}")
+    _write(
+        f"family={args.family} count={args.count} k1={args.k1} k3={args.k3}\n"
+        f"pass={counts['pass']} fail={counts['fail']} skip={counts['skip']}\n"
+    )
     return 1 if counts["fail"] else 0
 
 
@@ -447,19 +452,19 @@ def cmd_bench(args) -> int:
         results[name] = elapsed
         outcomes[name] = found
         hits = sum(1 for status, _ in found if status == 0)
-        print(
+        _write(
             f"{name:9s} {elapsed * 1000:9.1f} ms over {len(digraphs)} instances "
-            f"(n={n}, pattern {pattern}, {hits} witnesses)"
+            f"(n={n}, pattern {pattern}, {hits} witnesses)\n"
         )
     if len(outcomes) == 2:
         agree = outcomes["pure"] == outcomes["compiled"]
-        print(f"kernels agree on all outcomes: {agree}")
+        _write(f"kernels agree on all outcomes: {agree}\n")
         if not agree:
             return 1
         if results["compiled"] > 0:
-            print(f"speedup: {results['pure'] / results['compiled']:.1f}x")
+            _write(f"speedup: {results['pure'] / results['compiled']:.1f}x\n")
     else:
-        print("compiled kernel not available; benchmarked the pure kernel only")
+        _write("compiled kernel not available; benchmarked the pure kernel only\n")
     return 0
 
 

@@ -6,9 +6,10 @@ kernels: plain enumeration over junction tuples, simple paths, vertex
 subsets and color assignments.
 
 The last section keeps the plain rescanning loops that the package's
-worklist and heap versions replaced (``finalize``, the peels, DSATUR and
-the recursive Hamiltonian search). They apply the same selection rule by
-brute force, so the package versions must return exactly their output.
+worklist and heap versions replaced (``finalize``, the peels, DSATUR, the
+recursive Hamiltonian search and the per-chord set intersections of the
+chord neighbor-bound check). They apply the same rule by brute force, so
+the package versions must return exactly their output.
 """
 
 from itertools import combinations, permutations
@@ -295,3 +296,38 @@ def find_hamiltonian_cycle(d: Digraph, budget: int):
     if r == -1:
         raise BudgetExceeded(nodes)
     return tuple(path) if r == 1 else None
+
+
+def check_chord_neighbor_bound(d: Digraph, c, k: int) -> list:
+    """A fresh zone set per off-cycle arc, intersected with the neighbor set
+    of every gap vertex; rows are plain (u, v, w, count) tuples."""
+    if k < 1:
+        raise ValueError("block parameter k must be positive")
+    if not c.is_valid_for(d):
+        raise ValueError("cycle is not a Hamiltonian directed cycle of the digraph")
+    n = c.n
+    pos = c.positions()
+    order = c.order
+    cycle_edges = {
+        frozenset((u, v)) for u, v in zip(order, order[1:] + order[:1])
+    }
+    und_adj: dict[int, set[int]] = {v: set() for v in range(n)}
+    for x, y in d.arcs:
+        und_adj[x].add(y)
+        und_adj[y].add(x)
+
+    violations = []
+    for v, u in sorted(d.arcs):
+        if frozenset((u, v)) in cycle_edges:
+            continue
+        L = (pos[u] - pos[v]) % n
+        if L < 2 * k:
+            continue
+        zone = {order[(pos[v] + t) % n] for t in range(k, L - k + 1)}
+        gap = n - L
+        for s in range(1, gap):
+            w = order[(pos[u] + s) % n]
+            count = len(und_adj[w] & zone)
+            if count > 2:
+                violations.append((u, v, w, count))
+    return violations

@@ -118,17 +118,48 @@ class TestColorHam:
         # `fourblocks color-ham --json c1500.dg | head -c 50`, with the reader
         # gone before the certificate is written
         path = write_graph(tmp_path, cycle(1500), "c1500.dg")
-        src = str(Path(fourblocks.__file__).resolve().parents[1])
-        proc = subprocess.Popen(
-            [sys.executable, "-m", "fourblocks.cli", "color-ham", "--json", path],
-            stdout=subprocess.PIPE,
-            stderr=subprocess.PIPE,
-            env={**os.environ, "PYTHONPATH": src},
-        )
+        assert_pipe_safe(["color-ham", "--json", path], 0)
+
+
+def assert_pipe_safe(argv, code, cwd=None):
+    """Run the CLI with its stdout reader closed before anything is
+    written: the documented exit code, and no traceback."""
+    src = str(Path(fourblocks.__file__).resolve().parents[1])
+    with subprocess.Popen(
+        [sys.executable, "-m", "fourblocks.cli", *argv],
+        stdout=subprocess.PIPE,
+        stderr=subprocess.PIPE,
+        env={**os.environ, "PYTHONPATH": src},
+        cwd=cwd,
+    ) as proc:
         proc.stdout.close()
         err = proc.stderr.read().decode()
-        assert proc.wait(timeout=120) == 0
-        assert "Traceback" not in err and "BrokenPipe" not in err
+        assert proc.wait(timeout=120) == code
+    assert "Traceback" not in err and "BrokenPipe" not in err
+
+
+class TestStdoutReaderGone:
+    """`fourblocks ... | true`: the reader is gone before the command writes."""
+
+    def test_gen(self):
+        assert_pipe_safe(["gen", "--family", "cycle", "--n", "1500"], 0)
+
+    def test_find_not_found(self, tmp_path):
+        assert_pipe_safe(["find", write_graph(tmp_path, cycle(6))], 3)
+
+    def test_verify(self, tmp_path, capsys):
+        path = write_graph(tmp_path, cycle(6))
+        assert main(["color-ham", "--json", path]) == 0
+        cert = tmp_path / "cert.json"
+        cert.write_text(capsys.readouterr().out)
+        assert_pipe_safe(["verify", path, str(cert)], 0)
+
+    def test_stress(self, tmp_path):
+        argv = ["stress", "--family", "strong", "--count", "3", "--n", "6"]
+        assert_pipe_safe(argv, 0, cwd=tmp_path)
+
+    def test_bench(self):
+        assert_pipe_safe(["bench", "--n", "8", "--count", "2"], 0)
 
 
 class TestFind:

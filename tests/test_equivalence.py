@@ -1,5 +1,5 @@
-"""Seeded campaign: the worklist and heap versions return exactly what the
-plain rescanning loops in ``naive`` return.
+"""Seeded campaign: the worklist, heap and sweep versions return exactly
+what the plain rescanning loops in ``naive`` return.
 
 Each family is a list of (digraph, root) pairs; the root reaches every
 vertex. The campaign compares whole outputs (trees, orders, cores, color
@@ -13,11 +13,14 @@ import pytest
 
 from fourblocks import (
     BudgetExceeded,
+    ChordViolation,
     Digraph,
     Family,
     GenSpec,
+    HamiltonianCycle,
     OutTree,
     Rng,
+    check_chord_neighbor_bound,
     degeneracy_order,
     finalize,
     find_hamiltonian_cycle,
@@ -208,3 +211,63 @@ def test_hamiltonian_search_on_a_long_cycle():
     with pytest.raises(BudgetExceeded) as exc:
         find_hamiltonian_cycle(d, budget=n - 1)
     assert exc.value.nodes == n
+
+
+def chorded_cycle(rng, n, m, reverse_share=0):
+    """A directed cycle through a shuffled vertex order, with about one in
+    ``reverse_share`` cycle arcs also reversed (L = n-1), plus random
+    chords up to m arcs."""
+    order = list(range(n))
+    rng.shuffle(order)
+    arcs = {(order[i], order[(i + 1) % n]) for i in range(n)}
+    if reverse_share:
+        arcs |= {(y, x) for x, y in list(arcs) if rng.randrange(reverse_share) == 0}
+    while len(arcs) < min(m, n * (n - 1)):
+        u, v = rng.randrange(n), rng.randrange(n)
+        if u != v:
+            arcs.add((u, v))
+    return Digraph(n, arcs), HamiltonianCycle(tuple(order))
+
+
+def chord_shapes(d, c, k):
+    """Which kinds of arc (v,u) the instance exercises for this k."""
+    n, pos = c.n, c.positions()
+    shapes = set()
+    for v, u in d.arcs:
+        pv, pu = pos[v], pos[u]
+        L = (pu - pv) % n
+        if L == n - 1:
+            shapes.add("antiparallel")
+        elif 1 < L < 2 * k:
+            shapes.add("short")
+        elif L >= 2 * k:
+            if pv + k < n <= pv + L - k:
+                shapes.add("zone across n-1")
+            if pv + k >= n:
+                shapes.add("zone past n-1")
+            if pu + 1 < n < pu + n - L:
+                shapes.add("gap across n-1")
+    return shapes
+
+
+def test_chord_sweep_matches_set_intersections():
+    rng = Rng(17)
+    cases = []
+    for seed in range(58):
+        n = 3 + seed
+        for k in (1, 2, 3, 5):
+            m = n + rng.randrange(3 * n + 1)
+            cases.append((*chorded_cycle(rng, n, m, reverse_share=4), k))
+    # the shape of the benchmark's Hamiltonian workload
+    cases += [(*chorded_cycle(rng, 400, 3 * 400), 1) for _ in range(2)]
+    seen = Counter()
+    for d, c, k in cases:
+        want = naive.check_chord_neighbor_bound(d, c, k)
+        got = check_chord_neighbor_bound(d, c, k)
+        assert got == want
+        assert all(type(x) is ChordViolation for x in got)
+        seen["violations" if got else "none"] += 1
+        seen.update(chord_shapes(d, c, k))
+    assert seen["violations"] and seen["none"]
+    assert seen["antiparallel"] and seen["short"]
+    assert seen["zone across n-1"] and seen["zone past n-1"] and seen["gap across n-1"]

@@ -2,6 +2,7 @@ import pytest
 
 from fourblocks import (
     BudgetExceeded,
+    ChordViolation,
     CyclePattern,
     Digraph,
     Family,
@@ -160,6 +161,28 @@ class TestChordNeighborBound:
         d = Digraph(6, arcs)
         c = HamiltonianCycle(tuple(range(6)))
         assert check_chord_neighbor_bound(d, c, 3) == []
+
+    def test_exact_counts_on_a_zone_across_position_zero(self):
+        order = (7, 2, 9, 0, 5, 3, 8, 1, 6, 4)
+        arcs = [(order[i], order[(i + 1) % 10]) for i in range(10)]
+        # chord (1,0): L = 6, gap C]0,1[ = 5, 3, 8 (positions 4..6); for
+        # k = 1 the zone is positions 8, 9, 0, 1, 2 = vertices 6, 4, 7, 2, 9
+        arcs += [(1, 0)]
+        # w = 3: zone neighbors 6 (a digon, counted once) and 7 by out-arcs,
+        # 4 and 2 by in-arcs; 0, 1, 5 and 8 lie outside the zone
+        arcs += [(3, 6), (6, 3), (3, 7), (4, 3), (2, 3), (3, 0), (1, 3)]
+        # w = 5: zone neighbors 9, 2 and 6, and 5 is also the whole gap of
+        # the chord (3,0)
+        arcs += [(5, 9), (2, 5), (5, 6)]
+        d = Digraph(10, arcs)
+        c = HamiltonianCycle(order)
+        violations = check_chord_neighbor_bound(d, c, 1)
+        # sorted arcs, then gap vertices in cycle order from u (5 before 3)
+        assert violations == [(0, 1, 5, 3), (0, 1, 3, 4), (0, 3, 5, 3)]
+        assert violations[1] == ChordViolation(u=0, v=1, w=3, count=4)
+        assert all(type(v) is ChordViolation for v in violations)
+        # k = 2 shrinks the zone of (1,0) to 4, 7, 2, still across 0
+        assert check_chord_neighbor_bound(d, c, 2) == [(0, 1, 3, 3)]
 
     def test_violations_serialize(self):
         arcs = [(i, (i + 1) % 8) for i in range(8)]
