@@ -45,14 +45,11 @@ from .witness import (
     SubdivisionWitness,
     TwoBlockPathWitness,
     VerifyResult,
-    WheelWitness,
     default_budget,
     find_cycle_subdivision,
-    find_k_wheel,
     find_two_block_path,
     verify_subdivision,
     verify_two_block_path,
-    verify_wheel,
     witness_from_json,
     witness_to_json,
 )

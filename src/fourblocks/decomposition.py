@@ -28,7 +28,6 @@ from . import exactcolor
 from .digraph import (
     Coloring,
     Digraph,
-    UGraph,
     is_proper,
     is_strongly_connected,
     product_coloring,
@@ -40,9 +39,7 @@ from .witness import (
     CyclePattern,
     SubdivisionWitness,
     TwoBlockPathWitness,
-    WheelWitness,
     find_cycle_subdivision,
-    find_k_wheel,
     find_two_block_path,
     verify_subdivision,
     witness_to_json,
@@ -88,11 +85,6 @@ class LevelClasses:
     k: int
     classes: tuple[frozenset[int], ...]
 
-    def class_index(self, level: int) -> int:
-        """1-based class index for a tree level."""
-        r = level % (2 * self.k)
-        return 2 * self.k if r == 0 else r
-
 
 @dataclass(frozen=True)
 class ArcPartition:
@@ -137,11 +129,10 @@ def arc_partition(d: Digraph, t: OutTree, cls) -> ArcPartition:
 
 @dataclass(frozen=True)
 class WheelCoreFailure:
-    """Peeling at degree 5 stalled; the core has minimum degree >= 6 and (when
-    the budget allowed finding one) contains a 5-wheel."""
+    """Peeling at degree 5 stalled; every core vertex keeps >= 6 core
+    neighbors."""
 
-    core: SubDigraph
-    wheel: Optional[WheelWitness]
+    core: frozenset[int]
 
 
 @dataclass(frozen=True)
@@ -193,47 +184,24 @@ def greedy_reverse(sub: SubDigraph, order) -> dict[int, int]:
     return colors
 
 
-def color_d1(
-    d1: SubDigraph, t: OutTree, wheel_budget: Optional[int] = None
-) -> Union[Coloring, WheelCoreFailure]:
+def color_d1(d1: SubDigraph, t: OutTree) -> Union[Coloring, WheelCoreFailure]:
     """Color the ancestor-increasing arc group with at most 6 colors.
 
     Peel vertices of underlying degree <= 5 and greedy-color in reverse. A
     stall means the remaining core has minimum degree >= 6, which cannot
     happen for this arc group unless the host contains a four-blocks cycle
-    subdivision; the core (plus a 5-wheel inside it when found) is returned
-    as the failure evidence.
+    subdivision; the core's vertex set is returned as the failure evidence.
     """
     level, num = t.level, t.numbering
     for u, v in d1.arcs:
         if not (level[u] < level[v] and num.is_ancestor(u, v)):
             raise ValueError(f"arc ({u},{v}) is not ancestor-increasing")
     order, core = peel_low_degree(d1, 5)
-    if not core:
-        colors = greedy_reverse(d1, order)
-        coloring = Coloring(colors).normalized()
-        assert coloring.palette_size <= 6
-        return coloring
-    core_sub = SubDigraph(
-        core, ((u, v) for u, v in d1.arcs if u in core and v in core)
-    )
-    mapping = list(core_sub.vertices)
-    index = {v: i for i, v in enumerate(mapping)}
-    core_graph = UGraph(
-        len(mapping), ((index[u], index[v]) for u, v in core_sub.arcs)
-    )
-    wheel = None
-    try:
-        w = find_k_wheel(core_graph, 5, wheel_budget)
-    except BudgetExceeded:
-        w = None
-    if w is not None:
-        wheel = WheelWitness(
-            tuple(mapping[v] for v in w.cycle),
-            mapping[w.center],
-            tuple(sorted(mapping[v] for v in w.spokes)),
-        )
-    return WheelCoreFailure(core_sub, wheel)
+    if core:
+        return WheelCoreFailure(frozenset(core))
+    coloring = Coloring(greedy_reverse(d1, order)).normalized()
+    assert coloring.palette_size <= 6
+    return coloring
 
 
 def split_by_out_degree(d2: SubDigraph):
@@ -289,16 +257,8 @@ def color_d2(d2: SubDigraph) -> Union[Coloring, OutDegreeFailure]:
         assert worst is not None
         return OutDegreeFailure(worst[0], worst[1])
 
-    colors: dict[int, int] = {}
-    order_low = _acyclic_peel_order(d2, low)
-    low_sub = SubDigraph(low, ((u, v) for u, v in d2.arcs if u in low and v in low))
-    for v, c in greedy_reverse(low_sub, order_low).items():
-        colors[v] = c
-    order_high = _acyclic_peel_order(d2, high)
-    high_sub = SubDigraph(
-        high, ((u, v) for u, v in d2.arcs if u in high and v in high)
-    )
-    for v, c in greedy_reverse(high_sub, order_high).items():
+    colors = greedy_reverse(d2, _acyclic_peel_order(d2, low))
+    for v, c in greedy_reverse(d2, _acyclic_peel_order(d2, high)).items():
         colors[v] = 2 + c
     coloring = Coloring(colors).normalized()
     assert coloring.palette_size <= 6
@@ -326,7 +286,10 @@ def color_d3(
     exact = exactcolor.color_within(d3.vertices, d3.und_adj, q, budget)
     if exact is not None:
         return Coloring(exact).normalized()
-    witness = _find_two_block_in_sub(d3, 2 * k + 1, 2 * k + 1, budget)
+    # Search on host ids: vertices outside the class have no out-arcs, so
+    # the search skips them before counting a node.
+    host = Digraph(max(d3.vertices) + 1, d3.arcs)
+    witness = find_two_block_path(host, 2 * k + 1, 2 * k + 1, budget)
     if witness is None:
         raise RuntimeError(
             "chromatic number exceeds 4k+2 but no P(2k+1,2k+1) exists; "
@@ -334,23 +297,6 @@ def color_d3(
             "so one of the two searches is buggy"
         )
     return witness
-
-
-def _find_two_block_in_sub(
-    sub: SubDigraph, a: int, b: int, budget: int
-) -> Optional[TwoBlockPathWitness]:
-    mapping = list(sub.vertices)
-    index = {v: i for i, v in enumerate(mapping)}
-    compact = Digraph(len(mapping), ((index[u], index[v]) for u, v in sub.arcs))
-    w = find_two_block_path(compact, a, b, budget)
-    if w is None:
-        return None
-    return TwoBlockPathWitness(
-        tuple(mapping[v] for v in w.q1),
-        tuple(mapping[v] for v in w.q2),
-        w.a,
-        w.b,
-    )
 
 
 # --- pipeline ----------------------------------------------------------------
@@ -461,12 +407,12 @@ def color_strong_digraph(
         d2 = SubDigraph(cls, part.a2)
         d3 = SubDigraph(cls, part.a3)
 
-        r1 = color_d1(d1, t, wheel_budget=budget)
+        r1 = color_d1(d1, t)
         if isinstance(r1, WheelCoreFailure):
             failure_stage = "color_d1"
             failure_reason = (
                 f"class {i}: degree-5 peel stalled on a core of "
-                f"{len(r1.core.vertices)} vertices"
+                f"{len(r1.core)} vertices"
             )
             break
         _, _, b2_max, _ = split_by_out_degree(d2)

@@ -1,11 +1,9 @@
 """Exact desk-scale searchers and verifiers for structural witnesses.
 
-Three witness shapes are handled:
+Two witness shapes are handled:
 
 * subdivisions of the four-blocks cycle C(k1,k2,k3,k4),
-* two-block paths P(a,b) (two dipaths sharing only their origin),
-* k-wheels in an undirected graph (a cycle plus an external center with at
-  least k neighbors on it).
+* two-block paths P(a,b) (two dipaths sharing only their origin).
 
 Every finder is exhaustive under a search-node budget and raises
 BudgetExceeded rather than silently claiming absence. Every witness can be
@@ -33,7 +31,7 @@ import os
 from dataclasses import dataclass
 from typing import Optional
 
-from .digraph import Digraph, UGraph
+from .digraph import Digraph
 from .errors import BudgetExceeded
 from . import _subdiv_py
 
@@ -116,15 +114,6 @@ class TwoBlockPathWitness:
     q2: tuple[int, ...]
     a: int
     b: int
-
-
-@dataclass(frozen=True)
-class WheelWitness:
-    """Cycle plus an external center adjacent to >= k cycle vertices."""
-
-    cycle: tuple[int, ...]
-    center: int
-    spokes: tuple[int, ...]
 
 
 @dataclass(frozen=True)
@@ -293,84 +282,4 @@ def verify_two_block_path(d: Digraph, w: TwoBlockPathWitness) -> VerifyResult:
                 return VerifyResult(False, "MissingArc")
     if set(w.q1[1:]) & set(w.q2[1:]):
         return VerifyResult(False, "NotInternallyDisjoint")
-    return VerifyResult(True)
-
-
-def find_k_wheel(
-    g: UGraph, k: int, budget: Optional[int] = None
-) -> Optional[WheelWitness]:
-    """Exhaustive search for a k-wheel: enumerate centers, then cycles of
-    g - center through at least k of the center's neighbors.
-
-    Cycles are enumerated canonically (smallest vertex first, second vertex
-    below last) so each is visited once.
-    """
-    if k < 3:
-        raise ValueError("wheel size must be at least 3")
-    if budget is None:
-        budget = default_budget()
-    nodes = 0
-
-    for center in range(g.n):
-        nu = set(g.neighbors(center))
-        if len(nu) < k:
-            continue
-        used = bytearray(g.n)
-        used[center] = 1
-        path: list[int] = []
-
-        def dfs(u: int, start: int, spokes: int) -> int:
-            nonlocal nodes
-            nodes += 1
-            if nodes > budget:
-                return -1
-            remaining = sum(1 for w in nu if w > start and not used[w])
-            if spokes + remaining < k:
-                return 0
-            for v in g.neighbors(u):
-                if v == start and len(path) >= 3 and path[1] < path[-1]:
-                    if spokes >= k:
-                        return 1
-                elif v > start and not used[v]:
-                    used[v] = 1
-                    path.append(v)
-                    r = dfs(v, start, spokes + (1 if v in nu else 0))
-                    if r != 0:
-                        return r
-                    path.pop()
-                    used[v] = 0
-            return 0
-
-        for start in range(g.n):
-            if start == center:
-                continue
-            used[start] = 1
-            path.clear()
-            path.append(start)
-            r = dfs(start, start, 1 if start in nu else 0)
-            used[start] = 0
-            if r == 1:
-                cycle = tuple(path)
-                spokes = tuple(sorted(set(cycle) & nu))
-                return WheelWitness(cycle, center, spokes)
-            if r == -1:
-                raise BudgetExceeded(nodes)
-    return None
-
-
-def verify_wheel(g: UGraph, w: WheelWitness, k: int) -> VerifyResult:
-    cyc = w.cycle
-    if len(cyc) < 3 or len(set(cyc)) != len(cyc):
-        return VerifyResult(False, "BadCycle")
-    for u, v in zip(cyc, cyc[1:] + cyc[:1]):
-        if not g.has_edge(u, v):
-            return VerifyResult(False, "MissingEdge")
-    if w.center in cyc:
-        return VerifyResult(False, "CenterOnCycle")
-    if len(w.spokes) < k:
-        return VerifyResult(False, "TooFewSpokes")
-    cyc_set = set(cyc)
-    for s in w.spokes:
-        if s not in cyc_set or not g.has_edge(w.center, s):
-            return VerifyResult(False, "BadSpoke")
     return VerifyResult(True)

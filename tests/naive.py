@@ -2,8 +2,8 @@
 
 Everything here is deliberately written from scratch against the witness
 definitions, with no shared code or search strategy with the package
-kernels: plain enumeration over junction tuples, simple paths, vertex
-subsets and color assignments.
+kernels: plain enumeration over junction tuples, simple paths and color
+assignments.
 
 The last section keeps the plain rescanning loops that the package's
 worklist and heap versions replaced (``finalize``, the peels, DSATUR, the
@@ -12,7 +12,7 @@ chord neighbor-bound check). They apply the same rule by brute force, so
 the package versions must return exactly their output.
 """
 
-from itertools import combinations, permutations
+from itertools import permutations
 
 from fourblocks import BudgetExceeded, Digraph, UGraph, OutTree
 from fourblocks.digraph import DegeneracyOrder
@@ -88,28 +88,6 @@ def has_two_block_path(d: Digraph, a: int, b: int) -> bool:
             for p2 in _paths_from(d, origin, used):
                 if len(p2) - 1 >= b:
                     return True
-    return False
-
-
-def has_k_wheel(g: UGraph, k: int) -> bool:
-    """Enumerate every cycle as an ordered vertex subset, then every center."""
-    for size in range(3, g.n + 1):
-        for subset in combinations(range(g.n), size):
-            first = subset[0]
-            for perm in permutations(subset[1:]):
-                if perm[0] > perm[-1]:
-                    continue
-                cycle = (first,) + perm
-                if not all(
-                    g.has_edge(cycle[i], cycle[(i + 1) % size]) for i in range(size)
-                ):
-                    continue
-                cset = set(cycle)
-                for center in range(g.n):
-                    if center in cset:
-                        continue
-                    if sum(1 for x in g.neighbors(center) if x in cset) >= k:
-                        return True
     return False
 
 

@@ -215,6 +215,21 @@ class TestVerify:
         cert.write_text(json.dumps(obj))
         assert main(["verify", path, str(cert)]) == 3
 
+    def test_subdivision_outcome_round_trip_and_tamper(self, tmp_path, capsys):
+        complete = Digraph(13, ((i, j) for i in range(13) for j in range(13) if i != j))
+        path = write_graph(tmp_path, complete)
+        assert main(["color", "--json", path]) == 3
+        obj = json.loads(capsys.readouterr().out)
+        assert obj["outcome"] == "subdivision"
+        cert = tmp_path / "cert.json"
+        cert.write_text(json.dumps(obj))
+        assert main(["verify", path, str(cert)]) == 0
+        assert "valid subdivision witness" in capsys.readouterr().out
+        obj["witness"]["paths"][0] = [0, 0]
+        cert.write_text(json.dumps(obj))
+        assert main(["verify", path, str(cert)]) == 3
+        assert "invalid witness: " in capsys.readouterr().out
+
     def test_round_trip_color_ham(self, tmp_path, capsys):
         d = generate(GenSpec(Family.RANDOM_HAMILTONIAN, 8, 11, 2))
         path = write_graph(tmp_path, d)

@@ -1,6 +1,7 @@
 import pytest
 
 from fourblocks import (
+    BudgetExceeded,
     Coloring,
     ColoringWithinBound,
     CyclePattern,
@@ -24,6 +25,7 @@ from fourblocks import (
     color_strong_digraph,
     finalize,
     find_cycle_subdivision,
+    find_two_block_path,
     generate,
     induced_subdigraph,
     is_proper,
@@ -31,6 +33,7 @@ from fourblocks import (
     spanning_out_tree,
     underlying_graph,
     verify_subdivision,
+    verify_two_block_path,
 )
 from fourblocks.decomposition import split_by_out_degree
 
@@ -156,36 +159,28 @@ class TestColorD1:
             color_d1(SubDigraph({1, 2}, [(1, 2)]), t)
 
     def test_stall_attaches_wheel(self):
-        # all increasing pairs over a path tree: underlying K8, min degree 7
+        # all increasing pairs over a path tree: underlying K8, min degree 7.
+        # The stall carries the core in which the paper's 5-wheel argument
+        # applies; no wheel is searched for.
         t = path_tree(8)
         arcs = [(i, j) for i in range(8) for j in range(i + 1, 8)]
         d1 = SubDigraph(set(range(8)), arcs)
         out = color_d1(d1, t)
         assert isinstance(out, WheelCoreFailure)
-        assert set(out.core.vertices) == set(range(8))
-        assert out.wheel is not None
-        from fourblocks import UGraph, verify_wheel
-
-        mapping = {v: i for i, v in enumerate(out.core.vertices)}
-        g = UGraph(8, ((mapping[u], mapping[v]) for u, v in out.core.arcs))
-        relabeled = type(out.wheel)(
-            tuple(mapping[v] for v in out.wheel.cycle),
-            mapping[out.wheel.center],
-            tuple(sorted(mapping[v] for v in out.wheel.spokes)),
-        )
-        assert verify_wheel(g, relabeled, 5).ok
+        assert out.core == frozenset(range(8))
 
     def test_stall_with_exhausted_wheel_budget_keeps_core(self):
-        t = path_tree(8)
+        # the K8 core plus a pendant path 0->8->9: peeling drops 8 and 9 and
+        # the stall keeps exactly the core, whose vertices keep >= 6 core
+        # neighbors; there is no wheel budget left to exhaust
+        t = path_tree(10)
         arcs = [(i, j) for i in range(8) for j in range(i + 1, 8)]
-        out = color_d1(SubDigraph(set(range(8)), arcs), t, wheel_budget=1)
+        arcs += [(0, 8), (8, 9)]
+        d1 = SubDigraph(set(range(10)), arcs)
+        out = color_d1(d1, t)
         assert isinstance(out, WheelCoreFailure)
-        assert out.wheel is None
-        und = {v: set() for v in out.core.vertices}
-        for u, v in out.core.arcs:
-            und[u].add(v)
-            und[v].add(u)
-        assert all(len(nbrs) >= 6 for nbrs in und.values())
+        assert out.core == frozenset(range(8))
+        assert all(len(d1.und_adj[v] & out.core) >= 6 for v in out.core)
 
     def test_subdivision_free_instances_never_stall(self):
         checked = 0
@@ -273,10 +268,26 @@ class TestColorD3:
         out = color_d3(d3, 1)
         assert isinstance(out, TwoBlockPathWitness)
         assert out.a == 3 and out.b == 3
-        host = Digraph(7, arcs)
-        from fourblocks import verify_two_block_path
+        assert verify_two_block_path(Digraph(7, arcs), out).ok
 
+    def test_two_block_path_on_non_contiguous_host_ids(self):
+        # a 7-tournament on scattered ids inside a 40-vertex host; the
+        # witness and the node count are those of the search on compacted ids
+        arcs = [
+            (2, 5), (2, 9), (2, 14), (9, 5), (9, 14), (9, 20), (9, 27),
+            (9, 35), (14, 5), (20, 2), (20, 5), (20, 14), (20, 27), (27, 2),
+            (27, 5), (27, 14), (35, 2), (35, 5), (35, 14), (35, 20), (35, 27),
+        ]
+        d3 = SubDigraph({2, 5, 9, 14, 20, 27, 35}, arcs)
+        out = color_d3(d3, 1)
+        expected = TwoBlockPathWitness((9, 20, 2, 5), (9, 35, 27, 14), 3, 3)
+        assert out == expected
+        host = Digraph(40, arcs)
         assert verify_two_block_path(host, out).ok
+        with pytest.raises(BudgetExceeded) as exc:
+            find_two_block_path(host, 3, 3, 59)
+        assert exc.value.nodes == 60
+        assert find_two_block_path(host, 3, 3, 60) == expected
 
     def test_exact_cross_check_with_naive_chromatic(self):
         for seed in range(25):
@@ -367,10 +378,9 @@ class TestPipeline:
 
     def test_stage_failure_with_exhausted_oracle_is_inconclusive(self, monkeypatch):
         from fourblocks import decomposition as dec
-        from fourblocks.errors import BudgetExceeded
 
-        def fake_d1(d1, t, wheel_budget=None):
-            return WheelCoreFailure(d1, None)
+        def fake_d1(d1, t):
+            return WheelCoreFailure(frozenset(d1.vertices))
 
         def exhausted(d, p, budget=None):
             raise BudgetExceeded(budget or 0)

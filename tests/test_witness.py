@@ -6,14 +6,11 @@ from fourblocks import (
     Digraph,
     Rng,
     SubdivisionWitness,
-    UGraph,
     find_cycle_subdivision,
-    find_k_wheel,
     find_two_block_path,
     underlying_graph,
     verify_subdivision,
     verify_two_block_path,
-    verify_wheel,
     witness_from_json,
     witness_to_json,
 )
@@ -224,39 +221,3 @@ class TestTwoBlockPath:
         w = TwoBlockPathWitness((0, 1, 2), (0, 1, 3), 2, 2)
         res = verify_two_block_path(d, w)
         assert not res.ok and res.reason == "NotInternallyDisjoint"
-
-
-class TestKWheel:
-    def test_wheel_graph(self):
-        hub = 6
-        edges = [(i, (i + 1) % 6) for i in range(6)] + [(hub, i) for i in range(6)]
-        g = UGraph(7, edges)
-        w = find_k_wheel(g, 5)
-        assert w is not None and verify_wheel(g, w, 5).ok
-
-    def test_tree_has_no_wheel(self):
-        g = UGraph(7, [(0, 1), (0, 2), (1, 3), (1, 4), (2, 5), (2, 6)])
-        assert find_k_wheel(g, 3) is None
-
-    def test_agrees_with_naive(self):
-        rng = Rng(57)
-        hits = 0
-        for seed in range(25):
-            n = 6 + seed % 4
-            edges = set()
-            target = min(6 + rng.randrange(2 * n), n * (n - 1) // 2)
-            while len(edges) < target:
-                u, v = rng.randrange(n), rng.randrange(n)
-                if u != v:
-                    edges.add((min(u, v), max(u, v)))
-            g = UGraph(n, edges)
-            w = find_k_wheel(g, 4)
-            assert (w is not None) == naive.has_k_wheel(g, 4)
-            if w is not None:
-                hits += 1
-                assert verify_wheel(g, w, 4).ok
-        assert hits > 3
-
-    def test_k_must_be_at_least_3(self):
-        with pytest.raises(ValueError):
-            find_k_wheel(UGraph(4, []), 2)
