@@ -242,6 +242,13 @@ def cmd_verify(args) -> int:
 def _verify_coloring_payload(d: Digraph, cert: dict) -> tuple[bool, str]:
     colors = cert["colors"]
     bound = int(cert["bound"])
+    if "k1" in cert or "k3" in cert:
+        # a pipeline certificate: its bound follows from k, so recompute it
+        k1, k3 = int(cert["k1"]), int(cert["k3"])
+        expected = decomposition.coloring_bound(k1, k3)
+        if bound != expected:
+            return False, (f"claimed bound {bound} is not 36*2k*(4k+2) = {expected}"
+                           f" for k = {max(k1, k3)}")
     if not isinstance(colors, list) or len(colors) != d.n:
         raise ValueError(f"colors must list all {d.n} vertices")
     coloring = Coloring({v: int(c) for v, c in enumerate(colors)})

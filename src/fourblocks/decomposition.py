@@ -143,6 +143,13 @@ class OutDegreeFailure:
     out_neighbors: tuple[int, ...]
 
 
+@dataclass(frozen=True)
+class D2Coloring(Coloring):
+    """A d2 stage coloring with the high part's max induced out-degree."""
+
+    high_max_out_degree: int
+
+
 def peel_low_degree(sub: SubDigraph, threshold: int):
     """Repeatedly remove a vertex of underlying degree <= threshold, lowest
     (degree, id) first. Returns (removal order, stuck core vertex set).
@@ -242,7 +249,7 @@ def _acyclic_peel_order(d2: SubDigraph, vertices) -> list[int]:
     return order
 
 
-def color_d2(d2: SubDigraph) -> Union[Coloring, OutDegreeFailure]:
+def color_d2(d2: SubDigraph) -> Union[D2Coloring, OutDegreeFailure]:
     """Color the descendant-to-ancestor arc group with at most 6 colors.
 
     The group is acyclic, so peeling in-degree-0 vertices and coloring in
@@ -262,7 +269,7 @@ def color_d2(d2: SubDigraph) -> Union[Coloring, OutDegreeFailure]:
         colors[v] = 2 + c
     coloring = Coloring(colors).normalized()
     assert coloring.palette_size <= 6
-    return coloring
+    return D2Coloring(coloring.colors, max_out)
 
 
 def color_d3(
@@ -370,6 +377,15 @@ class Inconclusive:
 PipelineCertificate = Union[ColoringWithinBound, SubdivisionFound, Inconclusive]
 
 
+def coloring_bound(k1: int, k3: int) -> int:
+    """The pipeline's color bound 36*(2k)*(4k+2), k = max(k1, k3): 2k level
+    classes with a palette of 36*(4k+2) colors each."""
+    if k1 < 1 or k3 < 1:
+        raise ValueError("block lengths must be positive")
+    k = max(k1, k3)
+    return 2 * k * 36 * (4 * k + 2)
+
+
 def color_strong_digraph(
     d: Digraph, k1: int, k3: int, budget: Optional[int] = None
 ) -> PipelineCertificate:
@@ -380,8 +396,7 @@ def color_strong_digraph(
     (k1,1,k3,1), or an explicit inconclusive outcome naming the stage that
     could not be decided under the budget.
     """
-    if k1 < 1 or k3 < 1:
-        raise ValueError("block lengths must be positive")
+    bound = coloring_bound(k1, k3)
     if not is_strongly_connected(d):
         raise NotStronglyConnected("input digraph is not strongly connected")
     from .witness import default_budget
@@ -391,8 +406,7 @@ def color_strong_digraph(
     k = max(k1, k3)
     t = finalize(d, spanning_out_tree(d, 0))
     classes = level_classes(t, k)
-    block = 36 * (4 * k + 2)
-    bound = 2 * k * block
+    block = bound // (2 * k)
 
     failure_stage: Optional[str] = None
     failure_reason = ""
@@ -415,7 +429,6 @@ def color_strong_digraph(
                 f"{len(r1.core)} vertices"
             )
             break
-        _, _, b2_max, _ = split_by_out_degree(d2)
         r2 = color_d2(d2)
         if isinstance(r2, OutDegreeFailure):
             failure_stage = "color_d2"
@@ -443,7 +456,7 @@ def color_strong_digraph(
                 d1_colors=r1.palette_size,
                 d2_colors=r2.palette_size,
                 d3_colors=r3.palette_size,
-                b2_max_out_degree=b2_max,
+                b2_max_out_degree=r2.high_max_out_degree,
                 combined_colors=c123.palette_size,
             )
         )

@@ -8,8 +8,11 @@ assignments.
 The last section keeps the plain rescanning loops that the package's
 worklist and heap versions replaced (``finalize``, the peels, DSATUR, the
 recursive Hamiltonian search and the per-chord set intersections of the
-chord neighbor-bound check). They apply the same rule by brute force, so
-the package versions must return exactly their output.
+chord neighbor-bound check), and the subdivision kernel's unpruned
+junction enumeration, which tries every source x sink quadruple at every
+total length L. They apply the same rule by brute force, so the package
+versions must return exactly their output; the pruned kernels must also
+never take more search nodes than ``search_cycle_subdivision`` here.
 """
 
 from itertools import permutations
@@ -17,6 +20,7 @@ from itertools import permutations
 from fourblocks import BudgetExceeded, Digraph, UGraph, OutTree
 from fourblocks.digraph import DegeneracyOrder
 from fourblocks.errors import NotAcyclic
+from fourblocks._subdiv_py import ABSENT, BUDGET, FOUND
 
 
 def _simple_dipaths(d: Digraph, start: int, end: int, banned: set):
@@ -309,3 +313,102 @@ def check_chord_neighbor_bound(d: Digraph, c, k: int) -> list:
             if count > 2:
                 violations.append((u, v, w, count))
     return violations
+
+
+def search_cycle_subdivision(n, indptr, indices, k1, k2, k3, k4, budget):
+    """Returns (status, payload, nodes); payload is (junctions, paths) on FOUND."""
+    total_min = k1 + k2 + k3 + k4
+    if total_min > n:
+        return ABSENT, None, 0
+
+    out_deg = [indptr[v + 1] - indptr[v] for v in range(n)]
+    in_deg = [0] * n
+    for v in indices:
+        in_deg[v] += 1
+    sources = [v for v in range(n) if out_deg[v] >= 2]
+    sinks = [v for v in range(n) if in_deg[v] >= 2]
+    if len(sources) < 2 or len(sinks) < 2:
+        return ABSENT, None, 0
+
+    sym = (k1 == k3) and (k2 == k4)
+    mins = (k1, k2, k3, k4)
+    rem_after = (k2 + k3 + k4, k3 + k4, k4, 0)
+    used = bytearray(n)
+    paths = ([], [], [], [])
+    starts = [0, 0, 0, 0]
+    targets = [0, 0, 0, 0]
+    nodes = 0
+
+    def extend(p, u, plen, total, L):
+        nonlocal nodes
+        nodes += 1
+        if nodes > budget:
+            return -1
+        kp = mins[p]
+        tgt = targets[p]
+        for i in range(indptr[u], indptr[u + 1]):
+            v = indices[i]
+            if v == tgt:
+                if plen + 1 >= kp and total + 1 + rem_after[p] <= L:
+                    paths[p].append(v)
+                    if p == 3:
+                        return 1
+                    r = begin_path(p + 1, total + 1, L)
+                    if r != 0:
+                        return r
+                    paths[p].pop()
+            elif not used[v]:
+                need = kp - (plen + 1)
+                if need < 1:
+                    need = 1
+                if total + 1 + need + rem_after[p] <= L:
+                    used[v] = 1
+                    paths[p].append(v)
+                    r = extend(p, v, plen + 1, total + 1, L)
+                    if r != 0:
+                        return r
+                    paths[p].pop()
+                    used[v] = 0
+        return 0
+
+    def begin_path(p, total, L):
+        s = starts[p]
+        paths[p].append(s)
+        r = extend(p, s, 0, total, L)
+        if r == 0:
+            paths[p].pop()
+        return r
+
+    for extra in range(0, n - total_min + 1):
+        L = total_min + extra
+        for j1 in sources:
+            for j2 in sinks:
+                if j2 == j1:
+                    continue
+                for j3 in sources:
+                    if j3 == j1 or j3 == j2 or (sym and j3 < j1):
+                        continue
+                    for j4 in sinks:
+                        if j4 == j1 or j4 == j2 or j4 == j3:
+                            continue
+                        nodes += 1
+                        if nodes > budget:
+                            return BUDGET, None, nodes
+                        starts[0], targets[0] = j1, j2
+                        starts[1], targets[1] = j3, j2
+                        starts[2], targets[2] = j3, j4
+                        starts[3], targets[3] = j1, j4
+                        used[j1] = used[j2] = used[j3] = used[j4] = 1
+                        for p in paths:
+                            p.clear()
+                        r = begin_path(0, 0, L)
+                        used[j1] = used[j2] = used[j3] = used[j4] = 0
+                        if r == 1:
+                            return (
+                                FOUND,
+                                ((j1, j2, j3, j4), tuple(tuple(p) for p in paths)),
+                                nodes,
+                            )
+                        if r == -1:
+                            return BUDGET, None, nodes
+    return ABSENT, None, nodes

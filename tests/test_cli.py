@@ -16,6 +16,10 @@ from fourblocks import (
     format_digraph,
     generate,
 )
+from fourblocks._subdiv_py import BUDGET
+from fourblocks.witness import _csr
+
+import naive
 
 
 def write_graph(tmp_path, d, name="g.dg"):
@@ -177,6 +181,23 @@ class TestFind:
         path = write_graph(tmp_path, tt(8))
         assert main(["find", "--budget", "3", path]) == 4
 
+    def test_budget_that_the_unpruned_search_ran_out_of(self, tmp_path, capsys):
+        """Every source x sink quadruple costs the unpruned enumeration a
+        node, so it runs out of 1000 nodes on this dense strong digraph
+        (and finds at 10^4); the pruned one finds the same first witness."""
+        d = generate(GenSpec(Family.RANDOM_STRONG, 30, 300, 0))
+        indptr, indices = _csr(d)
+        unpruned = naive.search_cycle_subdivision(d.n, indptr, indices, 1, 1, 1, 1, 1000)
+        assert unpruned[0] == BUDGET
+        path = write_graph(tmp_path, d)
+        assert main(["find", "--budget", "1000", "--json", path]) == 0
+        out = json.loads(capsys.readouterr().out)
+        _, (junctions, paths), _ = naive.search_cycle_subdivision(
+            d.n, indptr, indices, 1, 1, 1, 1, 10**4
+        )
+        assert out["junctions"] == list(junctions)
+        assert out["paths"] == [list(p) for p in paths]
+
     def test_explicit_pattern(self, planted, capsys):
         assert main(["find", "--pattern", "2,1,2,1", "--json", planted]) == 0
 
@@ -198,6 +219,24 @@ class TestVerify:
         cert = tmp_path / "cert.json"
         cert.write_text(json.dumps(obj))
         assert main(["verify", cycle5, str(cert)]) == 3
+
+    def test_pipeline_bound_is_recomputed_from_k(self, tmp_path, capsys):
+        """500 colors on a directed 500-cycle fit a claimed bound of 10^6,
+        but the bound for k = 1 is 432."""
+        path = write_graph(tmp_path, cycle(500))
+        obj = {"outcome": "coloring", "bound": 10**6, "colors": list(range(500)),
+               "k1": 1, "k3": 1}
+        cert = tmp_path / "cert.json"
+        cert.write_text(json.dumps(obj))
+        assert main(["verify", path, str(cert)]) == 3
+        assert "432" in capsys.readouterr().out
+        obj["bound"] = 432
+        cert.write_text(json.dumps(obj))
+        assert main(["verify", path, str(cert)]) == 3
+        assert "exceeds bound 432" in capsys.readouterr().out
+        del obj["k3"]
+        cert.write_text(json.dumps(obj))
+        assert main(["verify", path, str(cert)]) == 1
 
     def test_round_trip_witness(self, tmp_path, capsys):
         path = write_graph(tmp_path, tt(4))

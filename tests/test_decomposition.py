@@ -235,6 +235,13 @@ class TestColorD2:
         assert low == frozenset({0, 1}) and high == frozenset({2})
         assert max_out == 0  # 2's out-neighbors are in the low part
 
+    def test_reports_the_high_parts_max_out_degree(self):
+        arcs = [(5, 3), (5, 4), (5, 0), (4, 3), (4, 2), (3, 1), (3, 0)]
+        d2 = SubDigraph(set(range(6)), arcs)
+        out = color_d2(d2)
+        assert isinstance(out, Coloring)
+        assert out.high_max_out_degree == split_by_out_degree(d2)[2] == 2
+
     def test_properness_campaign(self):
         for seed in range(30):
             n = 4 + seed % 8
@@ -360,6 +367,23 @@ class TestPipeline:
                 assert rep.combined_colors <= 36 * 6
                 total += rep.combined_colors
             assert cert.coloring.palette_size == total
+
+    def test_each_class_is_split_once(self, monkeypatch):
+        from fourblocks import decomposition as dec
+
+        split = dec.split_by_out_degree
+        seen = []
+
+        def counted(d2):
+            seen.append(d2)
+            return split(d2)
+
+        monkeypatch.setattr(dec, "split_by_out_degree", counted)
+        d = generate(GenSpec(Family.RANDOM_STRONG, 600, 1200, 1))
+        cert = color_strong_digraph(d, 1, 1)
+        assert isinstance(cert, ColoringWithinBound)
+        assert len(seen) == len(cert.per_class) > 1
+        assert [r.b2_max_out_degree for r in cert.per_class] == [split(d2)[2] for d2 in seen]
 
     def test_certificate_json_shape(self):
         cert = color_strong_digraph(cycle(4), 1, 1)

@@ -1,5 +1,6 @@
 """Seeded campaign: the worklist, heap and sweep versions return exactly
-what the plain rescanning loops in ``naive`` return.
+what the plain rescanning loops in ``naive`` return, and the pruned
+subdivision kernel decides what the unpruned one decides.
 
 Each family is a list of (digraph, root) pairs; the root reaches every
 vertex. The campaign compares whole outputs (trees, orders, cores, color
@@ -38,6 +39,8 @@ from fourblocks.decomposition import (
 )
 from fourblocks.errors import NotAcyclic
 from fourblocks.exactcolor import dsatur
+from fourblocks import _subdiv_py
+from fourblocks.witness import _csr
 
 import naive
 
@@ -271,3 +274,48 @@ def test_chord_sweep_matches_set_intersections():
     assert seen["violations"] and seen["none"]
     assert seen["antiparallel"] and seen["short"]
     assert seen["zone across n-1"] and seen["zone past n-1"] and seen["gap across n-1"]
+
+
+def kernel_cases():
+    """Random digraphs on 4-17 vertices, from a few arcs to dense, and dense
+    strong digraphs like the dense-fallback benchmark's."""
+    rng = Rng(31)
+    cases = []
+    for i in range(90):
+        n = 4 + i % 14
+        arcs = set()
+        for _ in range(3 + rng.randrange(3 * n)):
+            u, v = rng.randrange(n), rng.randrange(n)
+            if u != v:
+                arcs.add((u, v))
+        cases.append(Digraph(n, arcs))
+    cases += [generate(GenSpec(Family.RANDOM_STRONG, 30, 300, s)) for s in range(3)]
+    return cases
+
+
+KERNEL_CASES = kernel_cases()
+
+
+@pytest.mark.parametrize(
+    "pattern",
+    [(1, 1, 1, 1), (2, 1, 2, 1), (2, 1, 1, 1), (1, 2, 3, 1)],
+    ids=lambda p: "-".join(map(str, p)),
+)
+def test_pruned_kernel_decides_what_the_unpruned_one_decides(pattern):
+    """Where the unpruned enumeration finishes, the pruned one returns the
+    same status and witness in no more nodes; where it ran out of budget,
+    the pruned one may decide."""
+    seen = Counter()
+    for d in KERNEL_CASES:
+        indptr, indices = _csr(d)
+        for budget in (1, 6, 40, 300, 10**6):
+            old = naive.search_cycle_subdivision(d.n, indptr, indices, *pattern, budget)
+            new = _subdiv_py.search_cycle_subdivision(d.n, indptr, indices, *pattern, budget)
+            if old[0] == _subdiv_py.BUDGET:
+                seen[("budget ->", new[0])] += 1
+                continue
+            assert new[:2] == old[:2]
+            assert new[2] <= old[2]
+            seen[old[0]] += 1
+    assert seen[_subdiv_py.FOUND] and seen[_subdiv_py.ABSENT]
+    assert seen[("budget ->", _subdiv_py.FOUND)] and seen[("budget ->", _subdiv_py.BUDGET)]

@@ -10,12 +10,25 @@ import os
 import shutil
 import subprocess
 import sys
+import tracemalloc
 from pathlib import Path
 
 import pytest
 
-from fourblocks import Digraph, Family, GenSpec, Rng, generate
+from fourblocks import (
+    CyclePattern,
+    Digraph,
+    Family,
+    GenSpec,
+    Rng,
+    SubdivisionFound,
+    color_strong_digraph,
+    find_cycle_subdivision,
+    generate,
+    verify_subdivision,
+)
 from fourblocks import _subdiv_py as pure
+from fourblocks import witness
 from fourblocks.witness import _csr
 
 PACKAGE = Path(__file__).resolve().parents[1] / "src" / "fourblocks"
@@ -74,6 +87,47 @@ def test_identical_on_dense_fallback_shape(compiled_kernel):
             assert a == b
             statuses.add(a[0])
     assert statuses == {pure.FOUND, pure.BUDGET}
+
+
+@pytest.mark.parametrize("seed", [1, 2])
+def test_dense_strong_digraphs_get_a_verified_subdivision(seed, compiled_kernel, monkeypatch):
+    """Strong n=400, m=4000 at the default budget. At k=1 stage d2 fails and
+    the whole-graph search must certify; the unpruned enumeration ran out
+    of 10^6 nodes there. At k=2 the pipeline colors these digraphs, so the
+    (2,1,2,1) search runs on its own."""
+    d = generate(GenSpec(Family.RANDOM_STRONG, 400, 4000, seed))
+    results = []
+    for kernel in (pure, compiled_kernel):
+        monkeypatch.setattr(witness, "_kernel", kernel)
+        cert = color_strong_digraph(d, 1, 1)
+        assert isinstance(cert, SubdivisionFound)
+        assert verify_subdivision(d, cert.witness, cert.pattern).ok
+        pattern = CyclePattern.from_k(2, 2)
+        w = find_cycle_subdivision(d, pattern)
+        assert verify_subdivision(d, w, pattern).ok
+        results.append((cert, w))
+    assert results[0] == results[1]
+
+
+def test_budget_bounds_the_work_of_a_long_pattern(compiled_kernel):
+    """Blocks of 20 on a sparse n=5000, m=15000 digraph: most of it lies
+    within distance 20 of each source, yet a budget of 1 stops both kernels
+    after their second node. The pure kernel's traced peak stays a small
+    multiple of n + m; BFS balls kept for every source out to that radius
+    would hold about 2*10^7 distances."""
+    d = random_digraph(Rng(5), 5000, 15_000)
+    indptr, indices = _csr(d)
+    tracemalloc.start()
+    try:
+        a = pure.search_cycle_subdivision(d.n, indptr, indices, 20, 1, 20, 1, 1)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert a == (pure.BUDGET, None, 2)
+    assert peak < 200 * (d.n + len(indices))
+    assert compiled_kernel.search_cycle_subdivision(
+        d.n, indptr, indices, 20, 1, 20, 1, 1
+    ) == a
 
 
 def test_identical_on_extreme_arguments(compiled_kernel):
