@@ -9,12 +9,9 @@ searchers ground every certificate.
 
 from .digraph import (
     Coloring,
-    DegeneracyOrder,
     Digraph,
     UGraph,
-    degeneracy_order,
     format_digraph,
-    greedy_color,
     is_proper,
     is_strongly_connected,
     parse_digraph,
@@ -31,13 +28,10 @@ from .errors import (
     UnreachableVertex,
 )
 from .outtree import (
-    ArcKind,
     OutTree,
-    classify_arc,
     finalize,
     is_ancestor,
     is_final,
-    lca,
     spanning_out_tree,
 )
 from .witness import (
@@ -68,7 +62,6 @@ from .decomposition import (
     color_d2,
     color_d3,
     color_strong_digraph,
-    induced_subdigraph,
     level_classes,
 )
 from .hamiltonian import (
@@ -79,7 +72,6 @@ from .hamiltonian import (
     check_chord_neighbor_bound,
     color_hamiltonian,
     find_hamiltonian_cycle,
-    violations_to_json,
 )
 from .generators import Family, GenSpec, Rng, generate
 

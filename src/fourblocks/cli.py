@@ -3,7 +3,8 @@
 Exit codes are a stable contract:
 
     0  success (coloring produced / witness found / certificate valid)
-    1  input problem (parse error, malformed certificate, bad cycle file)
+    1  input problem (missing or unparsable file, malformed certificate, bad
+       cycle file, block length below 1, negative or non-integer budget)
     2  precondition failure (not strongly connected)
     3  structural outcome (subdivision found / peel stalled / not found /
        certificate invalid, depending on the command)
@@ -48,17 +49,36 @@ def _canonical_json(obj) -> str:
     return json.dumps(obj, sort_keys=True, separators=(",", ":"))
 
 
+class InputError(Exception):
+    """An input problem; main reports the message and exits 1."""
+
+
 def _load_digraph(path: str) -> Digraph:
-    d = parse_digraph(Path(path).read_text())
-    if d.n == 0:
-        raise ParseError(1, "digraph has no vertices")
+    try:
+        d = parse_digraph(Path(path).read_text())
+        if d.n == 0:
+            raise ParseError(1, "digraph has no vertices")
+    except ParseError as exc:
+        raise InputError(f"parse error: {exc}") from None
+    except (OSError, UnicodeDecodeError) as exc:
+        raise InputError(f"cannot read digraph: {exc}") from None
     return d
 
 
-def _budget(args) -> int:
-    if getattr(args, "budget", None):
-        return args.budget
-    return witness.default_budget()
+def _check_args(args) -> None:
+    """Reject bad block lengths and budgets before any work; resolves
+    args.budget to the flag, else FOURBLOCKS_BUDGET, else the default."""
+    if min(getattr(args, "k1", 1), getattr(args, "k3", 1)) < 1:
+        raise InputError("block lengths --k1 and --k3 must be at least 1")
+    if "budget" not in args:
+        return
+    if args.budget is None:
+        try:
+            args.budget = witness.default_budget()
+        except ValueError as exc:
+            raise InputError(str(exc)) from None
+    elif args.budget < 0:
+        raise InputError("--budget must be nonnegative")
 
 
 def _write(text: str) -> None:
@@ -81,19 +101,18 @@ def _emit(args, json_obj: dict, text_lines: list[str]) -> None:
 
 def _parse_pattern(text: str) -> witness.CyclePattern:
     parts = [p for p in text.replace(",", " ").split() if p]
-    if len(parts) != 4:
-        raise ValueError("pattern needs exactly 4 comma-separated block lengths")
-    return witness.CyclePattern(tuple(int(p) for p in parts))
+    try:
+        if len(parts) != 4:
+            raise ValueError("pattern needs exactly 4 comma-separated block lengths")
+        return witness.CyclePattern(tuple(int(p) for p in parts))
+    except ValueError as exc:
+        raise InputError(f"bad pattern: {exc}") from None
 
 
 def cmd_color(args) -> int:
+    d = _load_digraph(args.input)
     try:
-        d = _load_digraph(args.input)
-    except ParseError as exc:
-        print(f"parse error: {exc}", file=sys.stderr)
-        return 1
-    try:
-        cert = decomposition.color_strong_digraph(d, args.k1, args.k3, _budget(args))
+        cert = decomposition.color_strong_digraph(d, args.k1, args.k3, args.budget)
     except NotStronglyConnected:
         print("input digraph is not strongly connected", file=sys.stderr)
         return 2
@@ -128,37 +147,30 @@ def cmd_color(args) -> int:
 
 
 def _load_cycle_file(path: str, d: Digraph) -> hamiltonian.HamiltonianCycle:
-    tokens = Path(path).read_text().split()
-    order = tuple(int(t) for t in tokens)
+    try:
+        order = tuple(int(t) for t in Path(path).read_text().split())
+    except (ValueError, OSError) as exc:
+        raise InputError(f"bad cycle file: {exc}") from None
     cycle = hamiltonian.HamiltonianCycle(order)
     if not cycle.is_valid_for(d):
-        raise ValueError("cycle file is inconsistent with the digraph")
+        raise InputError("bad cycle file: cycle file is inconsistent with the digraph")
     return cycle
 
 
 def cmd_color_ham(args) -> int:
-    try:
-        d = _load_digraph(args.input)
-    except ParseError as exc:
-        print(f"parse error: {exc}", file=sys.stderr)
-        return 1
-    budget = _budget(args)
+    d = _load_digraph(args.input)
     if args.cycle:
-        try:
-            cycle = _load_cycle_file(args.cycle, d)
-        except (ValueError, OSError) as exc:
-            print(f"bad cycle file: {exc}", file=sys.stderr)
-            return 1
+        cycle = _load_cycle_file(args.cycle, d)
     else:
         try:
-            found = hamiltonian.find_hamiltonian_cycle(d, budget)
+            found = hamiltonian.find_hamiltonian_cycle(d, args.budget)
         except BudgetExceeded:
             found = None
         if found is None:
             print("no Hamiltonian cycle found within budget", file=sys.stderr)
             return 5
         cycle = found
-    cert = hamiltonian.color_hamiltonian(d, cycle, args.k1, args.k3, budget)
+    cert = hamiltonian.color_hamiltonian(d, cycle, args.k1, args.k3, args.budget)
     if isinstance(cert, hamiltonian.PeelColoring):
         _emit(
             args,
@@ -183,21 +195,13 @@ def cmd_color_ham(args) -> int:
 
 
 def cmd_find(args) -> int:
-    try:
-        d = _load_digraph(args.input)
-    except ParseError as exc:
-        print(f"parse error: {exc}", file=sys.stderr)
-        return 1
+    d = _load_digraph(args.input)
     if args.pattern:
-        try:
-            pattern = _parse_pattern(args.pattern)
-        except ValueError as exc:
-            print(f"bad pattern: {exc}", file=sys.stderr)
-            return 1
+        pattern = _parse_pattern(args.pattern)
     else:
         pattern = witness.CyclePattern.from_k(args.k1, args.k3)
     try:
-        w = witness.find_cycle_subdivision(d, pattern, _budget(args))
+        w = witness.find_cycle_subdivision(d, pattern, args.budget)
     except BudgetExceeded as exc:
         print(f"inconclusive: {exc}", file=sys.stderr)
         return 4
@@ -220,21 +224,12 @@ def cmd_find(args) -> int:
 
 
 def cmd_verify(args) -> int:
-    try:
-        d = _load_digraph(args.input)
-    except ParseError as exc:
-        print(f"parse error: {exc}", file=sys.stderr)
-        return 1
+    d = _load_digraph(args.input)
     try:
         cert = json.loads(Path(args.certificate).read_text())
-    except (json.JSONDecodeError, OSError) as exc:
-        print(f"malformed certificate: {exc}", file=sys.stderr)
-        return 1
-    try:
         ok, message = _verify_certificate(d, cert)
-    except (KeyError, TypeError, ValueError) as exc:
-        print(f"malformed certificate: {exc}", file=sys.stderr)
-        return 1
+    except (OSError, KeyError, TypeError, ValueError) as exc:
+        raise InputError(f"malformed certificate: {exc}") from None
     _write(message + "\n")
     return 0 if ok else 3
 
@@ -242,13 +237,16 @@ def cmd_verify(args) -> int:
 def _verify_coloring_payload(d: Digraph, cert: dict) -> tuple[bool, str]:
     colors = cert["colors"]
     bound = int(cert["bound"])
+    # the bound follows from the block lengths, so it is recomputed
     if "k1" in cert or "k3" in cert:
-        # a pipeline certificate: its bound follows from k, so recompute it
         k1, k3 = int(cert["k1"]), int(cert["k3"])
-        expected = decomposition.coloring_bound(k1, k3)
-        if bound != expected:
-            return False, (f"claimed bound {bound} is not 36*2k*(4k+2) = {expected}"
-                           f" for k = {max(k1, k3)}")
+        expected, rule = decomposition.coloring_bound(k1, k3), "36*2k*(4k+2)"
+        k = max(k1, k3)
+    else:
+        k = _block_length(cert)
+        expected, rule = 6 * k, "6k"
+    if bound != expected:
+        return False, f"claimed bound {bound} is not {rule} = {expected} for k = {k}"
     if not isinstance(colors, list) or len(colors) != d.n:
         raise ValueError(f"colors must list all {d.n} vertices")
     coloring = Coloring({v: int(c) for v, c in enumerate(colors)})
@@ -257,6 +255,13 @@ def _verify_coloring_payload(d: Digraph, cert: dict) -> tuple[bool, str]:
     if coloring.palette_size > bound:
         return False, f"palette {coloring.palette_size} exceeds bound {bound}"
     return True, f"valid coloring: {coloring.palette_size} colors within {bound}"
+
+
+def _block_length(cert: dict) -> int:
+    k = int(cert["k"])
+    if k < 1:
+        raise ValueError(f"block length k = {k} is below 1")
+    return k
 
 
 def _verify_certificate(d: Digraph, cert: dict) -> tuple[bool, str]:
@@ -272,7 +277,7 @@ def _verify_certificate(d: Digraph, cert: dict) -> tuple[bool, str]:
             return True, f"valid subdivision witness for C{pattern.blocks}"
         return False, f"invalid witness: {check.reason}"
     if outcome == "stall":
-        k = int(cert["k"])
+        k = _block_length(cert)
         core = [int(v) for v in cert["core"]]
         if not core:
             return False, "empty stall core"
@@ -298,13 +303,7 @@ def _verify_certificate(d: Digraph, cert: dict) -> tuple[bool, str]:
 
 
 def cmd_gen(args) -> int:
-    pattern = None
-    if args.pattern:
-        try:
-            pattern = _parse_pattern(args.pattern)
-        except ValueError as exc:
-            print(f"bad pattern: {exc}", file=sys.stderr)
-            return 1
+    pattern = _parse_pattern(args.pattern) if args.pattern else None
     try:
         family = generators.Family(args.family)
         spec = generators.GenSpec(family, args.n, args.m, args.seed, pattern)
@@ -348,7 +347,7 @@ def _stress_one(args, seed: int) -> tuple[str, str]:
     family = generators.Family(args.family)
     k1, k3 = args.k1, args.k3
     k = max(k1, k3)
-    budget = _budget(args)
+    budget = args.budget
     spec = _stress_instance(family, seed, args.n, k1, k3)
     d = generators.generate(spec)
     pattern = witness.CyclePattern.from_k(k, k)
@@ -439,7 +438,7 @@ def cmd_bench(args) -> int:
     digraphs = [generators.generate(s) for s in specs]
     k = max(args.k1, args.k3)
     pattern = (k, 1, k, 1)
-    budget = _budget(args)
+    budget = args.budget
     results = {}
     outcomes = {}
     for name, module in sorted(kernels.items()):
@@ -538,7 +537,12 @@ def build_parser() -> argparse.ArgumentParser:
 
 def main(argv: Optional[list[str]] = None) -> int:
     args = build_parser().parse_args(argv)
-    return args.func(args)
+    try:
+        _check_args(args)
+        return args.func(args)
+    except InputError as exc:
+        print(exc, file=sys.stderr)
+        return 1
 
 
 if __name__ == "__main__":

@@ -71,13 +71,6 @@ class SubDigraph:
         return f"SubDigraph(|V|={len(self.vertices)}, |A|={len(self.arcs)})"
 
 
-def induced_subdigraph(d: Digraph, vertices) -> SubDigraph:
-    vset = set(vertices)
-    return SubDigraph(
-        vset, ((u, v) for u, v in d.arcs if u in vset and v in vset)
-    )
-
-
 @dataclass(frozen=True)
 class LevelClasses:
     """Vertex classes V_1..V_2k by level residue mod 2k (residue 0 -> V_2k)."""
@@ -150,17 +143,18 @@ class D2Coloring(Coloring):
     high_max_out_degree: int
 
 
-def peel_low_degree(sub: SubDigraph, threshold: int):
-    """Repeatedly remove a vertex of underlying degree <= threshold, lowest
-    (degree, id) first. Returns (removal order, stuck core vertex set).
+def peel_low_degree(vertices, adj, threshold: int):
+    """Repeatedly remove a vertex of degree <= threshold, lowest (degree, id)
+    first; adj[v] holds each undirected neighbor of v once. Returns (removal
+    order, stuck core vertex set).
 
     A degree drop pushes a fresh (degree, id) heap entry, which pops before
     the vertex's older entries; those are skipped once the vertex is gone.
     """
-    deg = {v: len(sub.und_adj[v]) for v in sub.vertices}
-    heap = [(deg[v], v) for v in sub.vertices]
+    deg = {v: len(adj[v]) for v in vertices}
+    heap = [(dv, v) for v, dv in deg.items()]
     heapify(heap)
-    alive = set(sub.vertices)
+    alive = set(deg)
     order: list[int] = []
     while heap:
         dv, v = heap[0]
@@ -172,18 +166,18 @@ def peel_low_degree(sub: SubDigraph, threshold: int):
         heappop(heap)
         alive.discard(v)
         order.append(v)
-        for w in sub.und_adj[v]:
+        for w in adj[v]:
             if w in alive:
                 deg[w] -= 1
                 heappush(heap, (deg[w], w))
     return order, alive
 
 
-def greedy_reverse(sub: SubDigraph, order) -> dict[int, int]:
-    """Greedy color in reverse removal order on the underlying adjacency."""
+def greedy_reverse(adj, order) -> dict[int, int]:
+    """Greedy color in reverse removal order on the undirected adjacency."""
     colors: dict[int, int] = {}
     for v in reversed(order):
-        taken = {colors[w] for w in sub.und_adj[v] if w in colors}
+        taken = {colors[w] for w in adj[v] if w in colors}
         c = 0
         while c in taken:
             c += 1
@@ -203,10 +197,10 @@ def color_d1(d1: SubDigraph, t: OutTree) -> Union[Coloring, WheelCoreFailure]:
     for u, v in d1.arcs:
         if not (level[u] < level[v] and num.is_ancestor(u, v)):
             raise ValueError(f"arc ({u},{v}) is not ancestor-increasing")
-    order, core = peel_low_degree(d1, 5)
+    order, core = peel_low_degree(d1.vertices, d1.und_adj, 5)
     if core:
         return WheelCoreFailure(frozenset(core))
-    coloring = Coloring(greedy_reverse(d1, order)).normalized()
+    coloring = Coloring(greedy_reverse(d1.und_adj, order)).normalized()
     assert coloring.palette_size <= 6
     return coloring
 
@@ -264,8 +258,8 @@ def color_d2(d2: SubDigraph) -> Union[D2Coloring, OutDegreeFailure]:
         assert worst is not None
         return OutDegreeFailure(worst[0], worst[1])
 
-    colors = greedy_reverse(d2, _acyclic_peel_order(d2, low))
-    for v, c in greedy_reverse(d2, _acyclic_peel_order(d2, high)).items():
+    colors = greedy_reverse(d2.und_adj, _acyclic_peel_order(d2, low))
+    for v, c in greedy_reverse(d2.und_adj, _acyclic_peel_order(d2, high)).items():
         colors[v] = 2 + c
     coloring = Coloring(colors).normalized()
     assert coloring.palette_size <= 6

@@ -10,7 +10,6 @@ judged on an undirected graph.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from heapq import heapify, heappop, heappush
 from typing import Iterable, Optional, Sequence
 
 from .errors import ParseError
@@ -48,9 +47,6 @@ class Digraph:
 
     def out_degree(self, u: int) -> int:
         return len(self._out[u])
-
-    def in_degree(self, u: int) -> int:
-        return len(self._in[u])
 
     def max_out_degree(self) -> int:
         return max((len(vs) for vs in self._out), default=0)
@@ -101,9 +97,6 @@ class UGraph:
     def degree(self, u: int) -> int:
         return len(self._adj[u])
 
-    def has_edge(self, u: int, v: int) -> bool:
-        return (min(u, v), max(u, v)) in self.edges
-
     def __eq__(self, other) -> bool:
         return isinstance(other, UGraph) and self.n == other.n and self.edges == other.edges
 
@@ -143,14 +136,6 @@ class Coloring:
         return [self.colors[v] for v in range(n)]
 
 
-@dataclass(frozen=True)
-class DegeneracyOrder:
-    """Vertex removal order together with the exact degeneracy value."""
-
-    order: tuple[int, ...]
-    d: int
-
-
 def underlying_graph(d: Digraph) -> UGraph:
     """Forget orientations; a digon collapses to one edge."""
     return UGraph(d.n, ((u, v) for u, v in d.arcs))
@@ -187,50 +172,6 @@ def is_proper(g: UGraph, c: Coloring) -> bool:
         if v not in colors:
             raise ValueError(f"coloring not total: vertex {v} uncolored")
     return all(colors[u] != colors[v] for u, v in g.edges)
-
-
-def degeneracy_order(g: UGraph) -> DegeneracyOrder:
-    """Repeated minimum-degree removal; ties broken by smallest id.
-
-    The reported d is the exact degeneracy: the max residual degree seen at
-    any removal step. A min-heap keyed (degree, id) picks each vertex; a
-    degree drop pushes a fresh entry, which pops before the older ones.
-    """
-    deg = [g.degree(v) for v in range(g.n)]
-    heap = [(deg[v], v) for v in range(g.n)]
-    heapify(heap)
-    removed = [False] * g.n
-    order: list[int] = []
-    d = 0
-    while heap:
-        dv, v = heappop(heap)
-        if removed[v]:
-            continue
-        d = max(d, dv)
-        removed[v] = True
-        order.append(v)
-        for w in g.neighbors(v):
-            if not removed[w]:
-                deg[w] -= 1
-                heappush(heap, (deg[w], w))
-    return DegeneracyOrder(tuple(order), d)
-
-
-def greedy_color(g: UGraph, o: DegeneracyOrder) -> Coloring:
-    """Color in reverse removal order with the smallest free color.
-
-    Uses at most o.d + 1 colors when o is a degeneracy order of g.
-    """
-    if sorted(o.order) != list(range(g.n)):
-        raise ValueError("order is not a permutation of the graph's vertices")
-    colors: dict[int, int] = {}
-    for v in reversed(o.order):
-        taken = {colors[w] for w in g.neighbors(v) if w in colors}
-        c = 0
-        while c in taken:
-            c += 1
-        colors[v] = c
-    return Coloring(colors)
 
 
 def product_coloring(

@@ -24,7 +24,7 @@ from itertools import chain, compress, repeat
 from operator import gt, sub
 from typing import NamedTuple, Optional, Union
 
-from .decomposition import greedy_reverse, induced_subdigraph, peel_low_degree
+from .decomposition import greedy_reverse, peel_low_degree
 from .digraph import Coloring, Digraph
 from .errors import BudgetExceeded
 from .witness import CyclePattern, SubdivisionWitness, find_cycle_subdivision
@@ -99,8 +99,14 @@ def find_hamiltonian_cycle(
 
 @dataclass(frozen=True)
 class PeelColoring:
+    """The peel emptied the digraph: a proper coloring within 6k colors."""
+
     coloring: Coloring
-    bound: int
+    k: int
+
+    @property
+    def bound(self) -> int:
+        return 6 * self.k
 
     def to_json_dict(self) -> dict:
         n = len(self.coloring.colors)
@@ -108,6 +114,7 @@ class PeelColoring:
             "outcome": "coloring",
             "bound": self.bound,
             "colors": self.coloring.as_list(n),
+            "k": self.k,
         }
 
 
@@ -155,14 +162,15 @@ def color_hamiltonian(
     if k1 < 1 or k3 < 1:
         raise ValueError("block lengths must be positive")
     k = max(k1, k3)
-    whole = induced_subdigraph(d, range(d.n))
-    order, core = peel_low_degree(whole, 6 * k - 1)
+    # underlying neighbors; a digon counts its neighbor once
+    adj = [set(d.out_neighbors(v)).union(d.in_neighbors(v)) for v in range(d.n)]
+    order, core = peel_low_degree(range(d.n), adj, 6 * k - 1)
     if not core:
-        coloring = Coloring(greedy_reverse(whole, order)).normalized()
+        coloring = Coloring(greedy_reverse(adj, order)).normalized()
         assert coloring.palette_size <= 6 * k
-        return PeelColoring(coloring, 6 * k)
+        return PeelColoring(coloring, k)
     for v in core:
-        assert sum(1 for w in whole.und_adj[v] if w in core) >= 6 * k
+        assert len(adj[v] & core) >= 6 * k
     witness = None
     try:
         witness = find_cycle_subdivision(d, CyclePattern.from_k(k, k), budget)
@@ -180,9 +188,6 @@ class ChordViolation(NamedTuple):
     v: int
     w: int
     count: int
-
-    def to_json_dict(self) -> dict:
-        return {"u": self.u, "v": self.v, "w": self.w, "count": self.count}
 
 
 # ChordViolation from one (u, v, w, count) tuple, skipping the interpreted
@@ -258,7 +263,3 @@ def check_chord_neighbor_bound(
             above = map(gt, counts, repeat(2))
             found[i] = list(map(_violation, compress(rows, above)))
     return list(chain.from_iterable(found))
-
-
-def violations_to_json(violations: list[ChordViolation]) -> list[dict]:
-    return [v.to_json_dict() for v in violations]

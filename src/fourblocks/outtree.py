@@ -13,18 +13,12 @@ from __future__ import annotations
 
 from collections import deque
 from dataclasses import dataclass
-from enum import Enum
 from functools import cached_property
 from heapq import heapify, heappop, heappush
 from typing import Optional
 
 from .digraph import Digraph
 from .errors import UnreachableVertex
-
-
-class ArcKind(Enum):
-    FORWARD = "forward"
-    BACKWARD = "backward"
 
 
 @dataclass(frozen=True)
@@ -48,14 +42,6 @@ class OutTree:
     def numbering(self) -> "TreeNumbering":
         """Pre/post-order numbers, built on first use in O(n)."""
         return TreeNumbering(self)
-
-    def dump(self) -> str:
-        """One line per vertex: 'v parent level', '-' for the root's parent."""
-        lines = []
-        for v in range(self.n):
-            p = self.parent[v]
-            lines.append(f"{v} {'-' if p is None else p} {self.level[v]}")
-        return "\n".join(lines) + "\n"
 
 
 class TreeNumbering:
@@ -119,23 +105,6 @@ def spanning_out_tree(d: Digraph, r: int) -> OutTree:
 def is_ancestor(t: OutTree, y: int, x: int) -> bool:
     """True iff y lies on the tree path from the root to x (reflexive)."""
     return t.numbering.is_ancestor(y, x)
-
-
-def lca(t: OutTree, x: int, y: int) -> int:
-    """Deepest common ancestor, by pairwise level lifting."""
-    while t.level[x] > t.level[y]:
-        x = t.parent[x]  # type: ignore[assignment]
-    while t.level[y] > t.level[x]:
-        y = t.parent[y]  # type: ignore[assignment]
-    while x != y:
-        x = t.parent[x]  # type: ignore[assignment]
-        y = t.parent[y]  # type: ignore[assignment]
-    return x
-
-
-def classify_arc(t: OutTree, arc: tuple[int, int]) -> ArcKind:
-    u, v = arc
-    return ArcKind.FORWARD if t.level[u] < t.level[v] else ArcKind.BACKWARD
 
 
 def is_final(d: Digraph, t: OutTree) -> bool:

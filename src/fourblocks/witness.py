@@ -71,10 +71,13 @@ def available_kernels() -> dict:
 
 
 def default_budget() -> int:
+    """FOURBLOCKS_BUDGET when set, else 10^7 search nodes."""
     env = os.environ.get("FOURBLOCKS_BUDGET")
-    if env:
-        return int(env)
-    return 10_000_000
+    if not env:
+        return 10_000_000
+    if not env.strip().isdecimal():
+        raise ValueError(f"FOURBLOCKS_BUDGET={env!r} is not a nonnegative integer")
+    return int(env)
 
 
 @dataclass(frozen=True)

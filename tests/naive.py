@@ -18,7 +18,6 @@ never take more search nodes than ``search_cycle_subdivision`` here.
 from itertools import permutations
 
 from fourblocks import BudgetExceeded, Digraph, UGraph, OutTree
-from fourblocks.digraph import DegeneracyOrder
 from fourblocks.errors import NotAcyclic
 from fourblocks._subdiv_py import ABSENT, BUDGET, FOUND
 
@@ -95,17 +94,6 @@ def has_two_block_path(d: Digraph, a: int, b: int) -> bool:
     return False
 
 
-def lca_by_path_intersection(t: OutTree, x: int, y: int) -> int:
-    def root_path(v):
-        path = [v]
-        while t.parent[path[-1]] is not None:
-            path.append(t.parent[path[-1]])
-        return path
-
-    common = set(root_path(x)) & set(root_path(y))
-    return max(common, key=lambda v: t.level[v])
-
-
 def is_colorable(g: UGraph, q: int) -> bool:
     colors: dict[int, int] = {}
 
@@ -171,9 +159,9 @@ def finalize(d: Digraph, t: OutTree) -> OutTree:
             return OutTree(t.root, tuple(parent), tuple(level))
 
 
-def peel_low_degree(sub, threshold: int):
-    deg = {v: len(sub.und_adj[v]) for v in sub.vertices}
-    alive = set(sub.vertices)
+def peel_low_degree(vertices, adj, threshold: int):
+    deg = {v: len(adj[v]) for v in vertices}
+    alive = set(vertices)
     order = []
     while alive:
         v = min(alive, key=lambda u: (deg[u], u))
@@ -181,7 +169,7 @@ def peel_low_degree(sub, threshold: int):
             break
         alive.discard(v)
         order.append(v)
-        for w in sub.und_adj[v]:
+        for w in adj[v]:
             if w in alive:
                 deg[w] -= 1
     return order, alive
@@ -224,25 +212,6 @@ def dsatur(vertices, adj):
             if w in vset and w not in colors:
                 neighbor_colors[w].add(c)
     return colors
-
-
-def degeneracy_order(g: UGraph) -> DegeneracyOrder:
-    deg = [g.degree(v) for v in range(g.n)]
-    removed = [False] * g.n
-    order = []
-    d = 0
-    for _ in range(g.n):
-        v = min(
-            (u for u in range(g.n) if not removed[u]),
-            key=lambda u: (deg[u], u),
-        )
-        d = max(d, deg[v])
-        removed[v] = True
-        order.append(v)
-        for w in g.neighbors(v):
-            if not removed[w]:
-                deg[w] -= 1
-    return DegeneracyOrder(tuple(order), d)
 
 
 def find_hamiltonian_cycle(d: Digraph, budget: int):

@@ -19,13 +19,11 @@ from fourblocks import (
     check_chord_neighbor_bound,
     color_hamiltonian,
     color_strong_digraph,
-    degeneracy_order,
     find_cycle_subdivision,
     find_hamiltonian_cycle,
     finalize,
     format_digraph,
     generate,
-    greedy_color,
     is_final,
     is_proper,
     product_coloring,
@@ -34,6 +32,7 @@ from fourblocks import (
     verify_subdivision,
 )
 from fourblocks.cli import main
+from fourblocks.decomposition import greedy_reverse, peel_low_degree
 
 import naive
 
@@ -257,6 +256,12 @@ def test_criterion_6_fixed_point_examples():
     _report(6, "fixed-point examples", failures)
 
 
+def _peel_coloring(g: UGraph) -> dict[int, int]:
+    adj = {v: set(g.neighbors(v)) for v in range(g.n)}
+    order, _ = peel_low_degree(range(g.n), adj, g.n)
+    return greedy_reverse(adj, order)
+
+
 def test_criterion_7_product_coloring_law():
     rng = Rng(7777)
     failures = []
@@ -268,10 +273,8 @@ def test_criterion_7_product_coloring_law():
         v2 = {v for v in range(n) if rng.randrange(3) > 0}
         g1 = UGraph(n, ((u, v) for u, v in d1.arcs if u in v1 and v in v1))
         g2 = UGraph(n, ((u, v) for u, v in d2.arcs if u in v2 and v in v2))
-        c1 = greedy_color(g1, degeneracy_order(g1))
-        c2 = greedy_color(g2, degeneracy_order(g2))
-        c1 = Coloring({v: c1.colors[v] for v in v1})
-        c2 = Coloring({v: c2.colors[v] for v in v2})
+        c1 = Coloring({v: c for v, c in _peel_coloring(g1).items() if v in v1})
+        c2 = Coloring({v: c for v, c in _peel_coloring(g2).items() if v in v2})
         out = product_coloring(c1, c2, v1, v2)
         union = UGraph(n, g1.edges | g2.edges)
         sized = Coloring({v: out.colors.get(v, 0) for v in range(n)})

@@ -237,6 +237,27 @@ class TestVerify:
         del obj["k3"]
         cert.write_text(json.dumps(obj))
         assert main(["verify", path, str(cert)]) == 1
+        # a color-ham certificate: the bound for k = 1 is 6
+        del obj["k1"]
+        obj.update(bound=10**6, k=1)
+        cert.write_text(json.dumps(obj))
+        assert main(["verify", path, str(cert)]) == 3
+        assert "6k = 6" in capsys.readouterr().out
+        del obj["k"]
+        cert.write_text(json.dumps(obj))
+        assert main(["verify", path, str(cert)]) == 1
+
+    def test_block_length_below_1_is_malformed(self, tmp_path, capsys):
+        complete = Digraph(8, ((i, j) for i in range(8) for j in range(8) if i != j))
+        path = write_graph(tmp_path, complete)
+        assert main(["color-ham", "--json", path]) == 3
+        stall = json.loads(capsys.readouterr().out)
+        coloring = {"outcome": "coloring", "bound": 0, "colors": list(range(8))}
+        cert = tmp_path / "cert.json"
+        for obj in (stall, coloring):
+            obj["k"] = 0
+            cert.write_text(json.dumps(obj))
+            assert main(["verify", path, str(cert)]) == 1
 
     def test_round_trip_witness(self, tmp_path, capsys):
         path = write_graph(tmp_path, tt(4))
@@ -408,6 +429,8 @@ class TestBudgetEnvVar:
         path = write_graph(tmp_path, tt(8))
         monkeypatch.setenv("FOURBLOCKS_BUDGET", "3")
         assert main(["find", "--budget", "1000000", "--json", path]) == 0
+        monkeypatch.setenv("FOURBLOCKS_BUDGET", "1000000")
+        assert main(["find", "--budget", "0", path]) == 4
 
 
 class TestEmptyDigraph:
@@ -415,3 +438,60 @@ class TestEmptyDigraph:
         path = tmp_path / "empty.dg"
         path.write_text("0 0\n")
         assert main(["color", str(path)]) == 1
+
+
+def run_cli(argv, env=None):
+    """(exit code, stderr) of the CLI run as its own process."""
+    src = str(Path(fourblocks.__file__).resolve().parents[1])
+    proc = subprocess.run(
+        [sys.executable, "-m", "fourblocks.cli", *argv],
+        capture_output=True,
+        text=True,
+        env={**os.environ, "PYTHONPATH": src, **(env or {})},
+        timeout=120,
+    )
+    return proc.returncode, proc.stderr
+
+
+class TestInputProblemsExit1:
+    """Missing files, block lengths below 1 and bad budgets exit 1 before
+    any work, without a traceback."""
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["color", "{missing}"],
+            ["color-ham", "{missing}"],
+            ["find", "{missing}"],
+            ["verify", "{missing}", "{graph}"],
+            ["color", "--k1", "0", "{graph}"],
+            # tt(4) has no Hamiltonian cycle: a search would exit 5
+            ["color-ham", "--k1", "0", "{graph}"],
+            ["find", "--k3", "0", "{graph}"],
+            ["stress", "--k1", "0", "--count", "1"],
+            ["bench", "--k3", "-2", "--count", "1"],
+            ["find", "--budget", "-1", "{graph}"],
+        ],
+        ids=["color-missing", "color-ham-missing", "find-missing", "verify-missing",
+             "color-k1", "color-ham-k1", "find-k3", "stress-k1", "bench-k3",
+             "find-budget"],
+    )
+    def test_exits_1_without_traceback(self, tmp_path, argv):
+        graph = write_graph(tmp_path, tt(4))
+        missing = str(tmp_path / "missing.dg")
+        argv = [a.format(graph=graph, missing=missing) for a in argv]
+        code, err = run_cli(argv)
+        assert code == 1, err
+        assert err and "Traceback" not in err
+
+    @pytest.mark.parametrize("value", ["abc", "-5", "1e6"])
+    def test_bad_env_budget(self, tmp_path, value):
+        code, err = run_cli(["find", write_graph(tmp_path, tt(4))],
+                            env={"FOURBLOCKS_BUDGET": value})
+        assert code == 1, err
+        assert "FOURBLOCKS_BUDGET" in err and "Traceback" not in err
+
+    def test_budget_0_is_a_budget(self, tmp_path):
+        path = write_graph(tmp_path, tt(8))
+        assert main(["find", "--budget", "0", path]) == 4
+        assert main(["find", "--budget", "1", path]) == 4

@@ -27,7 +27,6 @@ from fourblocks import (
     find_cycle_subdivision,
     find_two_block_path,
     generate,
-    induced_subdigraph,
     is_proper,
     level_classes,
     spanning_out_tree,
@@ -35,7 +34,7 @@ from fourblocks import (
     verify_subdivision,
     verify_two_block_path,
 )
-from fourblocks.decomposition import split_by_out_degree
+from fourblocks.decomposition import SubDigraph, split_by_out_degree
 
 import naive
 
@@ -300,7 +299,7 @@ class TestColorD3:
         for seed in range(25):
             n = 4 + seed % 7
             d = generate(GenSpec(Family.RANDOM_STRONG, n, n + seed % n, seed))
-            sub = induced_subdigraph(d, range(d.n))
+            sub = SubDigraph(range(d.n), d.arcs)
             for k in (1, 2):
                 out = color_d3(sub, k)
                 g = underlying_graph(d)

@@ -8,15 +8,14 @@ from fourblocks import (
     ParseError,
     Rng,
     UGraph,
-    degeneracy_order,
     format_digraph,
-    greedy_color,
     is_proper,
     is_strongly_connected,
     parse_digraph,
     product_coloring,
     underlying_graph,
 )
+from fourblocks.decomposition import greedy_reverse, peel_low_degree
 
 
 
@@ -26,6 +25,25 @@ def tt(n):
 
 def cycle(n):
     return Digraph(n, ((i, (i + 1) % n) for i in range(n)))
+
+
+def neighbor_sets(g):
+    return {v: set(g.neighbors(v)) for v in range(g.n)}
+
+
+def peel(g, threshold):
+    return peel_low_degree(range(g.n), neighbor_sets(g), threshold)
+
+
+def degeneracy(g):
+    """The smallest threshold at which the peel empties g."""
+    return next(t for t in range(g.n + 1) if not peel(g, t)[1])
+
+
+def greedy(g):
+    """Greedy coloring in reverse order of a full peel of g."""
+    order, _ = peel(g, g.n)
+    return Coloring(greedy_reverse(neighbor_sets(g), order))
 
 
 def random_digraph(rng, n, m):
@@ -135,11 +153,13 @@ class TestIsProper:
 class TestDegeneracy:
     def test_path_is_1_degenerate(self):
         g = UGraph(5, [(i, i + 1) for i in range(4)])
-        assert degeneracy_order(g).d == 1
+        assert peel(g, 0)[1] == set(range(5))
+        assert peel(g, 1)[1] == set()
 
     def test_k4(self):
         g = UGraph(4, [(i, j) for i in range(4) for j in range(i + 1, 4)])
-        assert degeneracy_order(g).d == 3
+        assert peel(g, 2)[1] == set(range(4))
+        assert peel(g, 3)[1] == set()
 
     def test_tt6_matches_brute_force(self):
         g = underlying_graph(tt(6))
@@ -150,8 +170,8 @@ class TestDegeneracy:
             )
             for order in permutations(range(6))
         )
-        o = degeneracy_order(g)
-        assert o.d == best == 5
+        assert peel(g, best - 1)[1] and not peel(g, best)[1]
+        assert degeneracy(g) == best == 5
 
     def test_back_degree_bound_and_tightness(self):
         rng = Rng(7)
@@ -159,26 +179,27 @@ class TestDegeneracy:
             n = 3 + rng.randrange(8)
             d = random_digraph(rng, n, rng.randrange(2 * n + 1))
             g = underlying_graph(d)
-            o = degeneracy_order(g)
-            later: set[int] = set(o.order)
+            t = degeneracy(g)
+            order, _ = peel(g, t)
+            later: set[int] = set(order)
             seen_tight = False
-            for v in o.order:
+            for v in order:
                 later.discard(v)
                 back = sum(1 for w in g.neighbors(v) if w in later)
-                assert back <= o.d
-                seen_tight = seen_tight or back == o.d
+                assert back <= t
+                seen_tight = seen_tight or back == t
             assert seen_tight
 
 
 class TestGreedyColor:
     def test_path_two_colors(self):
         g = UGraph(5, [(i, i + 1) for i in range(4)])
-        c = greedy_color(g, degeneracy_order(g))
+        c = greedy(g)
         assert is_proper(g, c) and c.palette_size == 2
 
     def test_k4_four_colors(self):
         g = UGraph(4, [(i, j) for i in range(4) for j in range(i + 1, 4)])
-        c = greedy_color(g, degeneracy_order(g))
+        c = greedy(g)
         assert is_proper(g, c) and c.palette_size == 4
 
     def test_random_graphs_proper_within_bound(self):
@@ -187,10 +208,9 @@ class TestGreedyColor:
             n = 20
             d = random_digraph(rng, n, rng.randrange(3 * n))
             g = underlying_graph(d)
-            o = degeneracy_order(g)
-            c = greedy_color(g, o)
+            c = greedy(g)
             assert is_proper(g, c)
-            assert c.palette_size <= o.d + 1
+            assert c.palette_size <= degeneracy(g) + 1
 
 
 class TestProductColoring:
@@ -215,8 +235,7 @@ class TestProductColoring:
         d1 = Digraph(4, [(0, 1), (1, 2)])
         d2 = Digraph(4, [(1, 2), (2, 3)])
         g1, g2 = underlying_graph(d1), underlying_graph(d2)
-        c1 = greedy_color(g1, degeneracy_order(g1))
-        c2 = greedy_color(g2, degeneracy_order(g2))
+        c1, c2 = greedy(g1), greedy(g2)
         union = UGraph(4, g1.edges | g2.edges)
         out = product_coloring(c1, c2, range(4), range(4))
         assert is_proper(union, out)

@@ -22,18 +22,15 @@ from fourblocks import (
     OutTree,
     Rng,
     check_chord_neighbor_bound,
-    degeneracy_order,
     finalize,
     find_hamiltonian_cycle,
     generate,
     spanning_out_tree,
-    underlying_graph,
 )
 from fourblocks.decomposition import (
     SubDigraph,
     _acyclic_peel_order,
     arc_partition,
-    induced_subdigraph,
     level_classes,
     peel_low_degree,
 )
@@ -137,13 +134,17 @@ def test_finalize_matches_rescan(family):
 def test_degree_peels_match(family):
     seen = Counter()
     for d, _ in FAMILIES[family]:
-        g = underlying_graph(d)
-        want = naive.degeneracy_order(g)
-        assert degeneracy_order(g) == want
-        sub = induced_subdigraph(d, range(d.n))
-        for threshold in sorted({0, 2, want.d - 1, want.d}):
-            order, core = peel_low_degree(sub, threshold)
-            assert (order, core) == naive.peel_low_degree(sub, threshold)
+        vs, adj = range(d.n), SubDigraph(range(d.n), d.arcs).und_adj
+        # the degeneracy: the most later neighbors in a full peel's order
+        later = set(range(d.n))
+        degeneracy = 0
+        for v in naive.peel_low_degree(vs, adj, d.n)[0]:
+            later.discard(v)
+            degeneracy = max(degeneracy, len(adj[v] & later))
+        for threshold in sorted({0, 2, degeneracy - 1, degeneracy}):
+            order, core = peel_low_degree(vs, adj, threshold)
+            assert (order, core) == naive.peel_low_degree(vs, adj, threshold)
+            assert bool(core) == (threshold < degeneracy)
             seen["stall" if core else "full"] += 1
     assert seen["stall"] and seen["full"]
 
@@ -153,7 +154,7 @@ def test_acyclic_peel_matches(family):
     rng = Rng(11)
     seen = Counter()
     for d, root in FAMILIES[family]:
-        whole = induced_subdigraph(d, range(d.n))
+        whole = SubDigraph(range(d.n), d.arcs)
         forward = SubDigraph(range(d.n), ((u, v) for u, v in d.arcs if u < v))
         cases = [(whole, whole.vertices), (forward, forward.vertices)]
         if d.n <= 200:
@@ -175,7 +176,7 @@ def test_acyclic_peel_matches(family):
 def test_dsatur_matches(family):
     rng = Rng(13)
     for d, _ in FAMILIES[family]:
-        sub = induced_subdigraph(d, range(d.n))
+        sub = SubDigraph(range(d.n), d.arcs)
         subsets = [sub.vertices]
         if d.n <= 200:
             subsets += [[v for v in range(d.n) if rng.randrange(2)] for _ in range(3)]

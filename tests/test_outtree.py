@@ -1,23 +1,18 @@
 import pytest
 
 from fourblocks import (
-    ArcKind,
     Digraph,
     Family,
     GenSpec,
     OutTree,
     Rng,
     UnreachableVertex,
-    classify_arc,
     finalize,
     generate,
     is_ancestor,
     is_final,
-    lca,
     spanning_out_tree,
 )
-
-import naive
 
 
 def cycle(n):
@@ -71,22 +66,6 @@ class TestAncestry:
         assert not is_ancestor(t, 2, 0)
         assert is_ancestor(t, 1, 1)
 
-    def test_lca_on_path(self):
-        t = OutTree(0, (None, 0, 1), (1, 2, 3))
-        assert lca(t, 1, 2) == 1
-
-    def test_lca_two_branches(self):
-        t = OutTree(0, (None, 0, 0), (1, 2, 2))
-        assert lca(t, 1, 2) == 0
-
-    def test_lca_matches_path_intersection_oracle(self):
-        rng = Rng(17)
-        for _ in range(10):
-            t = random_tree(rng, 50)
-            for _ in range(40):
-                x, y = rng.randrange(50), rng.randrange(50)
-                assert lca(t, x, y) == naive.lca_by_path_intersection(t, x, y)
-
     def test_level_counts_strict_ancestors(self):
         rng = Rng(29)
         t = random_tree(rng, 40)
@@ -98,17 +77,22 @@ class TestAncestry:
 
 
 class TestClassify:
+    """An arc (x,y) is forward when level(x) < level(y) and backward
+    otherwise; only a backward arc must point into x's ancestor chain."""
+
     def test_tree_arc_forward(self):
-        t = OutTree(0, (None, 0), (1, 2))
-        assert classify_arc(t, (0, 1)) is ArcKind.FORWARD
+        # (1,3) goes forward into another branch, which a final tree allows
+        t = OutTree(0, (None, 0, 0, 2), (1, 2, 2, 3))
+        assert is_final(Digraph(4, [(0, 1), (0, 2), (2, 3), (1, 3)]), t)
 
     def test_equal_levels_backward(self):
-        t = OutTree(0, (None, 0, 0), (1, 2, 2))
-        assert classify_arc(t, (1, 2)) is ArcKind.BACKWARD
+        # (1,2) joins equal levels across branches, which a final tree forbids
+        t = OutTree(0, (None, 0, 0, 2), (1, 2, 2, 3))
+        assert not is_final(Digraph(4, [(0, 1), (0, 2), (2, 3), (1, 2)]), t)
 
     def test_leaf_to_root_backward(self):
         t = OutTree(0, (None, 0), (1, 2))
-        assert classify_arc(t, (1, 0)) is ArcKind.BACKWARD
+        assert is_final(Digraph(2, [(0, 1), (1, 0)]), t)
 
 
 class TestIsFinal:
@@ -159,8 +143,3 @@ class TestFinalize:
             # no arc joins equal levels once final
             assert all(t1.level[u] != t1.level[v] for u, v in d.arcs)
 
-
-class TestDump:
-    def test_dump_format(self):
-        t = OutTree(0, (None, 0, 1), (1, 2, 3))
-        assert t.dump() == "0 - 1\n1 0 2\n2 1 3\n"
