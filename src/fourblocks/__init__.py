@@ -35,11 +35,11 @@ from .outtree import (
     spanning_out_tree,
 )
 from .witness import (
+    DEFAULT_BUDGET,
     CyclePattern,
     SubdivisionWitness,
     TwoBlockPathWitness,
     VerifyResult,
-    default_budget,
     find_cycle_subdivision,
     find_two_block_path,
     verify_subdivision,
@@ -74,5 +74,6 @@ from .hamiltonian import (
     find_hamiltonian_cycle,
 )
 from .generators import Family, GenSpec, Rng, generate
+from .verify import verify_certificate
 
 __version__ = "0.1.0"

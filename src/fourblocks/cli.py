@@ -3,8 +3,8 @@
 Exit codes are a stable contract:
 
     0  success (coloring produced / witness found / certificate valid)
-    1  input problem (missing or unparsable file, malformed certificate, bad
-       cycle file, block length below 1, negative or non-integer budget)
+    1  input problem (missing, unparsable or unwritable file, malformed
+       certificate or cycle file, block length below 1, bad budget)
     2  precondition failure (not strongly connected)
     3  structural outcome (subdivision found / peel stalled / not found /
        certificate invalid, depending on the command)
@@ -28,21 +28,14 @@ from pathlib import Path
 from typing import Optional
 
 from . import decomposition, generators, hamiltonian, witness
-from .digraph import (
-    Digraph,
-    format_digraph,
-    is_proper,
-    is_strongly_connected,
-    parse_digraph,
-    underlying_graph,
-)
-from .digraph import Coloring
+from .digraph import Digraph, format_digraph, is_strongly_connected, parse_digraph
 from .errors import (
     BudgetExceeded,
     InfeasibleSpec,
     NotStronglyConnected,
     ParseError,
 )
+from .verify import verify_certificate
 
 
 def _canonical_json(obj) -> str:
@@ -73,10 +66,10 @@ def _check_args(args) -> None:
     if "budget" not in args:
         return
     if args.budget is None:
-        try:
-            args.budget = witness.default_budget()
-        except ValueError as exc:
-            raise InputError(str(exc)) from None
+        env = os.environ.get("FOURBLOCKS_BUDGET")
+        if env and not env.strip().isdecimal():
+            raise InputError(f"FOURBLOCKS_BUDGET={env!r} is not a nonnegative integer")
+        args.budget = int(env) if env else witness.DEFAULT_BUDGET
     elif args.budget < 0:
         raise InputError("--budget must be nonnegative")
 
@@ -223,83 +216,14 @@ def cmd_find(args) -> int:
     return 0
 
 
-def cmd_verify(args) -> int:
+def cmd_recheck(args) -> int:
     d = _load_digraph(args.input)
     try:
-        cert = json.loads(Path(args.certificate).read_text())
-        ok, message = _verify_certificate(d, cert)
-    except (OSError, KeyError, TypeError, ValueError) as exc:
+        result = verify_certificate(d, json.loads(Path(args.certificate).read_text()))
+    except (OSError, RecursionError, ValueError) as exc:
         raise InputError(f"malformed certificate: {exc}") from None
-    _write(message + "\n")
-    return 0 if ok else 3
-
-
-def _verify_coloring_payload(d: Digraph, cert: dict) -> tuple[bool, str]:
-    colors = cert["colors"]
-    bound = int(cert["bound"])
-    # the bound follows from the block lengths, so it is recomputed
-    if "k1" in cert or "k3" in cert:
-        k1, k3 = int(cert["k1"]), int(cert["k3"])
-        expected, rule = decomposition.coloring_bound(k1, k3), "36*2k*(4k+2)"
-        k = max(k1, k3)
-    else:
-        k = _block_length(cert)
-        expected, rule = 6 * k, "6k"
-    if bound != expected:
-        return False, f"claimed bound {bound} is not {rule} = {expected} for k = {k}"
-    if not isinstance(colors, list) or len(colors) != d.n:
-        raise ValueError(f"colors must list all {d.n} vertices")
-    coloring = Coloring({v: int(c) for v, c in enumerate(colors)})
-    if not is_proper(underlying_graph(d), coloring):
-        return False, "coloring is not proper"
-    if coloring.palette_size > bound:
-        return False, f"palette {coloring.palette_size} exceeds bound {bound}"
-    return True, f"valid coloring: {coloring.palette_size} colors within {bound}"
-
-
-def _block_length(cert: dict) -> int:
-    k = int(cert["k"])
-    if k < 1:
-        raise ValueError(f"block length k = {k} is below 1")
-    return k
-
-
-def _verify_certificate(d: Digraph, cert: dict) -> tuple[bool, str]:
-    if "outcome" not in cert:
-        cert = {"outcome": "subdivision", "witness": cert}
-    outcome = cert["outcome"]
-    if outcome == "coloring":
-        return _verify_coloring_payload(d, cert)
-    if outcome == "subdivision":
-        w, pattern = witness.witness_from_json(cert["witness"])
-        check = witness.verify_subdivision(d, w, pattern)
-        if check.ok:
-            return True, f"valid subdivision witness for C{pattern.blocks}"
-        return False, f"invalid witness: {check.reason}"
-    if outcome == "stall":
-        k = _block_length(cert)
-        core = [int(v) for v in cert["core"]]
-        if not core:
-            return False, "empty stall core"
-        core_set = set(core)
-        und = underlying_graph(d)
-        for v in core_set:
-            if v < 0 or v >= d.n:
-                raise ValueError(f"core vertex {v} out of range")
-        min_deg = min(
-            sum(1 for w_ in und.neighbors(v) if w_ in core_set) for v in core_set
-        )
-        if min_deg < 6 * k:
-            return False, f"core minimum degree {min_deg} is below {6 * k}"
-        if cert.get("witness") is not None:
-            w, pattern = witness.witness_from_json(cert["witness"])
-            check = witness.verify_subdivision(d, w, pattern)
-            if not check.ok:
-                return False, f"invalid witness: {check.reason}"
-        return True, f"valid stall core with minimum degree >= {6 * k}"
-    if outcome == "inconclusive":
-        return True, "inconclusive certificate carries no checkable claim"
-    raise ValueError(f"unknown outcome {outcome!r}")
+    _write(result.reason + "\n")
+    return 0 if result.ok else 3
 
 
 def cmd_gen(args) -> int:
@@ -313,10 +237,13 @@ def cmd_gen(args) -> int:
         return 1
     text = format_digraph(d)
     if args.output:
-        Path(args.output).write_text(text)
-        Path(args.output + ".json").write_text(
-            _canonical_json(spec.to_json_dict()) + "\n"
-        )
+        try:
+            Path(args.output).write_text(text)
+            Path(args.output + ".json").write_text(
+                _canonical_json(spec.to_json_dict()) + "\n"
+            )
+        except OSError as exc:
+            raise InputError(f"cannot write output: {exc}") from None
     else:
         _write(text)
     return 0
@@ -370,13 +297,12 @@ def _stress_one(args, seed: int) -> tuple[str, str]:
         if cycle is None:
             return "fail", "generated Hamiltonian instance has no cycle"
         cert = hamiltonian.color_hamiltonian(d, cycle, k1, k3, budget)
+        check = verify_certificate(d, cert.to_json_dict())
+        if not check:
+            return "fail", f"peel certificate rejected: {check.reason}"
         if w is None:
             if not isinstance(cert, hamiltonian.PeelColoring):
                 return "fail", "peel stalled on a subdivision-free instance"
-            if not is_proper(underlying_graph(d), cert.coloring):
-                return "fail", "peel coloring is not proper"
-            if cert.coloring.palette_size > 6 * k:
-                return "fail", f"peel used {cert.coloring.palette_size} > 6k colors"
             if hamiltonian.check_chord_neighbor_bound(d, cycle, k):
                 return "fail", "chord neighbor bound violated on a free instance"
         return "pass", ""
@@ -386,11 +312,10 @@ def _stress_one(args, seed: int) -> tuple[str, str]:
             return "fail", "generator emitted a non-strong digraph"
         return "skip", "instance not strongly connected"
     cert = decomposition.color_strong_digraph(d, k1, k3, budget)
+    check = verify_certificate(d, cert.to_json_dict())
+    if not check:
+        return "fail", f"pipeline certificate rejected: {check.reason}"
     if isinstance(cert, decomposition.ColoringWithinBound):
-        if not is_proper(underlying_graph(d), cert.coloring):
-            return "fail", "pipeline coloring is not proper"
-        if cert.coloring.palette_size > cert.bound:
-            return "fail", "pipeline palette exceeds bound"
         for rep in cert.per_class:
             if rep.d1_colors > 6 or rep.d2_colors > 6 or rep.d3_colors > 4 * k + 2:
                 return "fail", f"stage bound violated in class {rep.index}"
@@ -502,7 +427,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("verify", help="re-check a certificate against a digraph")
     p.add_argument("input", help="digraph file")
     p.add_argument("certificate", help="certificate or witness JSON file")
-    p.set_defaults(func=cmd_verify)
+    p.set_defaults(func=cmd_recheck)
 
     p = sub.add_parser("gen", help="generate a reproducible instance")
     p.add_argument("--family", required=True, choices=[f.value for f in generators.Family])

@@ -36,6 +36,7 @@ from .digraph import (
 from .errors import BudgetExceeded, NotAcyclic, NotFinalTree, NotStronglyConnected
 from .outtree import OutTree, finalize, is_final, spanning_out_tree
 from .witness import (
+    DEFAULT_BUDGET,
     CyclePattern,
     SubdivisionWitness,
     TwoBlockPathWitness,
@@ -267,7 +268,7 @@ def color_d2(d2: SubDigraph) -> Union[D2Coloring, OutDegreeFailure]:
 
 
 def color_d3(
-    d3: SubDigraph, k: int, budget: Optional[int] = None
+    d3: SubDigraph, k: int, budget: int = DEFAULT_BUDGET
 ) -> Union[Coloring, TwoBlockPathWitness]:
     """Color the remaining arc group with at most 4k+2 colors.
 
@@ -276,10 +277,6 @@ def color_d3(
     P(2k+1, 2k+1) to exist in the group, which is found and returned as the
     failure witness.
     """
-    from .witness import default_budget
-
-    if budget is None:
-        budget = default_budget()
     q = 4 * k + 2
     heuristic = exactcolor.dsatur(d3.vertices, d3.und_adj)
     if len(set(heuristic.values())) <= q:
@@ -381,7 +378,7 @@ def coloring_bound(k1: int, k3: int) -> int:
 
 
 def color_strong_digraph(
-    d: Digraph, k1: int, k3: int, budget: Optional[int] = None
+    d: Digraph, k1: int, k3: int, budget: int = DEFAULT_BUDGET
 ) -> PipelineCertificate:
     """End-to-end certifying pipeline for a strong digraph.
 
@@ -393,10 +390,6 @@ def color_strong_digraph(
     bound = coloring_bound(k1, k3)
     if not is_strongly_connected(d):
         raise NotStronglyConnected("input digraph is not strongly connected")
-    from .witness import default_budget
-
-    if budget is None:
-        budget = default_budget()
     k = max(k1, k3)
     t = finalize(d, spanning_out_tree(d, 0))
     classes = level_classes(t, k)

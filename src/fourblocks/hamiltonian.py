@@ -27,7 +27,8 @@ from typing import NamedTuple, Optional, Union
 from .decomposition import greedy_reverse, peel_low_degree
 from .digraph import Coloring, Digraph
 from .errors import BudgetExceeded
-from .witness import CyclePattern, SubdivisionWitness, find_cycle_subdivision
+from .witness import DEFAULT_BUDGET, CyclePattern, SubdivisionWitness
+from .witness import find_cycle_subdivision, witness_to_json
 
 
 @dataclass(frozen=True)
@@ -53,7 +54,7 @@ class HamiltonianCycle:
 
 
 def find_hamiltonian_cycle(
-    d: Digraph, budget: Optional[int] = None
+    d: Digraph, budget: int = DEFAULT_BUDGET
 ) -> Optional[HamiltonianCycle]:
     """Exact backtracking; canonical start at vertex 0.
 
@@ -62,10 +63,6 @@ def find_hamiltonian_cycle(
     no recursion. Every path extension, the start included, costs one node
     of the budget.
     """
-    from .witness import default_budget
-
-    if budget is None:
-        budget = default_budget()
     if d.n < 2:
         return None
     used = bytearray(d.n)
@@ -127,8 +124,6 @@ class PeelStall:
     witness: Optional[SubdivisionWitness]
 
     def to_json_dict(self) -> dict:
-        from .witness import witness_to_json
-
         return {
             "outcome": "stall",
             "k": self.k,
@@ -149,7 +144,7 @@ def color_hamiltonian(
     c: HamiltonianCycle,
     k1: int,
     k3: int,
-    budget: Optional[int] = None,
+    budget: int = DEFAULT_BUDGET,
 ) -> PeelCertificate:
     """Peel at degree 6k-1 and greedy-color, or report the stuck core.
 
@@ -171,7 +166,6 @@ def color_hamiltonian(
         return PeelColoring(coloring, k)
     for v in core:
         assert len(adj[v] & core) >= 6 * k
-    witness = None
     try:
         witness = find_cycle_subdivision(d, CyclePattern.from_k(k, k), budget)
     except BudgetExceeded:

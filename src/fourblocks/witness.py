@@ -5,14 +5,14 @@ Two witness shapes are handled:
 * subdivisions of the four-blocks cycle C(k1,k2,k3,k4),
 * two-block paths P(a,b) (two dipaths sharing only their origin).
 
-Every finder is exhaustive under a search-node budget and raises
-BudgetExceeded rather than silently claiming absence. Every witness can be
-re-checked by a verifier that trusts nothing from the search bookkeeping.
+Every finder is exhaustive under a search-node budget, an argument that
+defaults to DEFAULT_BUDGET, and raises BudgetExceeded rather than silently
+claiming absence. Every witness can be re-checked by a verifier that
+trusts nothing from the search bookkeeping.
 
 The subdivision search runs on the compiled C kernel (_subdiv.c) when a
 library built from it sits next to this package, and on the pure-Python
-twin (_subdiv_py) otherwise; set FOURBLOCKS_PURE=1 to force the twin. Both
-kernels produce identical results.
+twin (_subdiv_py) otherwise. Both kernels produce identical results.
 
 Witness JSON schema for subdivisions:
 
@@ -55,29 +55,18 @@ def _load_compiled():
     return None
 
 
-_FORCE_PURE = os.environ.get("FOURBLOCKS_PURE", "") not in ("", "0")
-_compiled = None if _FORCE_PURE else _load_compiled()
+_compiled = _load_compiled()
 _kernel = _subdiv_py if _compiled is None else _compiled
 KERNEL = "pure" if _compiled is None else "compiled"
+DEFAULT_BUDGET = 10_000_000  # search nodes
 
 
 def available_kernels() -> dict:
-    """Name -> kernel for every loadable subdivision kernel."""
+    """Name -> kernel for every loaded subdivision kernel."""
     kernels = {"pure": _subdiv_py}
-    compiled = _load_compiled()
-    if compiled is not None:
-        kernels["compiled"] = compiled
+    if _compiled is not None:
+        kernels["compiled"] = _compiled
     return kernels
-
-
-def default_budget() -> int:
-    """FOURBLOCKS_BUDGET when set, else 10^7 search nodes."""
-    env = os.environ.get("FOURBLOCKS_BUDGET")
-    if not env:
-        return 10_000_000
-    if not env.strip().isdecimal():
-        raise ValueError(f"FOURBLOCKS_BUDGET={env!r} is not a nonnegative integer")
-    return int(env)
 
 
 @dataclass(frozen=True)
@@ -129,15 +118,13 @@ class VerifyResult:
 
 
 def find_cycle_subdivision(
-    d: Digraph, p: CyclePattern, budget: Optional[int] = None
+    d: Digraph, p: CyclePattern, budget: int = DEFAULT_BUDGET
 ) -> Optional[SubdivisionWitness]:
     """Exhaustive search for a subdivision of C(*p.blocks) in d.
 
     Returns a witness, or None only when the whole search space was
     exhausted. Raises BudgetExceeded when the node budget runs out first.
     """
-    if budget is None:
-        budget = default_budget()
     indptr, indices = _csr(d)
     status, payload, nodes = _kernel.search_cycle_subdivision(
         d.n, indptr, indices, *p.blocks, budget
@@ -199,11 +186,18 @@ def witness_to_json(w: SubdivisionWitness, p: CyclePattern) -> dict:
     }
 
 
+def json_int(x) -> int:
+    """x when it is a JSON integer; a bool, float or string raises ValueError."""
+    if type(x) is not int:
+        raise ValueError(f"{x!r} is not an integer")
+    return x
+
+
 def witness_from_json(obj: dict) -> tuple[SubdivisionWitness, CyclePattern]:
     try:
-        pattern = CyclePattern(tuple(int(b) for b in obj["pattern"]))
-        paths = tuple(tuple(int(v) for v in path) for path in obj["paths"])
-        junctions = tuple(int(v) for v in obj["junctions"])
+        pattern = CyclePattern(tuple(json_int(b) for b in obj["pattern"]))
+        paths = tuple(tuple(json_int(v) for v in path) for path in obj["paths"])
+        junctions = tuple(json_int(v) for v in obj["junctions"])
     except (KeyError, TypeError, ValueError) as exc:
         raise ValueError(f"malformed witness JSON: {exc}") from exc
     if len(junctions) != 4 or len(paths) != 4:
@@ -212,7 +206,7 @@ def witness_from_json(obj: dict) -> tuple[SubdivisionWitness, CyclePattern]:
 
 
 def find_two_block_path(
-    d: Digraph, a: int, b: int, budget: Optional[int] = None
+    d: Digraph, a: int, b: int, budget: int = DEFAULT_BUDGET
 ) -> Optional[TwoBlockPathWitness]:
     """Exhaustive search for P(a,b): dipaths of lengths >= a and >= b from a
     common origin, vertex-disjoint elsewhere.
@@ -222,8 +216,6 @@ def find_two_block_path(
     """
     if a < 1 or b < 1:
         raise ValueError("block lengths must be positive")
-    if budget is None:
-        budget = default_budget()
     if 1 + a + b > d.n:
         return None
     used = bytearray(d.n)

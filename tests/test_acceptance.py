@@ -14,7 +14,6 @@ from fourblocks import (
     GenSpec,
     PeelColoring,
     Rng,
-    SubdivisionFound,
     UGraph,
     check_chord_neighbor_bound,
     color_hamiltonian,

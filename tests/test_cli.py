@@ -13,8 +13,10 @@ from fourblocks import (
     Digraph,
     Family,
     GenSpec,
+    find_cycle_subdivision,
     format_digraph,
     generate,
+    witness_to_json,
 )
 from fourblocks._subdiv_py import BUDGET
 from fourblocks.witness import _csr
@@ -316,6 +318,39 @@ class TestVerify:
         cert.write_text(out)
         assert main(["verify", path, str(cert)]) == 0
 
+    def test_stall_witness_must_realize_the_stall_pattern(self, tmp_path, capsys):
+        """K13's core has minimum degree 12 = 6k for k = 2, but a witness
+        of C(1,1,1,1) is no subdivision of C(2,1,2,1)."""
+        complete = Digraph(13, ((i, j) for i in range(13) for j in range(13) if i != j))
+        path = write_graph(tmp_path, complete)
+        w = find_cycle_subdivision(complete, CyclePattern((1, 1, 1, 1)))
+        obj = {"outcome": "stall", "k": 2, "core": list(range(13)),
+               "witness": witness_to_json(w, CyclePattern((1, 1, 1, 1)))}
+        cert = tmp_path / "stall.json"
+        cert.write_text(json.dumps(obj))
+        assert main(["verify", path, str(cert)]) == 3
+        assert "invalid witness" in capsys.readouterr().out
+        obj["k"] = 1
+        cert.write_text(json.dumps(obj))
+        assert main(["verify", path, str(cert)]) == 0
+
+    @pytest.mark.parametrize(
+        "fields",
+        [
+            {"colors": [0.2, 1.7, 2.1], "k": 1, "bound": 6},
+            {"colors": [0, 1, 2], "k": 1.5, "bound": 6},
+            {"colors": [0, 1, 2], "k1": 1, "k3": 1.9, "bound": 432},
+            {"colors": [0, 1, 2], "k1": 1, "k3": 1, "bound": "432"},
+            {"colors": [0, 1, 2], "k": True, "bound": 6},
+        ],
+        ids=["float-colors", "float-k", "float-k3", "string-bound", "bool-k"],
+    )
+    def test_non_integer_numbers_are_malformed(self, tmp_path, fields):
+        path = write_graph(tmp_path, cycle(3))
+        cert = tmp_path / "cert.json"
+        cert.write_text(json.dumps({"outcome": "coloring", **fields}))
+        assert main(["verify", path, str(cert)]) == 1
+
     def test_tampered_stall_core_exits_3(self, tmp_path, capsys):
         complete = Digraph(8, ((i, j) for i in range(8) for j in range(8) if i != j))
         path = write_graph(tmp_path, complete)
@@ -455,7 +490,8 @@ def run_cli(argv, env=None):
 
 class TestInputProblemsExit1:
     """Missing files, block lengths below 1 and bad budgets exit 1 before
-    any work, without a traceback."""
+    any work; an unparsable certificate or an unwritable output file exits
+    1 too. None of them prints a traceback."""
 
     @pytest.mark.parametrize(
         "argv",
@@ -471,15 +507,19 @@ class TestInputProblemsExit1:
             ["stress", "--k1", "0", "--count", "1"],
             ["bench", "--k3", "-2", "--count", "1"],
             ["find", "--budget", "-1", "{graph}"],
+            ["verify", "{graph}", "{deep}"],
+            ["gen", "--family", "cycle", "--n", "5", "-o", "{missing}/g.dg"],
         ],
         ids=["color-missing", "color-ham-missing", "find-missing", "verify-missing",
              "color-k1", "color-ham-k1", "find-k3", "stress-k1", "bench-k3",
-             "find-budget"],
+             "find-budget", "verify-deep-nesting", "gen-missing-dir"],
     )
     def test_exits_1_without_traceback(self, tmp_path, argv):
         graph = write_graph(tmp_path, tt(4))
         missing = str(tmp_path / "missing.dg")
-        argv = [a.format(graph=graph, missing=missing) for a in argv]
+        deep = tmp_path / "deep.json"
+        deep.write_text("[" * 200_000 + "]" * 200_000)
+        argv = [a.format(graph=graph, missing=missing, deep=deep) for a in argv]
         code, err = run_cli(argv)
         assert code == 1, err
         assert err and "Traceback" not in err

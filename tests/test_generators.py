@@ -2,7 +2,6 @@ import pytest
 
 from fourblocks import (
     CyclePattern,
-    Digraph,
     Family,
     GenSpec,
     InfeasibleSpec,

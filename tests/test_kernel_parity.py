@@ -162,11 +162,8 @@ def _package_copy(tmp_path, library=None):
     return root
 
 
-def _python(root, code, pure=False):
-    env = {k: v for k, v in os.environ.items() if k != "FOURBLOCKS_PURE"}
-    env["PYTHONPATH"] = str(root)
-    if pure:
-        env["FOURBLOCKS_PURE"] = "1"
+def _python(root, code):
+    env = {**os.environ, "PYTHONPATH": str(root)}
     done = subprocess.run([sys.executable, "-c", code], env=env, cwd=root,
                           capture_output=True, text=True, check=True)
     return done.stdout.split()
@@ -184,7 +181,6 @@ PROBE = (
 def test_loader_uses_a_library_next_to_the_package(tmp_path, compiled_library):
     root = _package_copy(tmp_path, compiled_library)
     assert _python(root, PROBE) == ["compiled", "True", "compiled", "pure"]
-    assert _python(root, PROBE, pure=True) == ["pure", "False", "compiled", "pure"]
     bench = _python(
         root,
         "from fourblocks.cli import main; "

@@ -8,7 +8,6 @@ from fourblocks import (
     SubdivisionWitness,
     find_cycle_subdivision,
     find_two_block_path,
-    underlying_graph,
     verify_subdivision,
     verify_two_block_path,
     witness_from_json,
@@ -141,6 +140,13 @@ class TestFindCycleSubdivision:
     def test_budget_exceeded_raises(self):
         with pytest.raises(BudgetExceeded):
             find_cycle_subdivision(tt(8), P1111, budget=3)
+
+    def test_library_ignores_the_budget_environment_variable(self, monkeypatch):
+        # FOURBLOCKS_BUDGET is read by the CLI only; a library call with no
+        # budget searches under DEFAULT_BUDGET
+        monkeypatch.setenv("FOURBLOCKS_BUDGET", "3")
+        w = find_cycle_subdivision(tt(8), P1111)
+        assert w is not None and verify_subdivision(tt(8), w, P1111).ok
 
 
 class TestVerifySubdivision:
