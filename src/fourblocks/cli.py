@@ -370,7 +370,7 @@ def cmd_bench(args) -> int:
         start = time.perf_counter()
         found = []
         for d in digraphs:
-            indptr, indices = witness._csr(d)
+            indptr, indices = d.csr()
             status, payload, _ = module.search_cycle_subdivision(
                 d.n, indptr, indices, *pattern, budget
             )

@@ -352,6 +352,8 @@ class SubdivisionFound:
     def to_json_dict(self) -> dict:
         return {
             "outcome": "subdivision",
+            "k1": self.pattern.blocks[0],
+            "k3": self.pattern.blocks[2],
             "witness": witness_to_json(self.witness, self.pattern),
         }
 

@@ -18,7 +18,7 @@ from .errors import ParseError
 class Digraph:
     """Loop-free directed graph on vertices 0..n-1, digons allowed."""
 
-    __slots__ = ("n", "arcs", "_out", "_in")
+    __slots__ = ("n", "arcs", "_out", "_in", "_und")
 
     def __init__(self, n: int, arcs: Iterable[tuple[int, int]]):
         if n < 0:
@@ -38,6 +38,7 @@ class Digraph:
             inn[v].append(u)
         self._out = tuple(tuple(sorted(vs)) for vs in out)
         self._in = tuple(tuple(sorted(vs)) for vs in inn)
+        self._und: Optional[list[set[int]]] = None
 
     def out_neighbors(self, u: int) -> tuple[int, ...]:
         return self._out[u]
@@ -50,6 +51,25 @@ class Digraph:
 
     def max_out_degree(self) -> int:
         return max((len(vs) for vs in self._out), default=0)
+
+    def csr(self) -> tuple[list[int], list[int]]:
+        """(indptr, indices): the out-neighbors of u are
+        indices[indptr[u]:indptr[u+1]], in ascending order. Position i in
+        indices numbers the arcs in (tail, head) order."""
+        indptr = [0]
+        indices: list[int] = []
+        for vs in self._out:
+            indices.extend(vs)
+            indptr.append(len(indices))
+        return indptr, indices
+
+    def neighbor_sets(self) -> list[set[int]]:
+        """Undirected neighbors of every vertex; a digon counts its neighbor
+        once. Built on first use and shared by every caller, which must not
+        mutate it."""
+        if self._und is None:
+            self._und = [set(out).union(inn) for out, inn in zip(self._out, self._in)]
+        return self._und
 
     def has_arc(self, u: int, v: int) -> bool:
         return (u, v) in self.arcs

@@ -157,8 +157,7 @@ def color_hamiltonian(
     if k1 < 1 or k3 < 1:
         raise ValueError("block lengths must be positive")
     k = max(k1, k3)
-    # underlying neighbors; a digon counts its neighbor once
-    adj = [set(d.out_neighbors(v)).union(d.in_neighbors(v)) for v in range(d.n)]
+    adj = d.neighbor_sets()
     order, core = peel_low_degree(range(d.n), adj, 6 * k - 1)
     if not core:
         coloring = Coloring(greedy_reverse(adj, order)).normalized()
@@ -219,11 +218,11 @@ def check_chord_neighbor_bound(
     pos = c.positions()
     order = c.order
     line = order + order
-    # bumps[p]: both line positions of every neighbor of the vertex at p;
-    # a digon counts its neighbor once
+    # bumps[p]: both line positions of every neighbor of the vertex at p
+    adj = d.neighbor_sets()
     bumps: list[list[int]] = []
     for x in order:
-        near = [pos[y] for y in set(d.out_neighbors(x)).union(d.in_neighbors(x))]
+        near = [pos[y] for y in adj[x]]
         bumps.append(near + [s + n for s in near])
 
     chords = []

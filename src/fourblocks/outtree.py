@@ -14,7 +14,7 @@ from __future__ import annotations
 from collections import deque
 from dataclasses import dataclass
 from functools import cached_property
-from heapq import heapify, heappop, heappush
+from heapq import heappop, heappush
 from typing import Optional
 
 from .digraph import Digraph
@@ -130,20 +130,25 @@ def finalize(d: Digraph, t: OutTree) -> OutTree:
     decreases, so the total level sum is a strictly increasing potential
     bounded by n*n.
 
-    Offending arcs wait in a min-heap keyed (tail, head). Invariant: the heap
-    holds every offending arc, plus stale entries that are dropped when
-    popped. A rotation changes the levels and root paths of S only. An arc
-    with both ends in S keeps its level difference and its ancestry. An arc
-    (w,u) entering S offends afterwards only if it offended before, because
-    u's level only rose and u was never an ancestor of w. So only arcs
-    leaving S can start to offend; those are pushed after each rotation. The
-    first popped entry that still offends is therefore the smallest
-    offending arc: exactly the arc a rescan of all arcs from the start would
-    pick, so the result is the same tree.
+    Arcs are numbered by their position in ``d.csr()``, which lists them in
+    (tail, head) order, so a min-heap of arc ids pops them in that order.
+    Invariant: the heap holds every offending arc exactly once, plus arcs
+    that stopped offending and are dropped when popped; no arc is ever in
+    it twice. A rotation changes the levels and root paths of S only. An
+    arc with both ends in S keeps its level difference and its ancestry. An
+    arc (w,u) entering S offends afterwards only if it offended before,
+    because u's level only rose and u was never an ancestor of w. So only
+    arcs leaving S can start to offend; after each rotation those that
+    offend are pushed unless already queued. The first popped arc that
+    still offends is therefore the smallest offending arc: exactly the arc
+    a rescan of all arcs from the start would pick, so the result is the
+    same tree.
 
-    An entry (x, y, r) was found offending after r rotations. Its status can
-    only have changed if x or y moved since, so only then is it rechecked by
-    walking up the tree.
+    stamp[e] is -1 while arc e is not queued, and otherwise the number of
+    the last rotation after which e was seen to offend. A popped arc (x,y)
+    is rechecked only if x or y moved after its stamp. If only y moved, x
+    keeps its root path, which never held y, so (x,y) still offends iff it
+    is still backward; only a moved x needs a walk up the tree.
     """
     n = t.n
     parent: list[Optional[int]] = list(t.parent)
@@ -152,7 +157,8 @@ def finalize(d: Digraph, t: OutTree) -> OutTree:
     for v, p in enumerate(parent):
         if p is not None:
             children[p].add(v)
-    out_neighbors = d.out_neighbors
+    indptr, head = d.csr()
+    tail = [x for x in range(n) for _ in range(indptr[x], indptr[x + 1])]
 
     def offends(x: int, y: int) -> bool:
         ly = level[y]
@@ -162,14 +168,22 @@ def finalize(d: Digraph, t: OutTree) -> OutTree:
             x = parent[x]  # type: ignore[assignment]
         return x != y
 
-    heap = [(x, y, 0) for x, y in d.arcs if offends(x, y)]
-    heapify(heap)
+    # ids ascend, so the list is already a heap
+    heap = [e for e, x in enumerate(tail) if offends(x, head[e])]
+    stamp = [-1] * len(head)
+    for e in heap:
+        stamp[e] = 0
     moved = [0] * n  # number of the last rotation whose subtree held the vertex
     on_path = [0] * n  # number of the last rotation that marked it above x
     rotations = 0
     while heap:
-        x, y, r = heappop(heap)
-        if (moved[x] > r or moved[y] > r) and not offends(x, y):
+        e = heappop(heap)
+        x, y, r = tail[e], head[e], stamp[e]
+        stamp[e] = -1
+        if moved[x] > r:
+            if not offends(x, y):
+                continue
+        elif moved[y] > r and level[x] < level[y]:
             continue
         rotations += 1
         children[parent[y]].discard(y)  # type: ignore[index]
@@ -187,7 +201,8 @@ def finalize(d: Digraph, t: OutTree) -> OutTree:
         on_path[x] = rotations
         for u in subtree:
             lu = level[u]
-            for w in out_neighbors(u):
+            for e in range(indptr[u], indptr[u + 1]):
+                w = head[e]
                 lw = level[w]
                 if lw > lu or moved[w] == rotations:
                     continue
@@ -195,5 +210,7 @@ def finalize(d: Digraph, t: OutTree) -> OutTree:
                     top = parent[top]  # type: ignore[assignment]
                     on_path[top] = rotations
                 if on_path[w] != rotations:
-                    heappush(heap, (u, w, rotations))
+                    if stamp[e] < 0:
+                        heappush(heap, e)
+                    stamp[e] = rotations
     return OutTree(t.root, tuple(parent), tuple(level))

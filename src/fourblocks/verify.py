@@ -30,7 +30,12 @@ def _check(d: Digraph, cert: dict) -> VerifyResult:
     if outcome == "coloring":
         return _coloring(d, cert)
     if outcome == "subdivision":
-        return _witness(d, cert["witness"])
+        # a pipeline certificate names the pattern its run asked for
+        pattern = None
+        if "k1" in cert or "k3" in cert:
+            k1, k3 = _block_length(cert, "k1"), _block_length(cert, "k3")
+            pattern = CyclePattern.from_k(k1, k3)
+        return _witness(d, cert["witness"], pattern)
     if outcome == "stall":
         k = _block_length(cert)
         core = {json_int(v) for v in cert["core"]}
@@ -68,7 +73,7 @@ def _coloring(d: Digraph, cert: dict) -> VerifyResult:
     bound = json_int(cert["bound"])
     # the bound follows from the block lengths, so it is recomputed
     if "k1" in cert or "k3" in cert:
-        k1, k3 = json_int(cert["k1"]), json_int(cert["k3"])
+        k1, k3 = _block_length(cert, "k1"), _block_length(cert, "k3")
         expected, rule = coloring_bound(k1, k3), "36*2k*(4k+2)"
         k = max(k1, k3)
     else:
@@ -88,8 +93,8 @@ def _coloring(d: Digraph, cert: dict) -> VerifyResult:
     return VerifyResult(True, f"valid coloring: {coloring.palette_size} colors within {bound}")
 
 
-def _block_length(cert: dict) -> int:
-    k = json_int(cert["k"])
+def _block_length(cert: dict, key: str = "k") -> int:
+    k = json_int(cert[key])
     if k < 1:
-        raise ValueError(f"block length k = {k} is below 1")
+        raise ValueError(f"block length {key} = {k} is below 1")
     return k

@@ -125,7 +125,7 @@ def find_cycle_subdivision(
     Returns a witness, or None only when the whole search space was
     exhausted. Raises BudgetExceeded when the node budget runs out first.
     """
-    indptr, indices = _csr(d)
+    indptr, indices = d.csr()
     status, payload, nodes = _kernel.search_cycle_subdivision(
         d.n, indptr, indices, *p.blocks, budget
     )
@@ -135,15 +135,6 @@ def find_cycle_subdivision(
         return None
     junctions, paths = payload
     return SubdivisionWitness(junctions, paths)
-
-
-def _csr(d: Digraph) -> tuple[list[int], list[int]]:
-    indptr = [0]
-    indices: list[int] = []
-    for u in range(d.n):
-        indices.extend(d.out_neighbors(u))
-        indptr.append(len(indices))
-    return indptr, indices
 
 
 def verify_subdivision(

@@ -19,7 +19,6 @@ from fourblocks import (
     witness_to_json,
 )
 from fourblocks._subdiv_py import BUDGET
-from fourblocks.witness import _csr
 
 import naive
 
@@ -188,7 +187,7 @@ class TestFind:
         node, so it runs out of 1000 nodes on this dense strong digraph
         (and finds at 10^4); the pruned one finds the same first witness."""
         d = generate(GenSpec(Family.RANDOM_STRONG, 30, 300, 0))
-        indptr, indices = _csr(d)
+        indptr, indices = d.csr()
         unpruned = naive.search_cycle_subdivision(d.n, indptr, indices, 1, 1, 1, 1, 1000)
         assert unpruned[0] == BUDGET
         path = write_graph(tmp_path, d)
@@ -333,6 +332,43 @@ class TestVerify:
         obj["k"] = 1
         cert.write_text(json.dumps(obj))
         assert main(["verify", path, str(cert)]) == 0
+
+    def test_subdivision_witness_must_realize_the_requested_pattern(
+        self, tmp_path, capsys
+    ):
+        """A C(1,1,1,1) witness on K13 does not answer a run that asked
+        for C(2,1,1,1); without k1/k3 the claimed pattern is checked."""
+        complete = Digraph(13, ((i, j) for i in range(13) for j in range(13) if i != j))
+        path = write_graph(tmp_path, complete)
+        w = find_cycle_subdivision(complete, CyclePattern((1, 1, 1, 1)))
+        obj = {"outcome": "subdivision", "k1": 2, "k3": 1,
+               "witness": witness_to_json(w, CyclePattern((1, 1, 1, 1)))}
+        cert = tmp_path / "sub.json"
+        cert.write_text(json.dumps(obj))
+        assert main(["verify", path, str(cert)]) == 3
+        assert "invalid witness" in capsys.readouterr().out
+        obj["k1"] = 1
+        cert.write_text(json.dumps(obj))
+        assert main(["verify", path, str(cert)]) == 0
+        assert "C(1, 1, 1, 1)" in capsys.readouterr().out
+        for k1 in (0, 1.5, True, "2"):
+            obj["k1"] = k1
+            cert.write_text(json.dumps(obj))
+            assert main(["verify", path, str(cert)]) == 1
+        del obj["k1"], obj["k3"]
+        cert.write_text(json.dumps(obj))
+        assert main(["verify", path, str(cert)]) == 0
+
+    def test_pipeline_subdivision_names_its_block_lengths(self, tmp_path, capsys):
+        complete = Digraph(25, ((i, j) for i in range(25) for j in range(25) if i != j))
+        path = write_graph(tmp_path, complete)
+        assert main(["color", "--k1", "2", "--json", path]) == 3
+        obj = json.loads(capsys.readouterr().out)
+        assert (obj["outcome"], obj["k1"], obj["k3"]) == ("subdivision", 2, 1)
+        cert = tmp_path / "sub.json"
+        cert.write_text(json.dumps(obj))
+        assert main(["verify", path, str(cert)]) == 0
+        assert "C(2, 1, 1, 1)" in capsys.readouterr().out
 
     @pytest.mark.parametrize(
         "fields",

@@ -75,6 +75,18 @@ class TestDigraph:
         d = Digraph(4, [(0, 3), (0, 1), (0, 2)])
         assert d.out_neighbors(0) == (1, 2, 3)
 
+    def test_csr_lists_arcs_in_tail_head_order(self):
+        d = random_digraph(Rng(3), 30, 120)
+        indptr, indices = d.csr()
+        assert len(indptr) == d.n + 1
+        tails = [u for u in range(d.n) for _ in range(indptr[u], indptr[u + 1])]
+        assert list(zip(tails, indices)) == sorted(d.arcs)
+
+    def test_neighbor_sets_built_once(self):
+        d = Digraph(3, [(0, 1), (1, 0), (2, 0)])
+        assert d.neighbor_sets() == [{1, 2}, {0}, {0}]
+        assert d.neighbor_sets() is d.neighbor_sets()
+
 
 class TestUnderlyingGraph:
     def test_digon_collapses_to_one_edge(self):

@@ -37,7 +37,6 @@ from fourblocks.decomposition import (
 from fourblocks.errors import NotAcyclic
 from fourblocks.exactcolor import dsatur
 from fourblocks import _subdiv_py
-from fourblocks.witness import _csr
 
 import naive
 
@@ -88,6 +87,33 @@ FAMILIES = {
 }
 
 
+def near_hamiltonian(seed):
+    """Directed cycle of n=200 plus ten forward shortcuts of length 2..21:
+    the BFS tree takes the shortcuts, and its final tree is almost a path."""
+    rng = Rng(3000 + seed)
+    n = 200
+    arcs = {(i, (i + 1) % n) for i in range(n)}
+    while len(arcs) < n + 10:
+        u = rng.randrange(n)
+        arcs.add((u, (u + 2 + rng.randrange(20)) % n))
+    return Digraph(n, arcs), 0
+
+
+# Benchmark-shaped digraphs, where most rotations re-find arcs that already
+# wait in the heap: m=10n with n=60..150, and m=2n with n=300.
+FINALIZE_FAMILIES = {
+    **FAMILIES,
+    "bench-dense": [
+        (generate(GenSpec(Family.RANDOM_STRONG, n, 10 * n, n)), 0)
+        for n in range(60, 151, 15)
+    ],
+    "bench-sparse": [
+        (generate(GenSpec(Family.RANDOM_STRONG, 300, 600, s)), 0) for s in range(4)
+    ],
+    "near-hamiltonian": [near_hamiltonian(s) for s in range(2)],
+}
+
+
 def random_tree(rng, n, root) -> OutTree:
     """A uniformly shaped spanning tree unrelated to the digraph's arcs."""
     others = [v for v in range(n) if v != root]
@@ -115,11 +141,11 @@ def both_peels(sub, vertices):
     return results
 
 
-@pytest.mark.parametrize("family", sorted(FAMILIES))
+@pytest.mark.parametrize("family", sorted(FINALIZE_FAMILIES))
 def test_finalize_matches_rescan(family):
     rng = Rng(7)
     rotated = 0
-    for d, root in FAMILIES[family]:
+    for d, root in FINALIZE_FAMILIES[family]:
         starts = [spanning_out_tree(d, root)]
         if d.n <= 200:
             starts.append(random_tree(rng, d.n, root))
@@ -127,6 +153,8 @@ def test_finalize_matches_rescan(family):
             t1 = finalize(d, t0)
             assert t1 == naive.finalize(d, t0)
             rotated += t1 != t0
+            if family == "near-hamiltonian" and t0 is starts[0]:
+                assert max(t1.level) >= 0.8 * d.n
     assert rotated > 0
 
 
@@ -308,7 +336,7 @@ def test_pruned_kernel_decides_what_the_unpruned_one_decides(pattern):
     the pruned one may decide."""
     seen = Counter()
     for d in KERNEL_CASES:
-        indptr, indices = _csr(d)
+        indptr, indices = d.csr()
         for budget in (1, 6, 40, 300, 10**6):
             old = naive.search_cycle_subdivision(d.n, indptr, indices, *pattern, budget)
             new = _subdiv_py.search_cycle_subdivision(d.n, indptr, indices, *pattern, budget)

@@ -29,7 +29,6 @@ from fourblocks import (
 )
 from fourblocks import _subdiv_py as pure
 from fourblocks import witness
-from fourblocks.witness import _csr
 
 PACKAGE = Path(__file__).resolve().parents[1] / "src" / "fourblocks"
 
@@ -46,7 +45,7 @@ def random_digraph(rng, n, m):
 
 
 def run(kernel, d, pattern, budget):
-    indptr, indices = _csr(d)
+    indptr, indices = d.csr()
     return kernel.search_cycle_subdivision(d.n, indptr, indices, *pattern, budget)
 
 
@@ -116,7 +115,7 @@ def test_budget_bounds_the_work_of_a_long_pattern(compiled_kernel):
     multiple of n + m; BFS balls kept for every source out to that radius
     would hold about 2*10^7 distances."""
     d = random_digraph(Rng(5), 5000, 15_000)
-    indptr, indices = _csr(d)
+    indptr, indices = d.csr()
     tracemalloc.start()
     try:
         a = pure.search_cycle_subdivision(d.n, indptr, indices, 20, 1, 20, 1, 1)
