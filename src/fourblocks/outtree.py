@@ -5,8 +5,10 @@ has its parent's level plus one. An arc (x,y) of the host digraph is forward
 when level(x) < level(y) and backward otherwise (equal levels included).
 A tree is final when every backward arc points into its tail's ancestor
 chain; rotating offending arcs into the tree always terminates because each
-rotation strictly raises some vertex's level. Ancestor tests on a built tree
-use its pre/post-order numbering and take O(1).
+rotation strictly raises some vertex's level. ``finalize`` queues tail
+vertices, each with a cursor into its out-arcs, and tests ancestry against
+the one root path it keeps marked, indexed by level. Ancestor tests on a
+built tree use its pre/post-order numbering and take O(1).
 """
 
 from __future__ import annotations
@@ -107,8 +109,14 @@ def is_ancestor(t: OutTree, y: int, x: int) -> bool:
     return t.numbering.is_ancestor(y, x)
 
 
+def _check_vertex_count(d: Digraph, t: OutTree) -> None:
+    if t.n != d.n:
+        raise ValueError(f"tree has {t.n} vertices but the digraph has {d.n}")
+
+
 def is_final(d: Digraph, t: OutTree) -> bool:
     """Every backward arc (x,y) must satisfy y on the root path of x."""
+    _check_vertex_count(d, t)
     num = t.numbering
     if num.final_arcs is d.arcs:
         return True
@@ -130,26 +138,29 @@ def finalize(d: Digraph, t: OutTree) -> OutTree:
     decreases, so the total level sum is a strictly increasing potential
     bounded by n*n.
 
-    Arcs are numbered by their position in ``d.csr()``, which lists them in
-    (tail, head) order, so a min-heap of arc ids pops them in that order.
-    Invariant: the heap holds every offending arc exactly once, plus arcs
-    that stopped offending and are dropped when popped; no arc is ever in
-    it twice. A rotation changes the levels and root paths of S only. An
-    arc with both ends in S keeps its level difference and its ancestry. An
-    arc (w,u) entering S offends afterwards only if it offended before,
-    because u's level only rose and u was never an ancestor of w. So only
-    arcs leaving S can start to offend; after each rotation those that
-    offend are pushed unless already queued. The first popped arc that
-    still offends is therefore the smallest offending arc: exactly the arc
-    a rescan of all arcs from the start would pick, so the result is the
-    same tree.
+    The worklist is a min-heap of tail vertices. cursor[x] is the position,
+    in ``d.csr()`` order, of the first out-arc of x not yet known not to
+    offend. Invariant: every tail with an offending arc is queued, and no
+    arc of a queued x before cursor[x] offends. A rotation changes the
+    levels and root paths of S only, and x is not in S. A non-offending
+    arc whose tail is outside S is forward, and stays forward because
+    levels only rise, or points at an ancestor of its tail, which is
+    outside S too. So only tails in S can gain an offending arc: each
+    rotation resets their cursors to their first arc and queues them, and
+    x stays queued with its cursor on the rotated arc. The smallest queued
+    tail, scanned from its cursor, thus yields the smallest offending arc:
+    exactly the arc a rescan of all arcs from the start would pick, so the
+    result is the same tree.
 
-    stamp[e] is -1 while arc e is not queued, and otherwise the number of
-    the last rotation after which e was seen to offend. A popped arc (x,y)
-    is rechecked only if x or y moved after its stamp. If only y moved, x
-    keeps its root path, which never held y, so (x,y) still offends iff it
-    is still backward; only a moved x needs a walk up the tree.
+    path[l] is the ancestor at level l of the last tail whose root path was
+    marked, and depth is that tail's level; entries above depth are stale.
+    Marking x walks up only until it meets a vertex u with level[u] <= depth
+    and path[level[u]] == u, where the two root paths join. A rotation
+    under x leaves x's root path alone, so the marks stay valid across it.
+    With x marked, (x,y) offends iff level[y] <= level[x] and
+    path[level[y]] != y.
     """
+    _check_vertex_count(d, t)
     n = t.n
     parent: list[Optional[int]] = list(t.parent)
     level: list[int] = list(t.level)
@@ -158,59 +169,38 @@ def finalize(d: Digraph, t: OutTree) -> OutTree:
         if p is not None:
             children[p].add(v)
     indptr, head = d.csr()
-    tail = [x for x in range(n) for _ in range(indptr[x], indptr[x + 1])]
-
-    def offends(x: int, y: int) -> bool:
-        ly = level[y]
-        if level[x] < ly:
-            return False
-        while level[x] > ly:
-            x = parent[x]  # type: ignore[assignment]
-        return x != y
-
-    # ids ascend, so the list is already a heap
-    heap = [e for e, x in enumerate(tail) if offends(x, head[e])]
-    stamp = [-1] * len(head)
-    for e in heap:
-        stamp[e] = 0
-    moved = [0] * n  # number of the last rotation whose subtree held the vertex
-    on_path = [0] * n  # number of the last rotation that marked it above x
-    rotations = 0
+    cursor = indptr[:-1]
+    queued = [True] * n
+    heap = list(range(n))  # ascending, so already a heap
+    path = [t.root] * (n + 1)  # the root is the one vertex at level 1
+    depth = 1
     while heap:
-        e = heappop(heap)
-        x, y, r = tail[e], head[e], stamp[e]
-        stamp[e] = -1
-        if moved[x] > r:
-            if not offends(x, y):
-                continue
-        elif moved[y] > r and level[x] < level[y]:
+        x = heap[0]
+        u = x
+        while level[u] > depth or path[level[u]] != u:
+            path[level[u]] = u
+            u = parent[u]  # type: ignore[assignment]
+        lx = depth = level[x]
+        for e in range(cursor[x], indptr[x + 1]):
+            y = head[e]
+            ly = level[y]
+            if ly <= lx and path[ly] != y:
+                break
+        else:
+            heappop(heap)
+            queued[x] = False
             continue
-        rotations += 1
+        cursor[x] = e
         children[parent[y]].discard(y)  # type: ignore[index]
         parent[y] = x
         children[x].add(y)
-        shift = level[x] + 1 - level[y]
+        shift = lx + 1 - ly
         subtree = [y]
         for u in subtree:  # grows while it is walked
             level[u] += shift
-            moved[u] = rotations
+            cursor[u] = indptr[u]
+            if not queued[u]:
+                queued[u] = True
+                heappush(heap, u)
             subtree.extend(children[u])
-        # Outside S, w is an ancestor of u in S iff it is an ancestor of x;
-        # the root path of x is marked once, only as far up as some w needs.
-        top = x
-        on_path[x] = rotations
-        for u in subtree:
-            lu = level[u]
-            for e in range(indptr[u], indptr[u + 1]):
-                w = head[e]
-                lw = level[w]
-                if lw > lu or moved[w] == rotations:
-                    continue
-                while level[top] > lw:
-                    top = parent[top]  # type: ignore[assignment]
-                    on_path[top] = rotations
-                if on_path[w] != rotations:
-                    if stamp[e] < 0:
-                        heappush(heap, e)
-                    stamp[e] = rotations
     return OutTree(t.root, tuple(parent), tuple(level))

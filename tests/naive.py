@@ -13,6 +13,10 @@ junction enumeration, which tries every source x sink quadruple at every
 total length L. They apply the same rule by brute force, so the package
 versions must return exactly their output; the pruned kernels must also
 never take more search nodes than ``search_cycle_subdivision`` here.
+``finalize`` here rescans every arc after each rotation and walks the tree
+for each ancestor test; the package's version scans each queued tail's arcs
+from a cursor and tests ancestry against one marked root path, and must
+rotate the same arcs in the same order.
 """
 
 from itertools import permutations

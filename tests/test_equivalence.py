@@ -99,8 +99,8 @@ def near_hamiltonian(seed):
     return Digraph(n, arcs), 0
 
 
-# Benchmark-shaped digraphs, where most rotations re-find arcs that already
-# wait in the heap: m=10n with n=60..150, and m=2n with n=300.
+# Benchmark-shaped digraphs, whose final trees are nearly paths, so most
+# rotations move long subtrees: m=10n with n=60..150, and m=2n with n=300.
 FINALIZE_FAMILIES = {
     **FAMILIES,
     "bench-dense": [

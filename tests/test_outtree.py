@@ -1,3 +1,5 @@
+import hashlib
+
 import pytest
 
 from fourblocks import (
@@ -7,6 +9,7 @@ from fourblocks import (
     OutTree,
     Rng,
     UnreachableVertex,
+    arc_partition,
     finalize,
     generate,
     is_ancestor,
@@ -109,6 +112,13 @@ class TestIsFinal:
         d = Digraph(4, [(0, 1), (1, 2), (1, 3)])
         assert is_final(d, spanning_out_tree(d, 0))
 
+    def test_tree_of_another_vertex_count_is_rejected(self):
+        d = Digraph(3, [(0, 1), (1, 2), (2, 0)])
+        t = OutTree(0, (None, 0), (1, 2))
+        for call in (is_final, finalize, lambda d, t: arc_partition(d, t, {0, 1})):
+            with pytest.raises(ValueError, match="tree has 2 vertices but the digraph has 3"):
+                call(d, t)
+
     def test_verdict_is_kept_per_digraph(self):
         t = OutTree(0, (None, 0, 0), (1, 2, 2))
         assert is_final(Digraph(3, [(0, 1), (0, 2)]), t)
@@ -143,3 +153,17 @@ class TestFinalize:
             # no arc joins equal levels once final
             assert all(t1.level[u] != t1.level[v] for u, v in d.arcs)
 
+    # SHA-256 of repr((parent, level)), as the earlier arc-heap finalize gave
+    # them; the rescan oracle in tests/naive.py is too slow at these sizes.
+    @pytest.mark.parametrize(
+        "n, m, seed, digest",
+        [
+            (2000, 20000, 1, "7400c2ec9eaaa02d26ed7eb38b56dc46b378e5d491f8d3425c43d14275ef838a"),
+            (5000, 10000, 1, "69ba9cf5462a48c8de78919a371302cbbbbb1cb32c9c652ec7669423a9e88101"),
+        ],
+        ids=["n2000-m20000", "n5000-m10000"],
+    )
+    def test_pinned_at_scale(self, n, m, seed, digest):
+        d = generate(GenSpec(Family.RANDOM_STRONG, n, m, seed))
+        t = finalize(d, spanning_out_tree(d, 0))
+        assert hashlib.sha256(repr((t.parent, t.level)).encode()).hexdigest() == digest
