@@ -25,14 +25,7 @@ from heapq import heapify, heappop, heappush
 from typing import Optional, Union
 
 from . import exactcolor
-from .digraph import (
-    Coloring,
-    Digraph,
-    is_proper,
-    is_strongly_connected,
-    product_coloring,
-    underlying_graph,
-)
+from .digraph import Coloring, Digraph, is_strongly_connected, product_coloring
 from .errors import BudgetExceeded, NotAcyclic, NotFinalTree, NotStronglyConnected
 from .outtree import OutTree, finalize, is_final, spanning_out_tree
 from .witness import (
@@ -473,6 +466,7 @@ def color_strong_digraph(
         )
 
     coloring = Coloring(final_colors).normalized()
-    assert is_proper(underlying_graph(d), coloring)
+    colors = coloring.colors
+    assert len(colors) == d.n and all(colors[u] != colors[v] for u, v in d.arcs)
     assert coloring.palette_size <= bound
     return ColoringWithinBound(coloring, bound, tuple(reports), k1, k3)

@@ -9,7 +9,9 @@ judged on an undirected graph.
 
 from __future__ import annotations
 
+import re
 from dataclasses import dataclass
+from operator import eq
 from typing import Iterable, Optional, Sequence
 
 from .errors import ParseError
@@ -23,22 +25,29 @@ class Digraph:
     def __init__(self, n: int, arcs: Iterable[tuple[int, int]]):
         if n < 0:
             raise ValueError("vertex count must be nonnegative")
-        self.n = n
         arc_set = frozenset((int(u), int(v)) for u, v in arcs)
         for u, v in arc_set:
             if u == v:
                 raise ValueError(f"loop arc ({u},{v}) not allowed")
             if not (0 <= u < n and 0 <= v < n):
                 raise ValueError(f"arc ({u},{v}) out of range for n={n}")
-        self.arcs = arc_set
+        self._build(n, arc_set)
+
+    def _build(self, n: int, arcs: Iterable[tuple[int, int]]) -> "Digraph":
+        """Set every field from arcs already checked, kept in input order."""
+        self.n = n
+        self.arcs = frozenset(arcs)
         out: list[list[int]] = [[] for _ in range(n)]
         inn: list[list[int]] = [[] for _ in range(n)]
-        for u, v in arc_set:
+        for u, v in self.arcs:
             out[u].append(v)
             inn[v].append(u)
-        self._out = tuple(tuple(sorted(vs)) for vs in out)
-        self._in = tuple(tuple(sorted(vs)) for vs in inn)
+        for vs in out + inn:
+            vs.sort()
+        self._out = tuple(map(tuple, out))
+        self._in = tuple(map(tuple, inn))
         self._und: Optional[list[set[int]]] = None
+        return self
 
     def out_neighbors(self, u: int) -> tuple[int, ...]:
         return self._out[u]
@@ -48,9 +57,6 @@ class Digraph:
 
     def out_degree(self, u: int) -> int:
         return len(self._out[u])
-
-    def max_out_degree(self) -> int:
-        return max((len(vs) for vs in self._out), default=0)
 
     def csr(self) -> tuple[list[int], list[int]]:
         """(indptr, indices): the out-neighbors of u are
@@ -73,9 +79,6 @@ class Digraph:
 
     def has_arc(self, u: int, v: int) -> bool:
         return (u, v) in self.arcs
-
-    def reversed(self) -> "Digraph":
-        return Digraph(self.n, ((v, u) for u, v in self.arcs))
 
     def __eq__(self, other) -> bool:
         return isinstance(other, Digraph) and self.n == other.n and self.arcs == other.arcs
@@ -237,9 +240,32 @@ def product_coloring(
 #
 # line 1: "n m", then m lines "u v" (0-indexed). Full-line comments start
 # with '#'. Loops and duplicate arcs are rejected with line numbers.
+# Text of ASCII-digit pairs (at most 18 digits each, which int() always takes)
+# is read in bulk; _PLAIN is matched, not fullmatched, since a failed fullmatch
+# backtracks over every line. Any other text, or one failing a check, goes to
+# the line parser, which alone raises ParseError: both give the same digraph.
+
+_PLAIN = re.compile(r"(?:[ \t]*[0-9]{1,18}[ \t]+[0-9]{1,18}[ \t]*(?:\r?\n|\Z))+")
 
 
 def parse_digraph(text: str) -> Digraph:
+    plain = _PLAIN.match(text)
+    bulk = _parse_bulk(text) if plain and plain.end() == len(text) else None
+    return Digraph.__new__(Digraph)._build(*bulk) if bulk else _parse_lines(text)
+
+
+def _parse_bulk(text: str) -> Optional[tuple[int, frozenset[tuple[int, int]]]]:
+    """(n, arcs) from text of plain digit lines, or None if a check fails."""
+    nums = list(map(int, text.split()))
+    n, m = nums[0], nums[1]
+    us, vs = nums[2::2], nums[3::2]
+    if len(us) != m or max(us, default=-1) >= n or max(vs, default=-1) >= n:
+        return None
+    arcs = frozenset(zip(us, vs))
+    return (n, arcs) if len(arcs) == m and not any(map(eq, us, vs)) else None
+
+
+def _parse_lines(text: str) -> Digraph:
     header: Optional[tuple[int, int]] = None
     arcs: list[tuple[int, int]] = []
     seen: set[tuple[int, int]] = set()
@@ -283,7 +309,7 @@ def parse_digraph(text: str) -> Digraph:
             len(text.splitlines()) or 1,
             f"declared {header[1]} arcs but found {len(arcs)}",
         )
-    return Digraph(header[0], arcs)
+    return Digraph.__new__(Digraph)._build(header[0], arcs)
 
 
 def format_digraph(d: Digraph) -> str:

@@ -35,11 +35,6 @@ class OutTree:
     def n(self) -> int:
         return len(self.parent)
 
-    def tree_arcs(self) -> frozenset[tuple[int, int]]:
-        return frozenset(
-            (p, v) for v, p in enumerate(self.parent) if p is not None
-        )
-
     @cached_property
     def numbering(self) -> "TreeNumbering":
         """Pre/post-order numbers, built on first use in O(n)."""

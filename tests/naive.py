@@ -17,12 +17,16 @@ never take more search nodes than ``search_cycle_subdivision`` here.
 for each ancestor test; the package's version scans each queued tail's arcs
 from a cursor and tests ancestry against one marked root path, and must
 rotate the same arcs in the same order.
+``parse_digraph`` here is the line-by-line parser alone; the package's
+version reads plain text in bulk and must return the same digraph and raise
+the same ``ParseError`` (line and message) on every text.
 """
 
 from itertools import permutations
+from typing import Optional
 
 from fourblocks import BudgetExceeded, Digraph, UGraph, OutTree
-from fourblocks.errors import NotAcyclic
+from fourblocks.errors import NotAcyclic, ParseError
 from fourblocks._subdiv_py import ABSENT, BUDGET, FOUND
 
 
@@ -385,3 +389,50 @@ def search_cycle_subdivision(n, indptr, indices, k1, k2, k3, k4, budget):
                         if r == -1:
                             return BUDGET, None, nodes
     return ABSENT, None, nodes
+
+
+def parse_digraph(text: str) -> Digraph:
+    header: Optional[tuple[int, int]] = None
+    arcs: list[tuple[int, int]] = []
+    seen: set[tuple[int, int]] = set()
+    for lineno, raw in enumerate(text.splitlines(), start=1):
+        line = raw.strip()
+        if not line or line.startswith("#"):
+            continue
+        parts = line.split()
+        if header is None:
+            if len(parts) != 2:
+                raise ParseError(lineno, f"expected header 'n m', got {raw!r}")
+            try:
+                n, m = int(parts[0]), int(parts[1])
+            except ValueError:
+                raise ParseError(lineno, f"non-integer header token in {raw!r}") from None
+            if n < 0 or m < 0:
+                raise ParseError(lineno, "n and m must be nonnegative")
+            header = (n, m)
+            continue
+        if len(parts) != 2:
+            raise ParseError(lineno, f"expected arc 'u v', got {raw!r}")
+        try:
+            u, v = int(parts[0]), int(parts[1])
+        except ValueError:
+            raise ParseError(lineno, f"non-integer arc token in {raw!r}") from None
+        n = header[0]
+        if not (0 <= u < n and 0 <= v < n):
+            raise ParseError(lineno, f"arc ({u},{v}) out of range for n={n}")
+        if u == v:
+            raise ParseError(lineno, f"loop arc ({u},{u}) not allowed")
+        if (u, v) in seen:
+            raise ParseError(lineno, f"duplicate arc ({u},{v})")
+        seen.add((u, v))
+        arcs.append((u, v))
+        if len(arcs) > header[1]:
+            raise ParseError(lineno, f"more than the declared {header[1]} arcs")
+    if header is None:
+        raise ParseError(1, "empty input: missing 'n m' header")
+    if len(arcs) != header[1]:
+        raise ParseError(
+            len(text.splitlines()) or 1,
+            f"declared {header[1]} arcs but found {len(arcs)}",
+        )
+    return Digraph(header[0], arcs)

@@ -90,7 +90,8 @@ def test_criterion_2_finalization():
             failures.append((seed, "levels decreased"))
         if any(t1.level[u] == t1.level[v] for u, v in d.arcs):
             failures.append((seed, "equal-level arc survived"))
-        if t1.root != t0.root or not t1.tree_arcs() <= d.arcs:
+        tree_arcs = {(p, v) for v, p in enumerate(t1.parent) if p is not None}
+        if t1.root != t0.root or not tree_arcs <= d.arcs:
             failures.append((seed, "tree structure broken"))
     _report(2, "finalization", failures, "500 strong digraphs, n up to 30")
 

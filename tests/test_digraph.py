@@ -15,7 +15,10 @@ from fourblocks import (
     product_coloring,
     underlying_graph,
 )
+from fourblocks import digraph as digraph_module
 from fourblocks.decomposition import greedy_reverse, peel_low_degree
+
+import naive
 
 
 
@@ -74,6 +77,10 @@ class TestDigraph:
     def test_adjacency_sorted(self):
         d = Digraph(4, [(0, 3), (0, 1), (0, 2)])
         assert d.out_neighbors(0) == (1, 2, 3)
+        d = random_digraph(Rng(5), 40, 400)
+        for v in range(d.n):
+            assert d.out_neighbors(v) == tuple(sorted(w for u, w in d.arcs if u == v))
+            assert d.in_neighbors(v) == tuple(sorted(u for u, w in d.arcs if w == v))
 
     def test_csr_lists_arcs_in_tail_head_order(self):
         d = random_digraph(Rng(3), 30, 120)
@@ -105,7 +112,8 @@ class TestUnderlyingGraph:
         for _ in range(50):
             n = 2 + rng.randrange(7)
             d = random_digraph(rng, n, rng.randrange(n * (n - 1) + 1))
-            assert underlying_graph(d) == underlying_graph(d.reversed())
+            rev = Digraph(d.n, ((v, u) for u, v in d.arcs))
+            assert underlying_graph(d) == underlying_graph(rev)
 
 
 class TestStrongConnectivity:
@@ -262,6 +270,65 @@ class TestColoring:
         assert c.colors == {0: 0, 1: 1, 2: 0}
 
 
+def same_parse(text):
+    """parse_digraph agrees with the line-parser oracle on text: the same
+    digraph, arc order included, or a ParseError with the same line and
+    message. Returns the digraph, or None on an error."""
+    try:
+        want = naive.parse_digraph(text)
+    except ParseError as err:
+        with pytest.raises(ParseError) as exc:
+            parse_digraph(text)
+        assert (exc.value.line, exc.value.message) == (err.line, err.message)
+        return None
+    got = parse_digraph(text)
+    assert (got.n, got.arcs, got._out, got._in) == (want.n, want.arcs, want._out, want._in)
+    assert list(got.arcs) == list(want.arcs)
+    return got
+
+
+# Texts the bulk path reads: plain ASCII-digit lines only.
+PLAIN = [
+    ("3 2\n0 1\n1 2\n", [(0, 1), (1, 2)]),
+    ("3 2\r\n0 1\r\n1 2\r\n", [(0, 1), (1, 2)]),
+    ("3 2\n0\t1\n 1 \t2\t\n", [(0, 1), (1, 2)]),
+    ("3 2\n0 1\n1 2", [(0, 1), (1, 2)]),
+    ("3 0\n", []),
+    ("0 0", []),
+    ("3 1\n002 01\n", [(2, 1)]),
+]
+
+
+# (text, line, message) of the ParseError each text raises.
+PARSE_ERRORS = [
+    ("2 2\n0 1\n0 1\n", 3, "duplicate arc (0,1)"),
+    ("2 1\n0 0\n", 2, "loop arc (0,0) not allowed"),
+    ("2 1\n0 5\n", 2, "arc (0,5) out of range for n=2"),
+    ("2 1\nx y\n", 2, "non-integer arc token in 'x y'"),
+    ("2 1\n0 1 2\n", 2, "expected arc 'u v', got '0 1 2'"),
+    ("2 1\n0 1\n1 0\n", 3, "more than the declared 1 arcs"),
+    ("3 2\n0 1\n", 2, "declared 2 arcs but found 1"),
+    ("3 1\n", 1, "declared 1 arcs but found 0"),
+    ("0 1\n1 0\n", 2, "arc (1,0) out of range for n=0"),
+    ("3 2\r\n0 1\r\n0 1\r\n", 3, "duplicate arc (0,1)"),
+    ("3 2\n0\t1\n1\t1", 3, "loop arc (1,1) not allowed"),
+    ("3 2\n0 1\n1 2\n\n\n0 2\n", 6, "more than the declared 2 arcs"),
+    ("3 3\n0 1\n1 2\n# end\n", 4, "declared 3 arcs but found 2"),
+    ("2 1\n-1 0\n", 2, "arc (-1,0) out of range for n=2"),
+    ("2 1\n1_0 0\n", 2, "arc (10,0) out of range for n=2"),
+    ("2 1\n\u0661 \u0661\n", 2, "loop arc (1,1) not allowed"),
+    ("3 1\n0\x0b1\n", 2, "expected arc 'u v', got '0'"),
+    ("3 1\n0\x0c1\n", 2, "expected arc 'u v', got '0'"),
+    ("3 1\n0\x1c1\n", 2, "expected arc 'u v', got '0'"),
+    ("3 1\n0\x851\n", 2, "expected arc 'u v', got '0'"),
+    ("3 1\n0\u20281\n", 2, "expected arc 'u v', got '0'"),
+    ("x 2\n", 1, "non-integer header token in 'x 2'"),
+    ("1 2 3\n", 1, "expected header 'n m', got '1 2 3'"),
+    ("-1 0\n", 1, "n and m must be nonnegative"),
+    ("", 1, "empty input: missing 'n m' header"),
+]
+
+
 class TestTextFormat:
     def test_round_trip(self):
         d = Digraph(4, [(0, 1), (1, 2), (2, 3), (3, 0), (0, 2)])
@@ -271,20 +338,47 @@ class TestTextFormat:
         text = "# a digraph\n3 2\n\n0 1\n# middle\n1 2\n"
         assert parse_digraph(text) == Digraph(3, [(0, 1), (1, 2)])
 
+    @pytest.mark.parametrize("text,arcs", PLAIN)
+    def test_plain_text_never_reaches_the_line_parser(self, monkeypatch, text, arcs):
+        def line_parser(text):
+            raise AssertionError("plain text reached the line parser")
+
+        monkeypatch.setattr(digraph_module, "_parse_lines", line_parser)
+        d = parse_digraph(text)
+        assert d == Digraph(d.n, arcs)
+
     @pytest.mark.parametrize(
-        "text,line",
-        [
-            ("2 2\n0 1\n0 1\n", 3),
-            ("2 1\n0 0\n", 2),
-            ("2 1\n0 5\n", 2),
-            ("2 1\nx y\n", 2),
-            ("2 1\n0 1 2\n", 2),
+        "text,n,arcs",
+        [(text, int(text.split()[0]), arcs) for text, arcs in PLAIN]
+        + [
+            ("3 2\n0 1\n1 2\n\n\n", 3, [(0, 1), (1, 2)]),
+            ("3 2\n0 1\n1 2\n# end\n", 3, [(0, 1), (1, 2)]),
+            ("3 1\n+1 0\n", 3, [(1, 0)]),
+            ("11 1\n1_0 0\n", 11, [(10, 0)]),
+            ("3 1\n\u0661 0\n", 3, [(1, 0)]),
+            ("3 1\n0\u30001\n", 3, [(0, 1)]),
         ],
     )
-    def test_errors_carry_line_numbers(self, text, line):
+    def test_valid_texts(self, text, n, arcs):
+        assert same_parse(text) == Digraph(n, arcs)
+
+    @pytest.mark.parametrize(
+        "text,line,message",
+        [
+            pytest.param(text, line, message, id=f"{text}-{line}")
+            for text, line, message in PARSE_ERRORS
+        ],
+    )
+    def test_errors_carry_line_numbers(self, text, line, message):
         with pytest.raises(ParseError) as exc:
             parse_digraph(text)
-        assert exc.value.line == line
+        assert (exc.value.line, exc.value.message) == (line, message)
+        assert same_parse(text) is None
+
+    def test_overlong_numbers(self):
+        # int() refuses a digit string longer than sys.get_int_max_str_digits().
+        assert same_parse("3 1\n" + "1" * 5000 + " 0\n") is None
+        assert same_parse("3 1\n" + "0" * 30 + "1 0\n") == Digraph(3, [(1, 0)])
 
     def test_arc_count_mismatch(self):
         with pytest.raises(ParseError):
@@ -293,3 +387,52 @@ class TestTextFormat:
     def test_empty_input(self):
         with pytest.raises(ParseError):
             parse_digraph("")
+
+
+# Pieces a mutation writes into a digraph text: separators, signs, comment
+# starts, a non-ASCII digit and the line breaks only str.splitlines knows.
+PIECES = ["", " ", "\t", "\n", "\r", "\r\n", "#", "# c\n", "x", "+", "-", "_",
+          "0", "7", "\u0661", "\x0b", "\x85", "\u2028"]
+
+
+# Whitespace that str.split takes as a separator; the last five also break a
+# line for str.splitlines.
+SEPARATORS = [" ", "\t", "  ", " \t ", "\u3000", "\x0b", "\x0c", "\x1c", "\x85", "\u2028"]
+
+
+class TestParserOracle:
+    def test_random_texts(self):
+        hyp = pytest.importorskip("hypothesis")
+        st = hyp.strategies
+
+        @hyp.settings(max_examples=400, deadline=None, database=None, derandomize=True)
+        @hyp.given(st.text(alphabet="0123456789 \t\r\n#+-_x\u0661", max_size=40))
+        def check(text):
+            same_parse(text)
+
+        check()
+
+    def test_mutated_digraph_texts(self):
+        hyp = pytest.importorskip("hypothesis")
+        st = hyp.strategies
+
+        @hyp.settings(max_examples=600, deadline=None, database=None, derandomize=True)
+        @hyp.given(st.data())
+        def check(data):
+            n = data.draw(st.integers(0, 6))
+            top = max(data.draw(st.sampled_from([n - 1, n - 1, n])), 0)
+            pair = st.tuples(st.integers(0, top), st.integers(0, top))
+            unique = data.draw(st.sampled_from([True, True, False]))
+            arcs = data.draw(st.lists(pair, max_size=12, unique=unique))
+            m = len(arcs) + data.draw(st.sampled_from([0, 0, 0, -1, 1]))
+            sep = data.draw(st.sampled_from(SEPARATORS))
+            eol = data.draw(st.sampled_from(["\n", "\r\n"]))
+            end = data.draw(st.sampled_from(["", eol, eol + eol]))
+            text = eol.join([f"{n}{sep}{m}"] + [f"{u}{sep}{v}" for u, v in arcs]) + end
+            for _ in range(data.draw(st.integers(0, 2))):
+                i = data.draw(st.integers(0, len(text)))
+                j = data.draw(st.integers(i, min(i + 1, len(text))))
+                text = text[:i] + data.draw(st.sampled_from(PIECES)) + text[j:]
+            same_parse(text)
+
+        check()
