@@ -20,7 +20,7 @@ from .errors import ParseError
 class Digraph:
     """Loop-free directed graph on vertices 0..n-1, digons allowed."""
 
-    __slots__ = ("n", "arcs", "_out", "_in", "_und")
+    __slots__ = ("n", "arcs", "_out", "_in", "_und", "_csr")
 
     def __init__(self, n: int, arcs: Iterable[tuple[int, int]]):
         if n < 0:
@@ -47,6 +47,7 @@ class Digraph:
         self._out = tuple(map(tuple, out))
         self._in = tuple(map(tuple, inn))
         self._und: Optional[list[set[int]]] = None
+        self._csr: Optional[tuple[list[int], list[int]]] = None
         return self
 
     def out_neighbors(self, u: int) -> tuple[int, ...]:
@@ -61,13 +62,16 @@ class Digraph:
     def csr(self) -> tuple[list[int], list[int]]:
         """(indptr, indices): the out-neighbors of u are
         indices[indptr[u]:indptr[u+1]], in ascending order. Position i in
-        indices numbers the arcs in (tail, head) order."""
-        indptr = [0]
-        indices: list[int] = []
-        for vs in self._out:
-            indices.extend(vs)
-            indptr.append(len(indices))
-        return indptr, indices
+        indices numbers the arcs in (tail, head) order. Built on first use
+        and shared by every caller, which must not mutate either list."""
+        if self._csr is None:
+            indptr = [0]
+            indices: list[int] = []
+            for vs in self._out:
+                indices.extend(vs)
+                indptr.append(len(indices))
+            self._csr = indptr, indices
+        return self._csr
 
     def neighbor_sets(self) -> list[set[int]]:
         """Undirected neighbors of every vertex; a digon counts its neighbor

@@ -6,9 +6,11 @@ when level(x) < level(y) and backward otherwise (equal levels included).
 A tree is final when every backward arc points into its tail's ancestor
 chain; rotating offending arcs into the tree always terminates because each
 rotation strictly raises some vertex's level. ``finalize`` queues tail
-vertices, each with a cursor into its out-arcs, and tests ancestry against
-the one root path it keeps marked, indexed by level. Ancestor tests on a
-built tree use its pre/post-order numbering and take O(1).
+vertices, each with a cursor into its out-arcs. It marks a tail's root
+path, indexed by level, only once the tail shows a backward arc, and tests
+ancestry against that one marked path. After a rotation it keeps scanning
+the same tail while that tail is still the smallest queued. Ancestor tests
+on a built tree use its pre/post-order numbering and take O(1).
 """
 
 from __future__ import annotations
@@ -141,18 +143,28 @@ def finalize(d: Digraph, t: OutTree) -> OutTree:
     arc whose tail is outside S is forward, and stays forward because
     levels only rise, or points at an ancestor of its tail, which is
     outside S too. So only tails in S can gain an offending arc: each
-    rotation resets their cursors to their first arc and queues them, and
-    x stays queued with its cursor on the rotated arc. The smallest queued
-    tail, scanned from its cursor, thus yields the smallest offending arc:
-    exactly the arc a rescan of all arcs from the start would pick, so the
-    result is the same tree.
+    rotation resets their cursors to their first arc and queues them. The
+    smallest queued tail, scanned from its cursor, thus yields the smallest
+    offending arc: exactly the arc a rescan of all arcs from the start
+    would pick, so the result is the same tree.
 
-    path[l] is the ancestor at level l of the last tail whose root path was
-    marked, and depth is that tail's level; entries above depth are stale.
-    Marking x walks up only until it meets a vertex u with level[u] <= depth
-    and path[level[u]] == u, where the two root paths join. A rotation
-    under x leaves x's root path alone, so the marks stay valid across it.
-    With x marked, (x,y) offends iff level[y] <= level[x] and
+    After rotating (x,y), the scan of x goes on from the next arc while x
+    is still the heap top. x is not in S, its arcs before (x,y) still do
+    not offend, and (x,y) is now a tree arc, so forward. But the walk of S
+    may have queued a tail smaller than x. Its offending arcs come before
+    every arc of x, so the scan must stop there: cursor[x] moves past
+    (x,y), x stays queued, and the heap picks the smaller tail. Going on
+    with x would rotate in another order and could end in another tree.
+
+    path[l] is the ancestor at level l of ``marked``, the last tail whose
+    root path was marked, and depth is that tail's level; entries above
+    depth are stale. A forward arc needs no ancestry test, so x is marked
+    only when its scan meets an arc with level[y] <= level[x] while x is
+    not ``marked`` already. Marking x walks up only until it meets a vertex
+    u with level[u] <= depth and path[level[u]] == u, where the two root
+    paths join. A rotation under x leaves x's root path alone, and any
+    other rotation marks its own tail first, so the marks hold until the
+    next marking. With x marked, a backward arc (x,y) offends iff
     path[level[y]] != y.
     """
     _check_vertex_count(d, t)
@@ -169,33 +181,40 @@ def finalize(d: Digraph, t: OutTree) -> OutTree:
     heap = list(range(n))  # ascending, so already a heap
     path = [t.root] * (n + 1)  # the root is the one vertex at level 1
     depth = 1
+    marked = -1
     while heap:
         x = heap[0]
-        u = x
-        while level[u] > depth or path[level[u]] != u:
-            path[level[u]] = u
-            u = parent[u]  # type: ignore[assignment]
-        lx = depth = level[x]
+        lx = level[x]
         for e in range(cursor[x], indptr[x + 1]):
             y = head[e]
             ly = level[y]
-            if ly <= lx and path[ly] != y:
+            if ly > lx:
+                continue
+            if marked != x:
+                u = x
+                while level[u] > depth or path[level[u]] != u:
+                    path[level[u]] = u
+                    u = parent[u]  # type: ignore[assignment]
+                marked = x
+                depth = lx
+            if path[ly] == y:
+                continue
+            children[parent[y]].discard(y)  # type: ignore[index]
+            parent[y] = x
+            children[x].add(y)
+            shift = lx + 1 - ly
+            subtree = [y]
+            for u in subtree:  # grows while it is walked
+                level[u] += shift
+                cursor[u] = indptr[u]
+                if not queued[u]:
+                    queued[u] = True
+                    heappush(heap, u)
+                subtree.extend(children[u])
+            if heap[0] != x:
+                cursor[x] = e + 1
                 break
         else:
             heappop(heap)
             queued[x] = False
-            continue
-        cursor[x] = e
-        children[parent[y]].discard(y)  # type: ignore[index]
-        parent[y] = x
-        children[x].add(y)
-        shift = lx + 1 - ly
-        subtree = [y]
-        for u in subtree:  # grows while it is walked
-            level[u] += shift
-            cursor[u] = indptr[u]
-            if not queued[u]:
-                queued[u] = True
-                heappush(heap, u)
-            subtree.extend(children[u])
     return OutTree(t.root, tuple(parent), tuple(level))

@@ -17,6 +17,8 @@ from fourblocks import (
     spanning_out_tree,
 )
 
+import naive
+
 
 def cycle(n):
     return Digraph(n, ((i, (i + 1) % n) for i in range(n)))
@@ -137,6 +139,31 @@ class TestFinalize:
         out = finalize(d, t)
         assert out.parent == (None, 0, 1)
         assert out.level == (1, 2, 3)
+
+    # A rotation under x may queue a smaller tail, whose offending arcs come
+    # before x's next ones. n5: rotating (2,1) queues 1, now the heap top,
+    # whose arc (1,4) offends; a loop that stayed on 2 to the end of its arcs
+    # would pop 1 instead of 2 and return parent (None, 2, 3, 0, 0). n6:
+    # rotating (5,2) queues 2, whose arc (2,4) precedes 5's arc (5,3);
+    # rotating (5,3) first would carry 4, then under 3, below 5 and turn
+    # (2,4) forward, so parent[4] would stay 3.
+    @pytest.mark.parametrize(
+        "n, arcs, parent, level",
+        [
+            (5, [(0, 3), (0, 4), (1, 4), (2, 1), (3, 2), (4, 0), (4, 1)],
+             (None, 2, 3, 0, 1), (1, 4, 3, 2, 5)),
+            (6, [(0, 1), (0, 2), (0, 4), (1, 3), (1, 4), (1, 5),
+                 (2, 0), (2, 4), (2, 5), (3, 4), (5, 2), (5, 3)],
+             (None, 0, 5, 5, 2, 1), (1, 2, 4, 4, 5, 3)),
+        ],
+        ids=["n5", "n6"],
+    )
+    def test_leaves_a_tail_once_a_smaller_one_is_queued(self, n, arcs, parent, level):
+        d = Digraph(n, arcs)
+        t0 = spanning_out_tree(d, 0)
+        t1 = finalize(d, t0)
+        assert (t1.parent, t1.level) == (parent, level)
+        assert t1 == naive.finalize(d, t0)
 
     def test_property_campaign(self):
         for seed in range(120):
