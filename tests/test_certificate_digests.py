@@ -1,8 +1,9 @@
 """Certificate bytes are pinned.
 
 Each case is a small seeded instance of one certifying path: the pipeline
-ending in a coloring, the pipeline ending in a subdivision, and the
-Hamiltonian peel ending in a coloring. The SHA-256 of the certificate's
+ending in a coloring (k = 1, with 2 level classes, and k = 2, with 4), the
+pipeline ending in a subdivision, and the Hamiltonian peel ending in a
+coloring. The SHA-256 of the certificate's
 canonical JSON (sorted keys, compact separators) must equal the pinned
 value, so any change of certificate bytes fails here, on either kernel.
 A change that alters them on purpose updates the value and says why.
@@ -30,8 +31,8 @@ def canonical_sha256(cert) -> str:
     return hashlib.sha256(text.encode()).hexdigest()
 
 
-def pipeline(n, m, seed):
-    return color_strong_digraph(generate(GenSpec(Family.RANDOM_STRONG, n, m, seed)), 1, 1)
+def pipeline(n, m, seed, k1=1, k3=1):
+    return color_strong_digraph(generate(GenSpec(Family.RANDOM_STRONG, n, m, seed)), k1, k3)
 
 
 def peel(seed, n=60):
@@ -53,6 +54,14 @@ PINNED = {
         "coloring", "909cca0442cc34b585a4e47304c823c6c1812ee4e6f175c0aedc844119ed9a06"),
     ("pipeline-coloring", 3): (
         "coloring", "d3615bcf278b8ea6464a764346bfdad911f0030b551a908b1359b0da46864336"),
+    ("pipeline-coloring-k2,2", 1): (
+        "coloring", "c2fd911348f300addbf5f1fdfdb6376c612dc8df993f099e352e2f273f903da6"),
+    ("pipeline-coloring-k2,2", 2): (
+        "coloring", "bcd868e70b99c5b59de65af3b73b07ff8ef37776b88e3a56d4e46df69020c4c0"),
+    ("pipeline-coloring-k2,2", 3): (
+        "coloring", "090c996942af8db7997b6f3421d3d3236cd9fd6407a973a8e05467b0ae0976ef"),
+    ("pipeline-coloring-k1,2", 1): (
+        "coloring", "b8aad2e34f4b94fc021720a731deb16ab45cb19903a9a626473d5f41fc00fb97"),
     ("pipeline-subdivision", 1): (
         "subdivision", "ecb0305cb100bbd5a8f16b306779199e203a9435979800c56cbf1b7ca420df23"),
     ("pipeline-subdivision", 2): (
@@ -69,6 +78,8 @@ PINNED = {
 
 RUN = {
     "pipeline-coloring": lambda seed: pipeline(60, 120, seed),
+    "pipeline-coloring-k2,2": lambda seed: pipeline(60, 120, seed, 2, 2),
+    "pipeline-coloring-k1,2": lambda seed: pipeline(60, 120, seed, 1, 2),
     "pipeline-subdivision": lambda seed: pipeline(120, 1200, seed),
     "peel-coloring": peel,
 }
