@@ -41,25 +41,22 @@ from .witness import (
 
 
 class SubDigraph:
-    """Induced subdigraph keeping the host's vertex ids."""
+    """Induced subdigraph keeping the host's vertex ids. Its ``out_adj`` (read
+    by ``color_d2``) and ``und_adj`` (every stage) have no meaningful order."""
 
-    __slots__ = ("vertices", "arcs", "out_adj", "in_adj", "und_adj")
+    __slots__ = ("vertices", "arcs", "out_adj", "und_adj")
 
     def __init__(self, vertices, arcs):
         self.vertices = tuple(sorted(vertices))
-        vset = set(self.vertices)
         self.arcs = frozenset(arcs)
+        self.out_adj = out_adj = {v: [] for v in self.vertices}
+        self.und_adj = und_adj = {v: set() for v in self.vertices}
         for u, v in self.arcs:
-            if u not in vset or v not in vset:
+            if u not in out_adj or v not in out_adj:
                 raise ValueError(f"arc ({u},{v}) leaves the vertex set")
-        self.out_adj: dict[int, list[int]] = {v: [] for v in self.vertices}
-        self.in_adj: dict[int, list[int]] = {v: [] for v in self.vertices}
-        self.und_adj: dict[int, set[int]] = {v: set() for v in self.vertices}
-        for u, v in sorted(self.arcs):
-            self.out_adj[u].append(v)
-            self.in_adj[v].append(u)
-            self.und_adj[u].add(v)
-            self.und_adj[v].add(u)
+            out_adj[u].append(v)
+            und_adj[u].add(v)
+            und_adj[v].add(u)
 
     def __repr__(self) -> str:
         return f"SubDigraph(|V|={len(self.vertices)}, |A|={len(self.arcs)})"
@@ -180,7 +177,8 @@ def greedy_reverse(adj, order) -> dict[int, int]:
 
 
 def color_d1(d1: SubDigraph, t: OutTree) -> Union[Coloring, WheelCoreFailure]:
-    """Color the ancestor-increasing arc group with at most 6 colors.
+    """Color the ancestor-increasing arc group with color ids 0..5, as the
+    greedy assigns them; ``product_coloring`` renumbers them.
 
     Peel vertices of underlying degree <= 5 and greedy-color in reverse. A
     stall means the remaining core has minimum degree >= 6, which cannot
@@ -194,7 +192,7 @@ def color_d1(d1: SubDigraph, t: OutTree) -> Union[Coloring, WheelCoreFailure]:
     order, core = peel_low_degree(d1.vertices, d1.und_adj, 5)
     if core:
         return WheelCoreFailure(frozenset(core))
-    coloring = Coloring(greedy_reverse(d1.und_adj, order)).normalized()
+    coloring = Coloring(greedy_reverse(d1.und_adj, order))
     assert coloring.palette_size <= 6
     return coloring
 
@@ -218,7 +216,11 @@ def _acyclic_peel_order(d2: SubDigraph, vertices) -> list[int]:
     induced subdigraph; raises NotAcyclic when stuck. Kahn's algorithm with
     a min-heap of the vertices whose in-degree has dropped to 0."""
     vset = set(vertices)
-    indeg = {v: sum(1 for u in d2.in_adj[v] if u in vset) for v in vset}
+    indeg = dict.fromkeys(vset, 0)
+    for u in vset:
+        for w in d2.out_adj[u]:
+            if w in vset:
+                indeg[w] += 1
     ready = [v for v in vset if indeg[v] == 0]
     heapify(ready)
     order: list[int] = []
@@ -238,13 +240,13 @@ def _acyclic_peel_order(d2: SubDigraph, vertices) -> list[int]:
 
 
 def color_d2(d2: SubDigraph) -> Union[D2Coloring, OutDegreeFailure]:
-    """Color the descendant-to-ancestor arc group with at most 6 colors.
+    """Color the descendant-to-ancestor arc group with color ids 0..5, as
+    the greedy assigns them; ``product_coloring`` renumbers them.
 
     The group is acyclic, so peeling in-degree-0 vertices and coloring in
     reverse uses at most (max out-degree + 1) colors. Vertices of out-degree
-    <= 1 take 2 colors; the rest take 4 fresh colors provided their induced
-    max out-degree is at most 3, which holds unless the host contains a
-    four-blocks cycle subdivision.
+    <= 1 take ids 0, 1, the rest ids 2..5 if their induced max out-degree is
+    at most 3, which holds unless the host has a four-blocks cycle subdivision.
     """
     _acyclic_peel_order(d2, d2.vertices)
     low, high, max_out, worst = split_by_out_degree(d2)
@@ -255,15 +257,15 @@ def color_d2(d2: SubDigraph) -> Union[D2Coloring, OutDegreeFailure]:
     colors = greedy_reverse(d2.und_adj, _acyclic_peel_order(d2, low))
     for v, c in greedy_reverse(d2.und_adj, _acyclic_peel_order(d2, high)).items():
         colors[v] = 2 + c
-    coloring = Coloring(colors).normalized()
-    assert coloring.palette_size <= 6
-    return D2Coloring(coloring.colors, max_out)
+    assert len(set(colors.values())) <= 6
+    return D2Coloring(colors, max_out)
 
 
 def color_d3(
     d3: SubDigraph, k: int, budget: int = DEFAULT_BUDGET
 ) -> Union[Coloring, TwoBlockPathWitness]:
-    """Color the remaining arc group with at most 4k+2 colors.
+    """Color the remaining arc group with color ids 0..4k+1, as the search
+    assigns them; ``product_coloring`` renumbers them.
 
     Saturation greedy first; when it overshoots, an exact branch and bound
     decides colorability. A proven impossibility forces a two-block path
@@ -273,10 +275,10 @@ def color_d3(
     q = 4 * k + 2
     heuristic = exactcolor.dsatur(d3.vertices, d3.und_adj)
     if len(set(heuristic.values())) <= q:
-        return Coloring(heuristic).normalized()
+        return Coloring(heuristic)
     exact = exactcolor.color_within(d3.vertices, d3.und_adj, q, budget)
     if exact is not None:
-        return Coloring(exact).normalized()
+        return Coloring(exact)
     # Search on host ids: vertices outside the class have no out-arcs, so
     # the search skips them before counting a node.
     host = Digraph(max(d3.vertices) + 1, d3.arcs)

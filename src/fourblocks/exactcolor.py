@@ -1,18 +1,19 @@
 """Saturation-greedy and exact branch-and-bound coloring, desk scale.
 
-Both operate on a plain undirected adjacency mapping restricted to an
-explicit vertex set, so they work on induced subgraphs without relabeling.
+Both take a vertex set and an undirected adjacency with adj[v] the neighbor
+set of each such v (keyed by host id, or a list as ``Digraph.neighbor_sets()``),
+so induced subgraphs need no relabeling. A coloring with c colors uses ids 0..c-1.
 """
 
 from __future__ import annotations
 
 from heapq import heapify, heappop, heappush
-from typing import Iterable, Mapping, Optional
+from typing import Iterable, Optional
 
 from .errors import BudgetExceeded
 
 
-def dsatur(vertices: Iterable[int], adj: Mapping[int, set[int]]) -> dict[int, int]:
+def dsatur(vertices: Iterable[int], adj) -> dict[int, int]:
     """Greedy coloring by descending saturation; ties by degree then id.
 
     The heap is keyed (-saturation, -degree, id). A saturation rise pushes
@@ -23,7 +24,7 @@ def dsatur(vertices: Iterable[int], adj: Mapping[int, set[int]]) -> dict[int, in
     vset = set(vs)
     colors: dict[int, int] = {}
     neighbor_colors: dict[int, set[int]] = {v: set() for v in vs}
-    degree = {v: len(adj.get(v, set()) & vset) for v in vs}
+    degree = {v: len(adj[v] & vset) for v in vs}
     heap = [(0, -degree[v], v) for v in vs]
     heapify(heap)
     while heap:
@@ -34,7 +35,7 @@ def dsatur(vertices: Iterable[int], adj: Mapping[int, set[int]]) -> dict[int, in
         while c in neighbor_colors[v]:
             c += 1
         colors[v] = c
-        for w in adj.get(v, set()):
+        for w in adj[v]:
             if w in vset and w not in colors and c not in neighbor_colors[w]:
                 neighbor_colors[w].add(c)
                 heappush(heap, (-len(neighbor_colors[w]), -degree[w], w))
@@ -42,10 +43,7 @@ def dsatur(vertices: Iterable[int], adj: Mapping[int, set[int]]) -> dict[int, in
 
 
 def color_within(
-    vertices: Iterable[int],
-    adj: Mapping[int, set[int]],
-    q: int,
-    budget: int,
+    vertices: Iterable[int], adj, q: int, budget: int
 ) -> Optional[dict[int, int]]:
     """Exact decision: a proper coloring with at most q colors, or None when
     provably impossible. Raises BudgetExceeded when the node budget runs out.
@@ -59,7 +57,7 @@ def color_within(
     if q < 1:
         return None
     vset = set(vs)
-    neighbors = {v: sorted(adj.get(v, set()) & vset) for v in vs}
+    neighbors = {v: sorted(adj[v] & vset) for v in vs}
     colors: dict[int, int] = {}
     nodes = 0
 

@@ -9,7 +9,7 @@ from __future__ import annotations
 from typing import Optional
 
 from .decomposition import coloring_bound
-from .digraph import Coloring, Digraph, is_proper, underlying_graph
+from .digraph import Coloring, Digraph
 from .witness import CyclePattern, VerifyResult, json_int
 from .witness import verify_subdivision, witness_from_json
 
@@ -43,8 +43,8 @@ def _check(d: Digraph, cert: dict) -> VerifyResult:
             return VerifyResult(False, "empty stall core")
         if not all(0 <= v < d.n for v in core):
             raise ValueError(f"core vertices must lie in 0..{d.n - 1}")
-        und = underlying_graph(d)
-        min_deg = min(sum(1 for w in und.neighbors(v) if w in core) for v in core)
+        adj = d.neighbor_sets()
+        min_deg = min(len(adj[v] & core) for v in core)
         if min_deg < 6 * k:
             return VerifyResult(False, f"core minimum degree {min_deg} is below {6 * k}")
         if cert.get("witness") is not None:
@@ -86,7 +86,7 @@ def _coloring(d: Digraph, cert: dict) -> VerifyResult:
     if not isinstance(colors, list) or len(colors) != d.n:
         raise ValueError(f"colors must list all {d.n} vertices")
     coloring = Coloring({v: json_int(c) for v, c in enumerate(colors)})
-    if not is_proper(underlying_graph(d), coloring):
+    if any(coloring.colors[u] == coloring.colors[v] for u, v in d.arcs):
         return VerifyResult(False, "coloring is not proper")
     if coloring.palette_size > bound:
         return VerifyResult(False, f"palette {coloring.palette_size} exceeds bound {bound}")

@@ -185,7 +185,11 @@ def peel_low_degree(vertices, adj, threshold: int):
 
 def acyclic_peel_order(d2, vertices):
     vset = set(vertices)
-    indeg = {v: sum(1 for u in d2.in_adj[v] if u in vset) for v in vset}
+    indeg = {v: 0 for v in vset}
+    for u in vset:
+        for w in d2.out_adj[u]:
+            if w in vset:
+                indeg[w] += 1
     alive = set(vset)
     order = []
     while alive:
@@ -206,7 +210,7 @@ def dsatur(vertices, adj):
     vset = set(vs)
     colors = {}
     neighbor_colors = {v: set() for v in vs}
-    degree = {v: len(adj.get(v, set()) & vset) for v in vs}
+    degree = {v: len(adj[v] & vset) for v in vs}
     for _ in vs:
         v = max(
             (u for u in vs if u not in colors),
@@ -216,7 +220,7 @@ def dsatur(vertices, adj):
         while c in neighbor_colors[v]:
             c += 1
         colors[v] = c
-        for w in adj.get(v, set()):
+        for w in adj[v]:
             if w in vset and w not in colors:
                 neighbor_colors[w].add(c)
     return colors

@@ -138,6 +138,13 @@ class TestArcPartition:
                         assert not a1_like and not a2_like
 
 
+class TestSubDigraph:
+    @pytest.mark.parametrize("arc", [(0, 2), (2, 0)])
+    def test_arc_leaving_the_vertex_set_raises(self, arc):
+        with pytest.raises(ValueError, match=rf"arc \({arc[0]},{arc[1]}\) leaves"):
+            SubDigraph({0, 1}, [arc])
+
+
 class TestColorD1:
     def test_edgeless(self):
         t = path_tree(4)
@@ -195,6 +202,7 @@ class TestColorD1:
                 out = color_d1(SubDigraph(c, part.a1), t)
                 assert isinstance(out, Coloring)
                 assert out.palette_size <= 6
+                assert set(out.colors.values()) <= set(range(6))
                 checked += 1
         assert checked > 10
 
@@ -255,6 +263,7 @@ class TestColorD2:
                     for u, v in part.a2:
                         assert out.colors[u] != out.colors[v]
                     assert out.palette_size <= 6
+                    assert set(out.colors.values()) <= set(range(6))
 
 
 class TestColorD3:
@@ -307,6 +316,7 @@ class TestColorD3:
                 if chi <= 4 * k + 2:
                     assert isinstance(out, Coloring)
                     assert out.palette_size <= 4 * k + 2
+                    assert set(out.colors.values()) <= set(range(4 * k + 2))
                     for u, v in g.edges:
                         assert out.colors[u] != out.colors[v]
 

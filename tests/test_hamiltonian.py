@@ -19,7 +19,6 @@ from fourblocks import (
     underlying_graph,
     verify_subdivision,
 )
-from fourblocks.decomposition import SubDigraph
 
 import naive
 
@@ -117,8 +116,7 @@ class TestColorHamiltonian:
             c = find_hamiltonian_cycle(d)
             assert c is not None
             cert = color_hamiltonian(d, c, 1, 1)
-            sub = SubDigraph(range(d.n), d.arcs)
-            _, core = naive.peel_low_degree(sub.vertices, sub.und_adj, 5)
+            _, core = naive.peel_low_degree(range(d.n), d.neighbor_sets(), 5)
             if core:
                 assert isinstance(cert, PeelStall) and cert.core == core
             else:
