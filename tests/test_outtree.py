@@ -165,6 +165,20 @@ class TestFinalize:
         assert (t1.parent, t1.level) == (parent, level)
         assert t1 == naive.finalize(d, t0)
 
+    # A moved vertex that is already queued may hold a cursor past an arc
+    # that the rotation made offend, so its cursor goes back to its first
+    # arc. Keeping that cursor here skips (6,1) and returns parent[1] == 2,
+    # level[1] == 6, a tree that (6,1) still keeps from being final.
+    def test_resets_the_cursor_of_a_queued_moved_vertex(self):
+        d = Digraph(9, [(0, 1), (0, 3), (0, 5), (0, 7), (0, 8), (1, 6), (2, 1),
+                        (2, 5), (3, 7), (4, 0), (4, 2), (4, 6), (5, 2), (5, 4),
+                        (6, 1), (6, 5), (7, 3), (7, 8), (8, 2)])
+        t0 = spanning_out_tree(d, 0)
+        t1 = finalize(d, t0)
+        assert t1.parent == (None, 6, 8, 0, 5, 2, 4, 3, 7)
+        assert t1.level == (1, 9, 5, 2, 7, 6, 8, 3, 4)
+        assert t1 == naive.finalize(d, t0)
+
     def test_property_campaign(self):
         for seed in range(120):
             n = 4 + seed % 27
@@ -194,3 +208,14 @@ class TestFinalize:
         d = generate(GenSpec(Family.RANDOM_STRONG, n, m, seed))
         t = finalize(d, spanning_out_tree(d, 0))
         assert hashlib.sha256(repr((t.parent, t.level)).encode()).hexdigest() == digest
+
+    # The sparse-color shape (m=2n, n=600), where moved subtrees are large
+    # and most of their vertices have no arc leaving them.
+    def test_pinned_at_sparse_color_shape(self):
+        trees = []
+        for seed in range(1, 41):
+            d = generate(GenSpec(Family.RANDOM_STRONG, 600, 1200, seed))
+            t = finalize(d, spanning_out_tree(d, 0))
+            trees.append((t.parent, t.level))
+        digest = hashlib.sha256(repr(trees).encode()).hexdigest()
+        assert digest == "f8de09e4300397de14b36649f3213380d5030294faf75a9a84abb818a1b4b977"
