@@ -9,8 +9,11 @@ rotation strictly raises some vertex's level. ``finalize`` queues tail
 vertices, each with a cursor into its out-arcs. It marks a tail's root
 path, indexed by level, only once the tail shows a backward arc, and tests
 ancestry against that one marked path. After a rotation it keeps scanning
-the same tail while that tail is still the smallest queued. Ancestor tests
-on a built tree use its pre/post-order numbering and take O(1).
+the same tail while that tail is still the smallest queued, and it queues
+a vertex of the moved subtree only when one of its arcs leaving that
+subtree now offends, or resets its cursor if it is queued already.
+Ancestor tests on a built tree use its pre/post-order numbering and take
+O(1).
 """
 
 from __future__ import annotations
@@ -138,15 +141,10 @@ def finalize(d: Digraph, t: OutTree) -> OutTree:
     The worklist is a min-heap of tail vertices. cursor[x] is the position,
     in ``d.csr()`` order, of the first out-arc of x not yet known not to
     offend. Invariant: every tail with an offending arc is queued, and no
-    arc of a queued x before cursor[x] offends. A rotation changes the
-    levels and root paths of S only, and x is not in S. A non-offending
-    arc whose tail is outside S is forward, and stays forward because
-    levels only rise, or points at an ancestor of its tail, which is
-    outside S too. So only tails in S can gain an offending arc: each
-    rotation resets their cursors to their first arc and queues them. The
-    smallest queued tail, scanned from its cursor, thus yields the smallest
-    offending arc: exactly the arc a rescan of all arcs from the start
-    would pick, so the result is the same tree.
+    arc of a queued x before cursor[x] offends. The smallest queued tail,
+    scanned from its cursor, thus yields the smallest offending arc:
+    exactly the arc a rescan of all arcs from the start would pick, so the
+    result is the same tree.
 
     After rotating (x,y), the scan of x goes on from the next arc while x
     is still the heap top. x is not in S, its arcs before (x,y) still do
@@ -166,6 +164,25 @@ def finalize(d: Digraph, t: OutTree) -> OutTree:
     other rotation marks its own tail first, so the marks hold until the
     next marking. With x marked, a backward arc (x,y) offends iff
     path[level[y]] != y.
+
+    A rotation changes the levels and root paths of S only, and x is not
+    in S. A non-offending arc whose tail is outside S is forward, and stays
+    forward because levels only rise, or points at an ancestor of its
+    tail, which is outside S too. An arc with both ends in S keeps its
+    level order and its ancestry, since all of S moves by the same shift
+    with its tree arcs. So only a vertex u of S with an arc (u,b) leaving S
+    can gain an offending arc. The walk of S stamps its vertices with the
+    rotation's number, and a second pass over S then looks at each u. If u
+    is not queued, none of its arcs offended before the rotation, so only
+    its arcs to unstamped heads are tested, and u is queued, with its
+    cursor on the first of them that offends, only if one does. The test
+    reads x's marked path: x is ``marked`` and depth is level[x], so
+    path[1..level[x]] is x's root path, which the rotation leaves alone,
+    and b outside S is an ancestor of u iff it lies on that path. (u,b)
+    thus offends iff level[b] <= level[u] and either level[b] > level[x]
+    (path is stale there) or path[level[b]] != b. If u is already queued,
+    its cursor goes back to its first arc: an arc before the cursor may
+    leave S and offend now, and a kept cursor would skip it.
     """
     _check_vertex_count(d, t)
     n = t.n
@@ -182,6 +199,8 @@ def finalize(d: Digraph, t: OutTree) -> OutTree:
     path = [t.root] * (n + 1)  # the root is the one vertex at level 1
     depth = 1
     marked = -1
+    stamp = [0] * n  # stamp[u] == rotation: u is in the subtree just moved
+    rotation = 0
     while heap:
         x = heap[0]
         lx = level[x]
@@ -203,14 +222,26 @@ def finalize(d: Digraph, t: OutTree) -> OutTree:
             parent[y] = x
             children[x].add(y)
             shift = lx + 1 - ly
+            rotation += 1
             subtree = [y]
             for u in subtree:  # grows while it is walked
                 level[u] += shift
-                cursor[u] = indptr[u]
-                if not queued[u]:
-                    queued[u] = True
-                    heappush(heap, u)
+                stamp[u] = rotation
                 subtree.extend(children[u])
+            for u in subtree:
+                if queued[u]:
+                    cursor[u] = indptr[u]
+                    continue
+                lu = level[u]
+                for f in range(indptr[u], indptr[u + 1]):
+                    b = head[f]
+                    lb = level[b]
+                    if (lb <= lu and stamp[b] != rotation
+                            and (lb > lx or path[lb] != b)):
+                        cursor[u] = f
+                        queued[u] = True
+                        heappush(heap, u)
+                        break
             if heap[0] != x:
                 cursor[x] = e + 1
                 break

@@ -209,8 +209,8 @@ class TestFinalize:
         t = finalize(d, spanning_out_tree(d, 0))
         assert hashlib.sha256(repr((t.parent, t.level)).encode()).hexdigest() == digest
 
-    # The sparse-color shape (m=2n, n=600), where moved subtrees are large
-    # and most of their vertices have no arc leaving them.
+    # The shape of the sparse-color benchmark workload (n=600, m=2n). A kept
+    # cursor on a queued moved vertex changes the tree at seed 37.
     def test_pinned_at_sparse_color_shape(self):
         trees = []
         for seed in range(1, 41):
