@@ -20,12 +20,30 @@ rotate the same arcs in the same order.
 ``parse_digraph`` here is the line-by-line parser alone; the package's
 version reads plain text in bulk and must return the same digraph and raise
 the same ``ParseError`` (line and message) on every text.
+``SubDigraph`` and ``color_d1``/``color_d2``/``color_d3`` here are the
+per-class stages as they were when every class vertex entered each peel,
+Kahn pass and DSATUR; they call the package's peels, greedy and DSATUR,
+which the reference loops above check. The package's stages skip the
+vertices that no arc of the group touches and must return exactly the same
+colorings and failures.
 """
 
 from itertools import permutations
 from typing import Optional
 
-from fourblocks import BudgetExceeded, Digraph, UGraph, OutTree
+from fourblocks import (
+    DEFAULT_BUDGET,
+    BudgetExceeded,
+    Coloring,
+    Digraph,
+    OutDegreeFailure,
+    OutTree,
+    UGraph,
+    WheelCoreFailure,
+    find_two_block_path,
+)
+from fourblocks import decomposition, exactcolor
+from fourblocks.decomposition import D2Coloring
 from fourblocks.errors import NotAcyclic, ParseError
 from fourblocks._subdiv_py import ABSENT, BUDGET, FOUND
 
@@ -440,3 +458,92 @@ def parse_digraph(text: str) -> Digraph:
             f"declared {header[1]} arcs but found {len(arcs)}",
         )
     return Digraph(header[0], arcs)
+
+
+# --- per-class stages on every class vertex ---------------------------------
+
+
+class SubDigraph:
+    """Induced subdigraph keeping the host's vertex ids; every vertex gets
+    its own out-list and neighbor set."""
+
+    __slots__ = ("vertices", "arcs", "out_adj", "und_adj")
+
+    def __init__(self, vertices, arcs):
+        self.vertices = tuple(sorted(vertices))
+        self.arcs = frozenset(arcs)
+        self.out_adj = out_adj = {v: [] for v in self.vertices}
+        self.und_adj = und_adj = {v: set() for v in self.vertices}
+        for u, v in self.arcs:
+            if u not in out_adj or v not in out_adj:
+                raise ValueError(f"arc ({u},{v}) leaves the vertex set")
+            out_adj[u].append(v)
+            und_adj[u].add(v)
+            und_adj[v].add(u)
+
+
+def color_d1(d1, t):
+    """Peel every class vertex at degree <= 5, greedy-color in reverse."""
+    level, num = t.level, t.numbering
+    for u, v in d1.arcs:
+        if not (level[u] < level[v] and num.is_ancestor(u, v)):
+            raise ValueError(f"arc ({u},{v}) is not ancestor-increasing")
+    order, core = decomposition.peel_low_degree(d1.vertices, d1.und_adj, 5)
+    if core:
+        return WheelCoreFailure(frozenset(core))
+    coloring = Coloring(decomposition.greedy_reverse(d1.und_adj, order))
+    assert coloring.palette_size <= 6
+    return coloring
+
+
+def split_by_out_degree(d2):
+    low = frozenset(v for v in d2.vertices if len(d2.out_adj[v]) <= 1)
+    high = frozenset(d2.vertices) - low
+    max_out = 0
+    worst = None
+    for v in sorted(high):
+        outs = [w for w in d2.out_adj[v] if w in high]
+        if len(outs) > max_out:
+            max_out = len(outs)
+            worst = (v, tuple(sorted(outs)))
+    return low, high, max_out, worst
+
+
+def color_d2(d2):
+    """Kahn's peel and the two greedies over every class vertex."""
+    _acyclic_peel_order = decomposition._acyclic_peel_order
+    greedy_reverse = decomposition.greedy_reverse
+    _acyclic_peel_order(d2, d2.vertices)
+    low, high, max_out, worst = split_by_out_degree(d2)
+    if max_out > 3:
+        assert worst is not None
+        return OutDegreeFailure(worst[0], worst[1])
+
+    colors = greedy_reverse(d2.und_adj, _acyclic_peel_order(d2, low))
+    for v, c in greedy_reverse(d2.und_adj, _acyclic_peel_order(d2, high)).items():
+        colors[v] = 2 + c
+    assert len(set(colors.values())) <= 6
+    return D2Coloring(colors, max_out)
+
+
+def color_d3(d3, k: int, budget: int = DEFAULT_BUDGET):
+    """DSATUR over every class vertex, then the exact fallback and the
+    two-block path search."""
+    q = 4 * k + 2
+    heuristic = exactcolor.dsatur(d3.vertices, d3.und_adj)
+    if len(set(heuristic.values())) <= q:
+        return Coloring(heuristic)
+    exact = exactcolor.color_within(d3.vertices, d3.und_adj, q, budget)
+    if exact is not None:
+        return Coloring(exact)
+    # Search on host ids: vertices outside the class have no out-arcs, so
+    # the search skips them before counting a node.
+    host = Digraph(max(d3.vertices) + 1, d3.arcs)
+    witness = find_two_block_path(host, 2 * k + 1, 2 * k + 1, budget)
+    if witness is None:
+        raise RuntimeError(
+            "chromatic number exceeds 4k+2 but no P(2k+1,2k+1) exists; "
+            "a digraph of chromatic number a+b+1 always contains P(a,b), "
+            "so one of the two searches is buggy"
+        )
+    return witness

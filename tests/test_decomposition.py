@@ -304,6 +304,28 @@ class TestColorD3:
         assert exc.value.nodes == 60
         assert find_two_block_path(host, 3, 3, 60) == expected
 
+    def test_exact_fallback_runs_on_every_class_vertex(self, monkeypatch):
+        # the path 0 -> 1 -> ... -> 9 padded with the isolated vertices
+        # 10..19, with DSATUR made to overshoot 4k+2 = 6: the exact search
+        # colors all 20 vertices, one search node each, so it returns or
+        # runs out of budget exactly where color_within on every vertex does
+        from fourblocks import exactcolor
+
+        d3 = SubDigraph(range(20), [(i, i + 1) for i in range(9)])
+        monkeypatch.setattr(
+            exactcolor, "dsatur", lambda vs, adj: {v: i for i, v in enumerate(sorted(vs))}
+        )
+        for budget in range(1, 25):
+            try:
+                want = Coloring(exactcolor.color_within(range(20), d3.und_adj, 6, budget))
+            except BudgetExceeded as exc:
+                with pytest.raises(BudgetExceeded) as got:
+                    color_d3(d3, 1, budget)
+                assert got.value.nodes == exc.nodes == budget + 1
+                continue
+            assert budget >= 21
+            assert color_d3(d3, 1, budget) == want
+
     def test_exact_cross_check_with_naive_chromatic(self):
         for seed in range(25):
             n = 4 + seed % 7

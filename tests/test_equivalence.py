@@ -13,6 +13,7 @@ from collections import Counter
 import pytest
 
 from fourblocks import (
+    DEFAULT_BUDGET,
     BudgetExceeded,
     ChordViolation,
     Digraph,
@@ -31,6 +32,9 @@ from fourblocks.decomposition import (
     SubDigraph,
     _acyclic_peel_order,
     arc_partition,
+    color_d1,
+    color_d2,
+    color_d3,
     level_classes,
     peel_low_degree,
 )
@@ -210,6 +214,101 @@ def test_dsatur_matches(family):
             subsets += [[v for v in range(d.n) if rng.randrange(2)] for _ in range(3)]
         for vs in subsets:
             assert dsatur(vs, adj) == naive.dsatur(vs, adj)
+
+
+def stage_outcome(stage, *args):
+    """The stage's return value, or the exception it raised with the field
+    that locates it."""
+    try:
+        return stage(*args)
+    except NotAcyclic:
+        return "NotAcyclic"
+    except BudgetExceeded as exc:
+        return ("BudgetExceeded", exc.nodes)
+
+
+def path_tree(n) -> OutTree:
+    return OutTree(0, (None,) + tuple(range(n - 1)), tuple(range(1, n + 1)))
+
+
+def stage_cases(d, root, rng):
+    """(stage, tree, vertices, arcs, d3 budget) for each arc group of each
+    level class (k = 1, 2), and each again padded with isolated vertices of
+    other classes. Small digraphs add whole-digraph groups, on which d1 can
+    stall, d2 meets cycles and high out-degrees, and d3 runs its exact
+    fallback under tight budgets."""
+    cases = []
+    t = finalize(d, spanning_out_tree(d, root))
+    for k in (1, 2):
+        for cls in level_classes(t, k).classes:
+            if not cls:
+                continue
+            part = arc_partition(d, t, cls)
+            pad = [v for v in range(d.n) if v not in cls and rng.randrange(2)]
+            for vertices in (cls, cls | set(pad)):
+                cases.append(("d1", t, vertices, part.a1, k))
+                cases.append(("d2", t, vertices, part.a2, k))
+                cases.append(("d3", t, vertices, part.a3, k, DEFAULT_BUDGET))
+    if d.n <= 60:
+        padded = range(d.n + 3)
+        forward = [(u, v) for u, v in d.arcs if u < v]
+        for vertices in (range(d.n), padded):
+            cases.append(("d1", path_tree(d.n + 3), vertices, forward, 1))
+            cases.append(("d2", None, vertices, d.arcs, 1))
+            cases.append(("d2", None, vertices, forward, 1))
+            for budget in (1, 15, 400, DEFAULT_BUDGET):
+                cases.append(("d3", None, vertices, d.arcs, 1, budget))
+    return cases
+
+
+def run_stage(module, case):
+    name, t, vertices, arcs, k = case[:5]
+    sub = module.SubDigraph(vertices, arcs)
+    if name == "d1":
+        return stage_outcome(module.color_d1, sub, t)
+    if name == "d2":
+        return stage_outcome(module.color_d2, sub)
+    return stage_outcome(module.color_d3, sub, k, case[5])
+
+
+class Stages:
+    """The package's stages, under the names ``naive`` gives its copies."""
+
+    SubDigraph = SubDigraph
+    color_d1 = staticmethod(color_d1)
+    color_d2 = staticmethod(color_d2)
+    color_d3 = staticmethod(color_d3)
+
+
+def outcome_kind(outcome) -> str:
+    if isinstance(outcome, tuple):
+        return outcome[0]
+    return outcome if isinstance(outcome, str) else type(outcome).__name__
+
+
+@pytest.mark.parametrize("family", sorted(FAMILIES))
+def test_stages_match_the_all_vertex_stages(family):
+    """Same colorings (type, colors, d2's high max out-degree) and the same
+    failures (d1 core, d2 vertex and out-neighbors, NotAcyclic, d3 witness,
+    BudgetExceeded node count) as stages that peel every class vertex."""
+    rng = Rng(19)
+    seen = set()
+    for d, root in FAMILIES[family]:
+        for case in stage_cases(d, root, rng):
+            new = run_stage(Stages, case)
+            old = run_stage(naive, case)
+            assert type(new) is type(old)
+            assert new == old
+            seen.add((case[0], outcome_kind(new)))
+    assert {("d1", "Coloring"), ("d2", "D2Coloring"), ("d3", "Coloring")} <= seen
+    if family in ("dense", "tournament"):
+        assert {
+            ("d1", "WheelCoreFailure"),
+            ("d2", "NotAcyclic"),
+            ("d2", "OutDegreeFailure"),
+            ("d3", "BudgetExceeded"),
+            ("d3", "TwoBlockPathWitness"),
+        } <= seen
 
 
 def test_hamiltonian_search_matches_recursion():
