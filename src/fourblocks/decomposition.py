@@ -22,6 +22,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from heapq import heapify, heappop, heappush
+from itertools import chain
 from typing import Optional, Union
 
 from . import exactcolor
@@ -41,19 +42,30 @@ from .witness import (
 
 
 class SubDigraph:
-    """Induced subdigraph keeping the host's vertex ids. Its ``out_adj`` (read
-    by ``color_d2``) and ``und_adj`` (every stage) have no meaningful order."""
+    """Induced subdigraph keeping the host's vertex ids.
 
-    __slots__ = ("vertices", "arcs", "out_adj", "und_adj")
+    ``touched`` holds the vertices that lie on an arc. ``out_adj`` (read by
+    ``color_d2``) and ``und_adj`` (every stage) are keyed by every vertex,
+    but only touched vertices get their own list and set: the others share
+    ``()`` and ``frozenset()``. Neither has a meaningful order.
+    """
+
+    __slots__ = ("vertices", "arcs", "touched", "out_adj", "und_adj")
 
     def __init__(self, vertices, arcs):
         self.vertices = tuple(sorted(vertices))
         self.arcs = frozenset(arcs)
-        self.out_adj = out_adj = {v: [] for v in self.vertices}
-        self.und_adj = und_adj = {v: set() for v in self.vertices}
+        self.touched = touched = frozenset(chain.from_iterable(self.arcs))
+        self.out_adj = out_adj = dict.fromkeys(self.vertices, ())
+        self.und_adj = und_adj = dict.fromkeys(self.vertices, frozenset())
+        if not out_adj.keys() >= touched:
+            for u, v in self.arcs:
+                if u not in out_adj or v not in out_adj:
+                    raise ValueError(f"arc ({u},{v}) leaves the vertex set")
+        for v in touched:
+            out_adj[v] = []
+            und_adj[v] = set()
         for u, v in self.arcs:
-            if u not in out_adj or v not in out_adj:
-                raise ValueError(f"arc ({u},{v}) leaves the vertex set")
             out_adj[u].append(v)
             und_adj[u].add(v)
             und_adj[v].add(u)
@@ -180,27 +192,34 @@ def color_d1(d1: SubDigraph, t: OutTree) -> Union[Coloring, WheelCoreFailure]:
     """Color the ancestor-increasing arc group with color ids 0..5, as the
     greedy assigns them; ``product_coloring`` renumbers them.
 
-    Peel vertices of underlying degree <= 5 and greedy-color in reverse. A
-    stall means the remaining core has minimum degree >= 6, which cannot
-    happen for this arc group unless the host contains a four-blocks cycle
-    subdivision; the core's vertex set is returned as the failure evidence.
+    Peel the touched vertices at underlying degree <= 5 and greedy-color in
+    reverse; an untouched vertex takes 0 without entering the peel, as it
+    would have from the greedy. A stall means the remaining core has minimum
+    degree >= 6, which cannot happen for this arc group unless the host
+    contains a four-blocks cycle subdivision; the core's vertex set is
+    returned as the failure evidence.
     """
     level, num = t.level, t.numbering
     for u, v in d1.arcs:
         if not (level[u] < level[v] and num.is_ancestor(u, v)):
             raise ValueError(f"arc ({u},{v}) is not ancestor-increasing")
-    order, core = peel_low_degree(d1.vertices, d1.und_adj, 5)
+    order, core = peel_low_degree(d1.touched, d1.und_adj, 5)
     if core:
         return WheelCoreFailure(frozenset(core))
-    coloring = Coloring(greedy_reverse(d1.und_adj, order))
+    colors = dict.fromkeys(d1.vertices, 0)
+    colors.update(greedy_reverse(d1.und_adj, order))
+    coloring = Coloring(colors)
     assert coloring.palette_size <= 6
     return coloring
 
 
 def split_by_out_degree(d2: SubDigraph):
-    """(low, high, max out-degree inside high) split at out-degree <= 1."""
-    low = frozenset(v for v in d2.vertices if len(d2.out_adj[v]) <= 1)
-    high = frozenset(d2.vertices) - low
+    """(low, high, max out-degree inside high, worst) split at out-degree
+    <= 1; worst is (vertex, sorted out-neighbors inside high) for the
+    smallest vertex of that max out-degree, or None when high has no arc
+    inside it."""
+    high = frozenset(v for v in d2.touched if len(d2.out_adj[v]) > 1)
+    low = frozenset(d2.vertices) - high
     max_out = 0
     worst = None
     for v in sorted(high):
@@ -247,14 +266,18 @@ def color_d2(d2: SubDigraph) -> Union[D2Coloring, OutDegreeFailure]:
     reverse uses at most (max out-degree + 1) colors. Vertices of out-degree
     <= 1 take ids 0, 1, the rest ids 2..5 if their induced max out-degree is
     at most 3, which holds unless the host has a four-blocks cycle subdivision.
+    Kahn's peel and both greedies run on the touched vertices only; an
+    untouched vertex is in the low part and takes 0, as the greedy gave it.
     """
-    _acyclic_peel_order(d2, d2.vertices)
+    touched = d2.touched
+    _acyclic_peel_order(d2, touched)
     low, high, max_out, worst = split_by_out_degree(d2)
     if max_out > 3:
         assert worst is not None
         return OutDegreeFailure(worst[0], worst[1])
 
-    colors = greedy_reverse(d2.und_adj, _acyclic_peel_order(d2, low))
+    colors = dict.fromkeys(d2.vertices, 0)
+    colors.update(greedy_reverse(d2.und_adj, _acyclic_peel_order(d2, low & touched)))
     for v, c in greedy_reverse(d2.und_adj, _acyclic_peel_order(d2, high)).items():
         colors[v] = 2 + c
     assert len(set(colors.values())) <= 6
@@ -267,15 +290,19 @@ def color_d3(
     """Color the remaining arc group with color ids 0..4k+1, as the search
     assigns them; ``product_coloring`` renumbers them.
 
-    Saturation greedy first; when it overshoots, an exact branch and bound
-    decides colorability. A proven impossibility forces a two-block path
-    P(2k+1, 2k+1) to exist in the group, which is found and returned as the
-    failure witness.
+    Saturation greedy first, on the touched vertices; an untouched vertex
+    takes 0, as it would have last in the saturation order. When the greedy
+    overshoots, an exact branch and bound on every class vertex decides
+    colorability, so its node count and budget cut stay those of the whole
+    class. A proven impossibility forces a two-block path P(2k+1, 2k+1) to
+    exist in the group, which is found and returned as the failure witness.
     """
     q = 4 * k + 2
-    heuristic = exactcolor.dsatur(d3.vertices, d3.und_adj)
+    heuristic = exactcolor.dsatur(d3.touched, d3.und_adj)
     if len(set(heuristic.values())) <= q:
-        return Coloring(heuristic)
+        colors = dict.fromkeys(d3.vertices, 0)
+        colors.update(heuristic)
+        return Coloring(colors)
     exact = exactcolor.color_within(d3.vertices, d3.und_adj, q, budget)
     if exact is not None:
         return Coloring(exact)
