@@ -43,7 +43,7 @@ from fourblocks import (
     find_two_block_path,
 )
 from fourblocks import decomposition, exactcolor
-from fourblocks.decomposition import D2Coloring
+from fourblocks.decomposition import D2Coloring, _acyclic_peel_order, greedy_reverse
 from fourblocks.errors import NotAcyclic, ParseError
 from fourblocks._subdiv_py import ABSENT, BUDGET, FOUND
 
@@ -491,7 +491,7 @@ def color_d1(d1, t):
     order, core = decomposition.peel_low_degree(d1.vertices, d1.und_adj, 5)
     if core:
         return WheelCoreFailure(frozenset(core))
-    coloring = Coloring(decomposition.greedy_reverse(d1.und_adj, order))
+    coloring = Coloring(greedy_reverse(d1.und_adj, order))
     assert coloring.palette_size <= 6
     return coloring
 
@@ -511,8 +511,6 @@ def split_by_out_degree(d2):
 
 def color_d2(d2):
     """Kahn's peel and the two greedies over every class vertex."""
-    _acyclic_peel_order = decomposition._acyclic_peel_order
-    greedy_reverse = decomposition.greedy_reverse
     _acyclic_peel_order(d2, d2.vertices)
     low, high, max_out, worst = split_by_out_degree(d2)
     if max_out > 3:

@@ -28,13 +28,11 @@ from fourblocks import (
     generate,
     spanning_out_tree,
 )
+from fourblocks import decomposition
 from fourblocks.decomposition import (
     SubDigraph,
     _acyclic_peel_order,
     arc_partition,
-    color_d1,
-    color_d2,
-    color_d3,
     level_classes,
     peel_low_degree,
 )
@@ -232,7 +230,7 @@ def path_tree(n) -> OutTree:
 
 
 def stage_cases(d, root, rng):
-    """(stage, tree, vertices, arcs, d3 budget) for each arc group of each
+    """(stage, tree, vertices, arcs, k, d3 budget) for each arc group of each
     level class (k = 1, 2), and each again padded with isolated vertices of
     other classes. Small digraphs add whole-digraph groups, on which d1 can
     stall, d2 meets cycles and high out-degrees, and d3 runs its exact
@@ -246,38 +244,31 @@ def stage_cases(d, root, rng):
             part = arc_partition(d, t, cls)
             pad = [v for v in range(d.n) if v not in cls and rng.randrange(2)]
             for vertices in (cls, cls | set(pad)):
-                cases.append(("d1", t, vertices, part.a1, k))
-                cases.append(("d2", t, vertices, part.a2, k))
+                cases.append(("d1", t, vertices, part.a1, k, None))
+                cases.append(("d2", t, vertices, part.a2, k, None))
                 cases.append(("d3", t, vertices, part.a3, k, DEFAULT_BUDGET))
     if d.n <= 60:
         padded = range(d.n + 3)
         forward = [(u, v) for u, v in d.arcs if u < v]
         for vertices in (range(d.n), padded):
-            cases.append(("d1", path_tree(d.n + 3), vertices, forward, 1))
-            cases.append(("d2", None, vertices, d.arcs, 1))
-            cases.append(("d2", None, vertices, forward, 1))
+            cases.append(("d1", path_tree(d.n + 3), vertices, forward, 1, None))
+            cases.append(("d2", None, vertices, d.arcs, 1, None))
+            cases.append(("d2", None, vertices, forward, 1, None))
             for budget in (1, 15, 400, DEFAULT_BUDGET):
                 cases.append(("d3", None, vertices, d.arcs, 1, budget))
     return cases
 
 
 def run_stage(module, case):
-    name, t, vertices, arcs, k = case[:5]
+    """Run the case on ``module``'s SubDigraph and stages: the package's
+    ``decomposition`` or the all-vertex copies in ``naive``."""
+    name, t, vertices, arcs, k, budget = case
     sub = module.SubDigraph(vertices, arcs)
     if name == "d1":
         return stage_outcome(module.color_d1, sub, t)
     if name == "d2":
         return stage_outcome(module.color_d2, sub)
-    return stage_outcome(module.color_d3, sub, k, case[5])
-
-
-class Stages:
-    """The package's stages, under the names ``naive`` gives its copies."""
-
-    SubDigraph = SubDigraph
-    color_d1 = staticmethod(color_d1)
-    color_d2 = staticmethod(color_d2)
-    color_d3 = staticmethod(color_d3)
+    return stage_outcome(module.color_d3, sub, k, budget)
 
 
 def outcome_kind(outcome) -> str:
@@ -295,7 +286,7 @@ def test_stages_match_the_all_vertex_stages(family):
     seen = set()
     for d, root in FAMILIES[family]:
         for case in stage_cases(d, root, rng):
-            new = run_stage(Stages, case)
+            new = run_stage(decomposition, case)
             old = run_stage(naive, case)
             assert type(new) is type(old)
             assert new == old
