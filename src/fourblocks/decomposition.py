@@ -457,8 +457,7 @@ def color_strong_digraph(
             failure_reason = f"class {i}: found P({r3.a},{r3.b}), chromatic bound fails"
             break
 
-        c12 = product_coloring(r1, r2, cls, cls)
-        c123 = product_coloring(c12, r3, cls, cls)
+        c123 = product_coloring((r1, cls), (r2, cls), (r3, cls))
         assert c123.palette_size <= block
         reports.append(
             ClassReport(

@@ -12,7 +12,7 @@ from __future__ import annotations
 import re
 from dataclasses import dataclass
 from operator import eq
-from typing import Iterable, Optional, Sequence
+from typing import Hashable, Iterable, Optional, Sequence
 
 from .errors import ParseError
 
@@ -147,14 +147,8 @@ class Coloring:
     def normalized(self) -> "Coloring":
         """Renumber colors to contiguous 0-based ids, by first appearance in
         ascending vertex order. Keeps certificates stable."""
-        remap: dict[int, int] = {}
-        out: dict[int, int] = {}
-        for v in sorted(self.colors):
-            c = self.colors[v]
-            if c not in remap:
-                remap[c] = len(remap)
-            out[v] = remap[c]
-        return Coloring(out)
+        vertices = sorted(self.colors)
+        return Coloring(_first_appearance(vertices, map(self.colors.get, vertices)))
 
     def as_list(self, n: int) -> list[int]:
         """Dense color list for a coloring total on 0..n-1."""
@@ -201,43 +195,33 @@ def is_proper(g: UGraph, c: Coloring) -> bool:
     return all(colors[u] != colors[v] for u, v in g.edges)
 
 
-def product_coloring(
-    c1: Coloring,
-    c2: Coloring,
-    v1: Iterable[int],
-    v2: Iterable[int],
-) -> Coloring:
-    """Combine two proper colorings into one for the union of their hosts.
+def _first_appearance(vertices: Iterable[int], keys: Iterable[Hashable]) -> dict[int, int]:
+    """vertex -> 0-based id of its key, ids numbered by first appearance in
+    the order given; vertices and keys run in step."""
+    ids: dict[Hashable, int] = {}
+    return {v: ids.setdefault(key, len(ids)) for v, key in zip(vertices, keys)}
 
-    Each vertex gets a pair: (phi1(x), 1) on v1 only, (phi1(x), phi2(x)) on
-    the intersection, (1, phi2(x)) on v2 only, with phi the 1-based color.
-    Pairs are then flattened to contiguous ids. When both inputs are proper
-    on their graphs the result is proper on the union, with palette at most
-    palette(c1) * palette(c2).
+
+def product_coloring(*parts: tuple[Coloring, Iterable[int]]) -> Coloring:
+    """Combine proper colorings, each given with its host, into one for the
+    union of the hosts.
+
+    Each vertex gets a key with one entry per part: 1 + its color in that
+    part if the vertex is in the part's host, else 1. Keys are then
+    renumbered to contiguous ids by first appearance in ascending vertex
+    order. When every part is proper on its graph the result is proper on
+    the union, with palette at most the product of the parts' palettes.
     """
-    s1, s2 = set(v1), set(v2)
-    for v in s1:
-        if v not in c1.colors:
-            raise ValueError(f"c1 not total on v1: vertex {v} uncolored")
-    for v in s2:
-        if v not in c2.colors:
-            raise ValueError(f"c2 not total on v2: vertex {v} uncolored")
-    pairs: dict[int, tuple[int, int]] = {}
-    for x in s1 | s2:
-        if x in s1 and x in s2:
-            pairs[x] = (c1.colors[x] + 1, c2.colors[x] + 1)
-        elif x in s1:
-            pairs[x] = (c1.colors[x] + 1, 1)
-        else:
-            pairs[x] = (1, c2.colors[x] + 1)
-    remap: dict[tuple[int, int], int] = {}
-    out: dict[int, int] = {}
-    for x in sorted(pairs):
-        p = pairs[x]
-        if p not in remap:
-            remap[p] = len(remap)
-        out[x] = remap[p]
-    return Coloring(out)
+    hosts = [set(host) for _, host in parts]
+    gaps = [(i, gap) for i, ((c, _), host) in enumerate(zip(parts, hosts))
+            if (gap := host - c.colors.keys())]
+    if gaps:
+        i, gap = gaps[0]
+        raise ValueError(f"parts[{i}] not total on its host: vertex {min(gap)} uncolored")
+    union = sorted(set().union(*hosts))
+    columns = [[c.colors[x] + 1 if x in host else 1 for x in union]
+               for (c, _), host in zip(parts, hosts)]
+    return Coloring(_first_appearance(union, zip(*columns)))
 
 
 # --- shared text format -----------------------------------------------------

@@ -4,6 +4,7 @@ Run with `pytest tests/test_acceptance.py -v -s` to see the lines.
 """
 
 import json
+import math
 
 from fourblocks import (
     Coloring,
@@ -267,22 +268,19 @@ def test_criterion_7_product_coloring_law():
     failures = []
     for case in range(1000):
         n = 4 + rng.randrange(9)
-        d1 = _random_digraph(rng, n, rng.randrange(2 * n + 1))
-        d2 = _random_digraph(rng, n, rng.randrange(2 * n + 1))
-        v1 = {v for v in range(n) if rng.randrange(3) > 0}
-        v2 = {v for v in range(n) if rng.randrange(3) > 0}
-        g1 = UGraph(n, ((u, v) for u, v in d1.arcs if u in v1 and v in v1))
-        g2 = UGraph(n, ((u, v) for u, v in d2.arcs if u in v2 and v in v2))
-        c1 = Coloring({v: c for v, c in _peel_coloring(g1).items() if v in v1})
-        c2 = Coloring({v: c for v, c in _peel_coloring(g2).items() if v in v2})
-        out = product_coloring(c1, c2, v1, v2)
-        union = UGraph(n, g1.edges | g2.edges)
+        parts, edges = [], set()
+        for _ in range(3):
+            arcs = _random_digraph(rng, n, rng.randrange(2 * n + 1)).arcs
+            host = {v for v in range(n) if rng.randrange(3) > 0}
+            g = UGraph(n, ((u, v) for u, v in arcs if u in host and v in host))
+            colors = _peel_coloring(g)
+            parts.append((Coloring({v: colors[v] for v in host}), host))
+            edges |= g.edges
+        out = product_coloring(*parts)
         sized = Coloring({v: out.colors.get(v, 0) for v in range(n)})
-        if not is_proper(union, sized):
+        if not is_proper(UGraph(n, edges), sized):
             failures.append((case, "product not proper on the union"))
-        p1 = len(set(c1.colors.values())) if c1.colors else 1
-        p2 = len(set(c2.colors.values())) if c2.colors else 1
-        if out.palette_size > p1 * p2:
+        if out.palette_size > math.prod(c.palette_size or 1 for c, _ in parts):
             failures.append((case, "palette exceeds the product bound"))
     _report(7, "product coloring law", failures, "1000 randomized cases")
 

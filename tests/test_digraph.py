@@ -249,18 +249,30 @@ class TestProductColoring:
     def test_disjoint_sets(self):
         c1 = Coloring({0: 0, 1: 1})
         c2 = Coloring({2: 0, 3: 1, 4: 2})
-        out = product_coloring(c1, c2, {0, 1}, {2, 3, 4})
+        out = product_coloring((c1, {0, 1}), (c2, {2, 3, 4}))
         assert set(out.colors) == {0, 1, 2, 3, 4}
         assert out.palette_size <= 6
 
     def test_identical_single_color(self):
         c = Coloring({0: 0, 1: 0})
-        out = product_coloring(c, c, {0, 1}, {0, 1})
+        out = product_coloring((c, {0, 1}), (c, {0, 1}))
         assert out.palette_size == 1
 
     def test_rejects_partial(self):
-        with pytest.raises(ValueError):
-            product_coloring(Coloring({0: 0}), Coloring({1: 0}), {0, 2}, {1})
+        with pytest.raises(ValueError, match=r"parts\[1\] .* vertex 2 uncolored"):
+            product_coloring((Coloring({0: 0}), {0}), (Coloring({1: 0}), {1, 3, 2}))
+
+    def test_one_pass_equals_two_step_fold(self):
+        # The certificate bytes rest on this: on equal hosts, folding three
+        # parts at once gives the ids of folding the first two, then the third.
+        rng = Rng(1616)
+        for _ in range(300):
+            n = 1 + rng.randrange(12)
+            host = [v for v in range(n) if rng.randrange(4)] or [0]
+            a, b, c = (Coloring({v: rng.randrange(4) for v in host}) for _ in range(3))
+            once = product_coloring((a, host), (b, host), (c, host))
+            twice = product_coloring((product_coloring((a, host), (b, host)), host), (c, host))
+            assert once == twice
 
     def test_proper_on_union_shared_path(self):
         # overlapping hosts along a shared path
@@ -269,7 +281,7 @@ class TestProductColoring:
         g1, g2 = underlying_graph(d1), underlying_graph(d2)
         c1, c2 = greedy(g1), greedy(g2)
         union = UGraph(4, g1.edges | g2.edges)
-        out = product_coloring(c1, c2, range(4), range(4))
+        out = product_coloring((c1, range(4)), (c2, range(4)))
         assert is_proper(union, out)
 
 

@@ -1,0 +1,202 @@
+"""Property tests on small random inputs.
+
+networkx is an independent oracle for strong connectivity and for the core
+that the degree peel leaves. Mutated certificates and mutated digraph files
+check the error contracts: the verifier raises nothing but ValueError, and
+the command line exits within 0-5 without a traceback.
+"""
+
+import copy
+import io
+import json
+from contextlib import redirect_stderr, redirect_stdout
+
+import pytest
+
+from fourblocks import (
+    CyclePattern,
+    Digraph,
+    HamiltonianCycle,
+    color_hamiltonian,
+    color_strong_digraph,
+    find_cycle_subdivision,
+    format_digraph,
+    is_strongly_connected,
+    verify_certificate,
+    witness_to_json,
+)
+from fourblocks.cli import main
+from fourblocks.decomposition import peel_low_degree
+
+hyp = pytest.importorskip("hypothesis")
+st = hyp.strategies
+
+SETTINGS = dict(deadline=None, database=None, derandomize=True)
+
+
+@st.composite
+def digraphs(draw, max_n=11):
+    """A digraph on 1..max_n vertices with up to 4n distinct arcs."""
+    n = draw(st.integers(1, max_n))
+    if n == 1:
+        return Digraph(1, [])
+    shifts = st.tuples(st.integers(0, n - 1), st.integers(1, n - 1))
+    arcs = draw(st.lists(shifts, max_size=4 * n, unique=True))
+    return Digraph(n, ((u, (u + s) % n) for u, s in arcs))
+
+
+def nx_digraph(nx, d):
+    g = nx.DiGraph()
+    g.add_nodes_from(range(d.n))
+    g.add_edges_from(d.arcs)
+    return g
+
+
+class TestNetworkxOracle:
+    def test_strong_connectivity(self):
+        nx = pytest.importorskip("networkx")
+
+        @hyp.settings(max_examples=150, **SETTINGS)
+        @hyp.given(digraphs())
+        def check(d):
+            assert is_strongly_connected(d) == nx.is_strongly_connected(nx_digraph(nx, d))
+
+        check()
+
+    def test_peel_core_is_k_core(self):
+        nx = pytest.importorskip("networkx")
+
+        @hyp.settings(max_examples=150, **SETTINGS)
+        @hyp.given(digraphs(), st.integers(0, 5))
+        def check(d, t):
+            _, core = peel_low_degree(range(d.n), d.neighbor_sets(), t)
+            undirected = nx_digraph(nx, d).to_undirected()
+            assert set(core) == set(nx.k_core(undirected, t + 1))
+
+        check()
+
+
+def cycle(n):
+    return Digraph(n, ((i, (i + 1) % n) for i in range(n)))
+
+
+def complete(n):
+    return Digraph(n, ((i, j) for i in range(n) for j in range(n) if i != j))
+
+
+def emitted(obj) -> dict:
+    """obj as `verify` reads it back from a file."""
+    return json.loads(json.dumps(obj))
+
+
+def certificates():
+    """(digraph, certificate) for a pipeline coloring and subdivision, a
+    Hamiltonian coloring and stall, and a bare witness."""
+    ham = HamiltonianCycle(tuple(range(8)))
+    pattern = CyclePattern.from_k(1, 1)
+    bare = find_cycle_subdivision(complete(13), pattern)
+    return [
+        (cycle(5), emitted(color_strong_digraph(cycle(5), 1, 1).to_json_dict())),
+        (complete(13), emitted(color_strong_digraph(complete(13), 1, 1).to_json_dict())),
+        (cycle(8), emitted(color_hamiltonian(cycle(8), ham, 1, 1).to_json_dict())),
+        (complete(8), emitted(color_hamiltonian(complete(8), ham, 1, 1).to_json_dict())),
+        (complete(13), emitted(witness_to_json(bare, pattern))),
+    ]
+
+
+CERTIFICATES = certificates()
+
+# JSON values a hand-edited or corrupted certificate may hold.
+JSON_VALUES = st.one_of(
+    st.none(),
+    st.booleans(),
+    st.integers(-3, 20),
+    st.integers(),
+    st.floats(),
+    st.text(max_size=3),
+    st.lists(st.integers(-1, 14), max_size=4),
+    st.just({}),
+)
+
+
+def locations(obj, path=()):
+    """Every path into obj: a tuple of dict keys and list indices."""
+    yield path
+    if isinstance(obj, dict):
+        for key, value in obj.items():
+            yield from locations(value, path + (key,))
+    elif isinstance(obj, list):
+        for i, value in enumerate(obj):
+            yield from locations(value, path + (i,))
+
+
+def mutate(data, cert):
+    """cert with one value replaced, removed or duplicated."""
+    path = data.draw(st.sampled_from(list(locations(cert))))
+    if not path:
+        return data.draw(JSON_VALUES)
+    parent = cert
+    for step in path[:-1]:
+        parent = parent[step]
+    key = path[-1]
+    action = data.draw(st.sampled_from(["replace", "replace", "remove", "duplicate"]))
+    if action == "replace":
+        parent[key] = data.draw(JSON_VALUES)
+    elif action == "remove":
+        del parent[key]
+    elif isinstance(parent, list):
+        parent.insert(key, parent[key])
+    return cert
+
+
+def test_verifier_raises_only_value_error_on_mutated_certificates():
+    @hyp.settings(max_examples=300, **SETTINGS)
+    @hyp.given(st.sampled_from(CERTIFICATES), st.integers(1, 3), st.data())
+    def check(case, count, data):
+        d, cert = case
+        cert = copy.deepcopy(cert)
+        for _ in range(count):
+            if not isinstance(cert, (dict, list)):
+                break
+            cert = mutate(data, cert)
+        try:
+            verify_certificate(d, cert)
+        except ValueError:
+            pass
+
+    check()
+
+
+# Single characters an edit may put into a digraph file.
+PIECES = ["", " ", "\n", "\r\n", "#", "-", "x", "0", "1", "2", "7", "9", "١"]
+
+
+@pytest.fixture(scope="module")
+def digraph_file(tmp_path_factory):
+    return tmp_path_factory.mktemp("mutated") / "d.dg"
+
+
+def test_cli_exits_within_contract_on_mutated_digraph_files(digraph_file):
+    @hyp.settings(max_examples=60, **SETTINGS)
+    @hyp.given(st.data())
+    def check(data):
+        n = data.draw(st.integers(2, 8))
+        chords = data.draw(st.lists(st.tuples(st.integers(0, n - 1), st.integers(0, n - 1)),
+                                    max_size=3 * n))
+        arcs = {(i, (i + 1) % n) for i in range(n)}
+        arcs |= {(u, v) for u, v in chords if u != v}
+        text = format_digraph(Digraph(n, arcs))
+        for _ in range(data.draw(st.integers(0, 2))):
+            i = data.draw(st.integers(0, len(text)))
+            j = data.draw(st.integers(i, min(i + 2, len(text))))
+            text = text[:i] + data.draw(st.sampled_from(PIECES)) + text[j:]
+        digraph_file.write_text(text)
+        k1, k3 = data.draw(st.sampled_from([(1, 1), (1, 2), (2, 1)]))
+        for command in ("color", "color-ham", "find"):
+            argv = [command, str(digraph_file), "--k1", str(k1), "--k3", str(k3),
+                    "--budget", "300", "--json"]
+            with redirect_stdout(io.StringIO()), redirect_stderr(io.StringIO()):
+                code = main(argv)
+            assert 0 <= code <= 5, (argv, text, code)
+
+    check()
