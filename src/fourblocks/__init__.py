@@ -66,6 +66,7 @@ from .decomposition import (
 )
 from .hamiltonian import (
     ChordViolation,
+    ChordViolations,
     HamiltonianCycle,
     PeelColoring,
     PeelStall,

@@ -4,7 +4,8 @@ Exit codes are a stable contract:
 
     0  success (coloring produced / witness found / certificate valid)
     1  input problem (missing, unparsable or unwritable file, malformed
-       certificate or cycle file, block length below 1, bad budget)
+       certificate or cycle file, block length below 1, bad budget); also
+       a failed `stress` campaign member, or kernels that disagree in `bench`
     2  precondition failure (not strongly connected)
     3  structural outcome (subdivision found / peel stalled / not found /
        certificate invalid, depending on the command)

@@ -13,14 +13,17 @@ cycle vertices that lie at least k arcs after v and at least k arcs before
 u along C[v,u]. Any violation pinpoints a subdivision. The checker is one
 sweep of prefix neighbor counts along the cycle: O(n + m) interpreted
 steps, plus slice arithmetic run inside C over every gap vertex of every
-chord.
+chord. It keeps one record per violating chord, and its result builds a
+``ChordViolation`` row only when a reader asks for one.
 """
 
 from __future__ import annotations
 
+from bisect import bisect_right
+from collections.abc import Sequence
 from dataclasses import dataclass
 from functools import partial
-from itertools import chain, compress, repeat
+from itertools import accumulate, chain, compress, repeat
 from operator import gt, sub
 from typing import NamedTuple, Optional, Union
 
@@ -188,16 +191,69 @@ class ChordViolation(NamedTuple):
 _violation = partial(tuple.__new__, ChordViolation)
 
 
+class ChordViolations(Sequence):
+    """The rows of a chord check, read-only, stored one record per chord.
+
+    ``chords`` holds one ``(u, v, ws, counts)`` record per chord (v,u) with
+    a violating gap vertex: the tuple ``ws`` of its gap vertices with more
+    than 2 zone neighbors, in cycle order from u, and the tuple ``counts``
+    of those neighbor counts. The sequence reads as the ``ChordViolation`` rows
+    ``(u, v, ws[j], counts[j])`` of each record in turn, and compares equal
+    to the list of those rows. ``len`` and ``bool`` read a prefix sum; a row
+    object is built only when it is indexed or iterated.
+    """
+
+    __slots__ = ("chords", "_starts")
+    __hash__ = None
+
+    def __init__(self, chords: tuple):
+        self.chords = chords
+        # _starts[c]: the index of the first row of chords[c]; the last
+        # entry is the row count
+        self._starts = [0, *accumulate(len(ws) for _, _, ws, _ in chords)]
+
+    def __len__(self) -> int:
+        return self._starts[-1]
+
+    def __getitem__(self, i: int) -> ChordViolation:
+        if i < 0:
+            i += len(self)
+        if not 0 <= i < len(self):
+            raise IndexError("chord violation index out of range")
+        c = bisect_right(self._starts, i) - 1
+        u, v, ws, counts = self.chords[c]
+        j = i - self._starts[c]
+        return _violation((u, v, ws[j], counts[j]))
+
+    def __iter__(self):
+        return chain.from_iterable(
+            map(_violation, zip(repeat(u), repeat(v), ws, counts))
+            for u, v, ws, counts in self.chords
+        )
+
+    def __eq__(self, other):
+        if isinstance(other, ChordViolations):
+            other = list(other)
+        elif not isinstance(other, list):
+            return NotImplemented
+        return list(self) == other
+
+    def __repr__(self) -> str:
+        return f"ChordViolations({self.chords!r})"
+
+
 def check_chord_neighbor_bound(
     d: Digraph, c: HamiltonianCycle, k: int
-) -> list[ChordViolation]:
+) -> ChordViolations:
     """All (u,v,w) triples where w breaks the 2-neighbor zone bound.
 
     For an arc (v,u) off the cycle, the zone is the set of vertices at cycle
     distance k..(L-k) from v along C[v,u] (L = length of C[v,u]); triples
     whose zone is empty are skipped. An empty result is expected whenever
     the digraph has no subdivision of C(k,1,k,1). Violations come in sorted
-    arc order, then in cycle order of w from u.
+    arc order, then in cycle order of w from u. They are returned as a
+    ``ChordViolations`` sequence of ``ChordViolation`` rows, which keeps one
+    ``(u, v, ws, counts)`` record per violating chord.
 
     Cycle positions are laid out twice, on the line 0..2n-1, where neither
     the zone [a, b] = [pos(v) + k, pos(v) + L - k] nor the gap slice
@@ -205,10 +261,11 @@ def check_chord_neighbor_bound(
     cnt[s], the number of neighbors of the vertex at position s (mod n)
     that lie on the line at or before x. A chord copies cnt[lo:hi] just
     before x = a and subtracts that copy from cnt[lo:hi] right after
-    x = b. The sweep costs O(n + m) interpreted steps. The copies and
-    subtractions, one per gap vertex of every chord, run inside C-level
-    slice and ``map`` calls, and the copies alive at once hold at most
-    that many counts.
+    x = b; ``compress`` then keeps the gap vertices whose count exceeds 2,
+    and their counts. The sweep costs O(n + m) interpreted steps. The
+    copies, subtractions and filters, one per gap vertex of every chord,
+    run inside C-level slice, ``map`` and ``compress`` calls, and the
+    copies alive at once hold at most that many counts.
     """
     if k < 1:
         raise ValueError("block parameter k must be positive")
@@ -241,7 +298,8 @@ def check_chord_neighbor_bound(
         closes[pv + L - k].append(i)
 
     before: dict[int, list[int]] = {}
-    found: list[list[ChordViolation]] = [[]] * len(chords)
+    # found[i]: the record of chord i, or () while it has no violating row
+    found: list[tuple] = [()] * len(chords)
     cnt = [0] * (2 * n)
     for x, near in enumerate(bumps * 2):
         for i in opens[x]:
@@ -252,7 +310,8 @@ def check_chord_neighbor_bound(
         for i in closes[x]:
             u, v, lo, hi = chords[i]
             counts = list(map(sub, cnt[lo:hi], before.pop(i)))
-            rows = zip(repeat(u), repeat(v), line[lo:hi], counts)
-            above = map(gt, counts, repeat(2))
-            found[i] = list(map(_violation, compress(rows, above)))
-    return list(chain.from_iterable(found))
+            above = list(map(gt, counts, repeat(2)))
+            ws = tuple(compress(line[lo:hi], above))
+            if ws:
+                found[i] = (u, v, ws, tuple(compress(counts, above)))
+    return ChordViolations(tuple(filter(None, found)))

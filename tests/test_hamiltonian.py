@@ -1,8 +1,12 @@
+from collections.abc import Sequence
+from itertools import groupby
+
 import pytest
 
 from fourblocks import (
     BudgetExceeded,
     ChordViolation,
+    ChordViolations,
     CyclePattern,
     Digraph,
     Family,
@@ -10,6 +14,7 @@ from fourblocks import (
     HamiltonianCycle,
     PeelColoring,
     PeelStall,
+    Rng,
     check_chord_neighbor_bound,
     color_hamiltonian,
     find_cycle_subdivision,
@@ -21,6 +26,7 @@ from fourblocks import (
 )
 
 import naive
+from test_equivalence import chorded_cycle
 
 
 def cycle(n):
@@ -186,3 +192,64 @@ class TestChordNeighborBound:
         assert all(type(v) is ChordViolation for v in violations)
         # k = 2 shrinks the zone of (1,0) to 4, 7, 2, still across 0
         assert check_chord_neighbor_bound(d, c, 2) == [(0, 1, 3, 3)]
+
+
+class TestChordViolationsSequence:
+    """The check's result reads as the list of rows that the naive
+    per-chord set intersections give."""
+
+    def cases(self):
+        for seed, n, m in [(1, 40, 120), (2, 60, 180), (3, 25, 90)]:
+            d, c = chorded_cycle(Rng(seed), n, m)
+            for k in (1, 2):
+                want = naive.check_chord_neighbor_bound(d, c, k)
+                assert len(want) > 3
+                yield want, check_chord_neighbor_bound(d, c, k)
+
+    def test_length_and_empty_result(self):
+        for want, got in self.cases():
+            assert isinstance(got, ChordViolations) and isinstance(got, Sequence)
+            assert len(got) == len(want) and got
+        empty = check_chord_neighbor_bound(cycle(9), find_hamiltonian_cycle(cycle(9)), 1)
+        assert len(empty) == 0 and not empty and empty.chords == ()
+        assert list(empty) == [] and empty == []
+        with pytest.raises(IndexError):
+            empty[0]
+
+    def test_indices(self):
+        for want, got in self.cases():
+            size = len(want)
+            for i in (0, -1, size // 2, 1, size - 1, -size):
+                assert got[i] == want[i]
+                assert type(got[i]) is ChordViolation
+            for i in (size, size + 5, -size - 1):
+                with pytest.raises(IndexError):
+                    got[i]
+
+    def test_iteration_yields_chord_violation_rows(self):
+        for want, got in self.cases():
+            rows = list(got)
+            assert rows == want
+            assert all(type(x) is ChordViolation for x in rows)
+            assert list(got) == rows  # iterating again gives the same rows
+
+    def test_equality_with_lists_both_ways(self):
+        for want, got in self.cases():
+            assert got == want and want == got
+            assert got != want[:-1] and want[:-1] != got
+            changed = want[:-1] + [(*want[-1][:3], want[-1][3] + 1)]
+            assert got != changed and changed != got
+            assert got != tuple(want)
+        d, c = chorded_cycle(Rng(1), 40, 120)
+        first, second = (check_chord_neighbor_bound(d, c, 1) for _ in range(2))
+        assert first == second and first != check_chord_neighbor_bound(d, c, 2)
+        with pytest.raises(TypeError):
+            hash(first)
+
+    def test_chords_group_rows_by_arc(self):
+        for want, got in self.cases():
+            groups = []
+            for (u, v), rows in groupby(want, key=lambda r: r[:2]):
+                rows = list(rows)
+                groups.append((u, v, tuple(r[2] for r in rows), tuple(r[3] for r in rows)))
+            assert got.chords == tuple(groups)

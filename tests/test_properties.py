@@ -16,6 +16,7 @@ import pytest
 from fourblocks import (
     CyclePattern,
     Digraph,
+    Family,
     HamiltonianCycle,
     color_hamiltonian,
     color_strong_digraph,
@@ -198,5 +199,109 @@ def test_cli_exits_within_contract_on_mutated_digraph_files(digraph_file):
             with redirect_stdout(io.StringIO()), redirect_stderr(io.StringIO()):
                 code = main(argv)
             assert 0 <= code <= 5, (argv, text, code)
+
+    check()
+
+
+def exit_code(argv) -> int:
+    """main(argv) with its output swallowed; a traceback fails the test."""
+    with redirect_stdout(io.StringIO()), redirect_stderr(io.StringIO()):
+        return main(argv)
+
+
+def edit_text(data, text):
+    """text with one or two short spans replaced by one of PIECES each."""
+    for _ in range(data.draw(st.integers(1, 2))):
+        i = data.draw(st.integers(0, len(text)))
+        j = data.draw(st.integers(i, min(i + 2, len(text))))
+        text = text[:i] + data.draw(st.sampled_from(PIECES)) + text[j:]
+    return text
+
+
+def test_verify_exits_within_contract_on_mutated_inputs(digraph_file):
+    cert_file = digraph_file.with_name("cert.json")
+
+    @hyp.settings(max_examples=150, **SETTINGS)
+    @hyp.given(st.sampled_from(CERTIFICATES),
+               st.sampled_from(["none", "values", "json text", "digraph text"]),
+               st.data())
+    def check(case, edit, data):
+        d, cert = case
+        cert = copy.deepcopy(cert)
+        if edit == "values":
+            cert = mutate(data, cert)
+        text, cert_text = format_digraph(d), json.dumps(cert)
+        if edit == "json text":
+            cert_text = edit_text(data, cert_text)
+        elif edit == "digraph text":
+            text = edit_text(data, text)
+        digraph_file.write_text(text)
+        cert_file.write_text(cert_text)
+        code = exit_code(["verify", str(digraph_file), str(cert_file)])
+        assert 0 <= code <= 5, (text, cert_text, code)
+
+    check()
+
+
+# Block lengths: mostly valid, sometimes 0, which every command refuses.
+BLOCKS = st.sampled_from([1, 2, 1, 0])
+PATTERNS = st.sampled_from([None, "1,1,1,1", "2,1,1,1", "1 1 2 1", "1,2,1,1", "0,1,1,1",
+                            "1,1,1", "a,1,1,1"])
+
+
+def test_gen_exits_within_contract_on_drawn_arguments(tmp_path):
+    @hyp.settings(max_examples=150, **SETTINGS)
+    @hyp.given(st.data())
+    def check(data):
+        n = data.draw(st.integers(-1, 12))
+        m = n + data.draw(st.integers(-2, 2 * abs(n) + 2))
+        argv = ["gen", "--family", data.draw(st.sampled_from([f.value for f in Family])),
+                f"--n={n}", f"--m={m}",
+                f"--seed={data.draw(st.integers(-(2**70), 2**70))}"]
+        pattern = data.draw(PATTERNS)
+        if pattern is not None:
+            argv.append(f"--pattern={pattern}")
+        # stdout, a file, or a directory, which cannot be written as a file
+        out = data.draw(st.sampled_from([None, tmp_path / "g.dg", tmp_path]))
+        if out is not None:
+            argv.append(f"--output={out}")
+        code = exit_code(argv)
+        assert 0 <= code <= 5, (argv, code)
+
+    check()
+
+
+def test_stress_exits_within_contract_on_drawn_arguments(tmp_path, monkeypatch):
+    # a failing campaign member is written to stress_fail_*.dg in the
+    # working directory
+    monkeypatch.chdir(tmp_path)
+
+    @hyp.settings(max_examples=60, **SETTINGS)
+    @hyp.given(st.data())
+    def check(data):
+        family = data.draw(st.sampled_from(["strong", "hamiltonian", "planted"]))
+        argv = ["stress", "--family", family,
+                f"--count={data.draw(st.integers(0, 2))}",
+                f"--n={data.draw(st.integers(-3, 7))}",
+                f"--k1={data.draw(BLOCKS)}", f"--k3={data.draw(BLOCKS)}",
+                f"--seed={data.draw(st.integers(-5, 60))}",
+                f"--budget={data.draw(st.integers(-1, 400))}"]
+        code = exit_code(argv)
+        assert 0 <= code <= 5, (argv, code)
+
+    check()
+
+
+def test_bench_exits_within_contract_on_drawn_arguments():
+    @hyp.settings(max_examples=30, **SETTINGS)
+    @hyp.given(st.data())
+    def check(data):
+        argv = ["bench", f"--n={data.draw(st.integers(-2, 10))}",
+                f"--count={data.draw(st.integers(-1, 2))}",
+                f"--seed={data.draw(st.integers(-5, 60))}",
+                f"--k1={data.draw(BLOCKS)}", f"--k3={data.draw(BLOCKS)}",
+                f"--budget={data.draw(st.integers(-1, 400))}"]
+        code = exit_code(argv)
+        assert 0 <= code <= 5, (argv, code)
 
     check()
