@@ -17,6 +17,7 @@ from fourblocks import (
     SubDigraph,
     SubdivisionFound,
     TwoBlockPathWitness,
+    VerifyResult,
     WheelCoreFailure,
     arc_partition,
     color_d1,
@@ -460,3 +461,110 @@ class TestPipeline:
         assert isinstance(cert, Inconclusive)
         assert cert.stage == "color_d2"
         assert "unexpected" in cert.reason
+
+
+class TestFallbackExits:
+    """Every stage failure ends the class loop and reaches the one fallback:
+    the whole-digraph search for (k,1,k,1), a witness re-verified against
+    (k1,1,k3,1). A 7-cycle with k = 2 has four nonempty level classes; the
+    failure is planted in class 2 = {1, 5}."""
+
+    K1, K3, BUDGET = 1, 2, 1234
+    SEARCHED = CyclePattern((2, 1, 2, 1))
+    TARGET = CyclePattern((1, 1, 2, 1))
+    STAGES = ("color_d1", "color_d2", "color_d3")
+    FAILURES = {
+        "color_d1": (
+            lambda sub: WheelCoreFailure(frozenset(sub.vertices)),
+            "class 2: degree-5 peel stalled on a core of 2 vertices",
+        ),
+        "color_d2": (
+            lambda sub: OutDegreeFailure(1, (2, 3, 4, 5)),
+            "class 2: vertex 1 keeps out-degree 4 in the high part",
+        ),
+        "color_d3": (
+            lambda sub: TwoBlockPathWitness((1,), (1,), 5, 5),
+            "class 2: found P(5,5), chromatic bound fails",
+        ),
+    }
+    SEARCH_ENDINGS = {
+        "budget": "; subdivision search ran out of budget",
+        "absent": "; exhaustive search found no subdivision (unexpected)",
+    }
+
+    def _run(self, monkeypatch, stage, fail, search):
+        """Run the pipeline with ``fail(sub)`` standing in for ``stage`` on
+        class 2, and ``search`` for the subdivision search. Returns the
+        certificate, the (stage, class) calls in order, the searched
+        (pattern, budget) pairs and the verified targets."""
+        from fourblocks import decomposition as dec
+
+        calls, searched, verified = [], [], []
+        for name in self.STAGES:
+            def staged(sub, *args, _name=name, _real=getattr(dec, name)):
+                i = min(sub.vertices) + 1
+                calls.append((_name, i))
+                if _name == stage and i == 2:
+                    return fail(sub)
+                return _real(sub, *args)
+
+            monkeypatch.setattr(dec, name, staged)
+
+        def search_stub(d, pattern, budget=None):
+            searched.append((pattern, budget))
+            return search()
+
+        def verify_stub(d, w, pattern):
+            verified.append((w, pattern))
+            return VerifyResult(True)
+
+        monkeypatch.setattr(dec, "find_cycle_subdivision", search_stub)
+        monkeypatch.setattr(dec, "verify_subdivision", verify_stub)
+        cert = color_strong_digraph(cycle(7), self.K1, self.K3, self.BUDGET)
+        return cert, calls, searched, verified
+
+    def _calls_up_to(self, stage):
+        """Class 1's three stages, then class 2's up to the failing one."""
+        first = [(s, 1) for s in self.STAGES]
+        return first + [(s, 2) for s in self.STAGES[: self.STAGES.index(stage) + 1]]
+
+    @pytest.mark.parametrize("stage", STAGES)
+    def test_witness_found(self, monkeypatch, stage):
+        witness = object()
+        fail, _ = self.FAILURES[stage]
+        cert, calls, searched, verified = self._run(
+            monkeypatch, stage, fail, lambda: witness
+        )
+        assert cert == SubdivisionFound(witness, self.TARGET)
+        assert calls == self._calls_up_to(stage)
+        assert searched == [(self.SEARCHED, self.BUDGET)]
+        assert verified == [(witness, self.TARGET)]
+
+    @pytest.mark.parametrize("stage", STAGES)
+    @pytest.mark.parametrize("outcome", ["budget", "absent"])
+    def test_no_witness_is_inconclusive(self, monkeypatch, stage, outcome):
+        def search():
+            if outcome == "budget":
+                raise BudgetExceeded(99)
+            return None
+
+        fail, reason = self.FAILURES[stage]
+        cert, calls, searched, verified = self._run(monkeypatch, stage, fail, search)
+        assert cert == Inconclusive(stage, reason + self.SEARCH_ENDINGS[outcome])
+        assert calls == self._calls_up_to(stage)
+        assert searched == [(self.SEARCHED, self.BUDGET)]
+        assert verified == []
+
+    def test_d3_budget_skips_the_search(self, monkeypatch):
+        def exhausted(sub):
+            raise BudgetExceeded(17)
+
+        cert, calls, searched, verified = self._run(
+            monkeypatch, "color_d3", exhausted, lambda: object()
+        )
+        assert cert == Inconclusive(
+            "color_d3", "class 2: search budget exhausted after 17 nodes"
+        )
+        assert calls == self._calls_up_to("color_d3")
+        assert searched == []
+        assert verified == []
