@@ -1,9 +1,9 @@
 """Level-class decomposition and the certifying coloring pipeline.
 
 Given a strong digraph and block lengths (k1, k3) with k = max(k1, k3), the
-pipeline builds a final spanning out-tree, splits vertices into 2k level
-classes (level residues mod 2k), and partitions each class's induced arcs
-into three groups:
+pipeline builds a final spanning out-tree, splits vertices into at most 2k
+level classes (level residues mod 2k), and partitions each class's induced
+arcs into three groups:
 
     a1: level increases along an ancestor chain,
     a2: level decreases along an ancestor chain (descendant to ancestor),
@@ -12,10 +12,10 @@ into three groups:
 Each group has its own bounded coloring routine. When every class colors
 within its stage bounds (6, 6 and 4k+2), the three stage colorings combine
 multiplicatively and classes get disjoint palettes, for at most
-36 * (2k) * (4k+2) colors overall. Any stage failure triggers the exact
-subdivision search on the whole digraph, so the pipeline always returns a
-checkable certificate: a bounded coloring, a verified subdivision witness,
-or an explicit inconclusive outcome.
+36 * (2k) * (4k+2) colors overall. The first stage failure ends the class
+loop and triggers the exact subdivision search on the whole digraph, so the
+pipeline always returns a checkable certificate: a bounded coloring, a
+verified subdivision witness, or an explicit inconclusive outcome.
 """
 
 from __future__ import annotations
@@ -23,7 +23,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from heapq import heapify, heappop, heappush
 from itertools import chain
-from typing import Optional, Union
+from typing import Union
 
 from . import exactcolor
 from .digraph import Coloring, Digraph, is_strongly_connected, product_coloring
@@ -76,7 +76,9 @@ class SubDigraph:
 
 @dataclass(frozen=True)
 class LevelClasses:
-    """Vertex classes V_1..V_2k by level residue mod 2k (residue 0 -> V_2k)."""
+    """Vertex classes V_1..V_m by level residue mod 2k: level l goes to
+    V_((l-1) mod 2k + 1), and m = min(2k, tree depth). Every class is
+    nonempty, since a deepest root path has levels 1..depth."""
 
     k: int
     classes: tuple[frozenset[int], ...]
@@ -90,14 +92,15 @@ class ArcPartition:
 
 
 def level_classes(t: OutTree, k: int) -> LevelClasses:
+    """The level classes of ``t`` for block parameter k, in one pass over
+    the vertices: O(n) time and space whatever k is."""
     if k < 1:
         raise ValueError("block parameter k must be positive")
-    classes: list[set[int]] = [set() for _ in range(2 * k)]
-    for v in range(t.n):
-        r = t.level[v] % (2 * k)
-        idx = (2 * k if r == 0 else r) - 1
-        classes[idx].add(v)
-    return LevelClasses(k, tuple(frozenset(c) for c in classes))
+    period = 2 * k
+    classes: list[set[int]] = [set() for _ in range(min(period, max(t.level)))]
+    for v, lv in enumerate(t.level):
+        classes[(lv - 1) % period].add(v)
+    return LevelClasses(k, tuple(map(frozenset, classes)))
 
 
 def arc_partition(d: Digraph, t: OutTree, cls) -> ArcPartition:
@@ -416,49 +419,37 @@ def color_strong_digraph(
         raise NotStronglyConnected("input digraph is not strongly connected")
     k = max(k1, k3)
     t = finalize(d, spanning_out_tree(d, 0))
-    classes = level_classes(t, k)
-    block = bound // (2 * k)
-
-    failure_stage: Optional[str] = None
-    failure_reason = ""
     reports: list[ClassReport] = []
-    final_colors: dict[int, int] = {}
+    keys: dict[int, tuple[int, int]] = {}  # vertex -> (class, product id)
 
-    for i, cls in enumerate(classes.classes, start=1):
-        if not cls:
-            continue
+    for i, cls in enumerate(level_classes(t, k).classes, start=1):
         part = arc_partition(d, t, cls)
-        d1 = SubDigraph(cls, part.a1)
-        d2 = SubDigraph(cls, part.a2)
-        d3 = SubDigraph(cls, part.a3)
-
-        r1 = color_d1(d1, t)
+        r1 = color_d1(SubDigraph(cls, part.a1), t)
         if isinstance(r1, WheelCoreFailure):
-            failure_stage = "color_d1"
-            failure_reason = (
+            return _fallback(
+                d, k1, k3, budget, "color_d1",
                 f"class {i}: degree-5 peel stalled on a core of "
-                f"{len(r1.core)} vertices"
+                f"{len(r1.core)} vertices",
             )
-            break
-        r2 = color_d2(d2)
+        r2 = color_d2(SubDigraph(cls, part.a2))
         if isinstance(r2, OutDegreeFailure):
-            failure_stage = "color_d2"
-            failure_reason = (
+            return _fallback(
+                d, k1, k3, budget, "color_d2",
                 f"class {i}: vertex {r2.vertex} keeps out-degree "
-                f"{len(r2.out_neighbors)} in the high part"
+                f"{len(r2.out_neighbors)} in the high part",
             )
-            break
         try:
-            r3 = color_d3(d3, k, budget)
+            r3 = color_d3(SubDigraph(cls, part.a3), k, budget)
         except BudgetExceeded as exc:
             return Inconclusive("color_d3", f"class {i}: {exc}")
         if isinstance(r3, TwoBlockPathWitness):
-            failure_stage = "color_d3"
-            failure_reason = f"class {i}: found P({r3.a},{r3.b}), chromatic bound fails"
-            break
+            return _fallback(
+                d, k1, k3, budget, "color_d3",
+                f"class {i}: found P({r3.a},{r3.b}), chromatic bound fails",
+            )
 
         c123 = product_coloring((r1, cls), (r2, cls), (r3, cls))
-        assert c123.palette_size <= block
+        assert c123.palette_size <= 36 * (4 * k + 2)
         reports.append(
             ClassReport(
                 index=i,
@@ -470,31 +461,32 @@ def color_strong_digraph(
                 combined_colors=c123.palette_size,
             )
         )
-        offset = (i - 1) * block
         for v, c in c123.colors.items():
-            final_colors[v] = offset + c
+            keys[v] = (i, c)
 
-    if failure_stage is not None:
-        pattern = CyclePattern.from_k(k, k)
-        try:
-            w = find_cycle_subdivision(d, pattern, budget)
-        except BudgetExceeded:
-            return Inconclusive(
-                failure_stage,
-                failure_reason + "; subdivision search ran out of budget",
-            )
-        if w is not None:
-            target = CyclePattern.from_k(k1, k3)
-            check = verify_subdivision(d, w, target)
-            assert check.ok, f"witness failed re-verification: {check.reason}"
-            return SubdivisionFound(w, target)
-        return Inconclusive(
-            failure_stage,
-            failure_reason + "; exhaustive search found no subdivision (unexpected)",
-        )
-
-    coloring = Coloring(final_colors).normalized()
+    coloring = Coloring(keys).normalized()
     colors = coloring.colors
     assert len(colors) == d.n and all(colors[u] != colors[v] for u, v in d.arcs)
     assert coloring.palette_size <= bound
     return ColoringWithinBound(coloring, bound, tuple(reports), k1, k3)
+
+
+def _fallback(
+    d: Digraph, k1: int, k3: int, budget: int, stage: str, reason: str
+) -> Union[SubdivisionFound, Inconclusive]:
+    """Settle a stage failure by the subdivision search on the whole digraph
+    for (k,1,k,1), k = max(k1, k3), whose witness is re-verified against
+    (k1,1,k3,1); without a witness the outcome is inconclusive at ``stage``."""
+    k = max(k1, k3)
+    try:
+        w = find_cycle_subdivision(d, CyclePattern.from_k(k, k), budget)
+    except BudgetExceeded:
+        return Inconclusive(stage, reason + "; subdivision search ran out of budget")
+    if w is None:
+        return Inconclusive(
+            stage, reason + "; exhaustive search found no subdivision (unexpected)"
+        )
+    target = CyclePattern.from_k(k1, k3)
+    check = verify_subdivision(d, w, target)
+    assert check.ok, f"witness failed re-verification: {check.reason}"
+    return SubdivisionFound(w, target)

@@ -136,7 +136,9 @@ class UGraph:
 
 @dataclass(frozen=True)
 class Coloring:
-    """Vertex -> nonnegative color id. Total on whatever graph it targets."""
+    """Vertex -> nonnegative color id. Total on whatever graph it targets.
+
+    Before ``normalized`` renumbers them, colors may be any hashable keys."""
 
     colors: dict[int, int]
 

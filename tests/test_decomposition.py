@@ -1,3 +1,5 @@
+import tracemalloc
+
 import pytest
 
 from fourblocks import (
@@ -65,9 +67,12 @@ class TestLevelClasses:
 
     def test_large_k_gives_level_sets(self):
         cls = level_classes(path_tree(4), 7)
-        for v in range(4):
-            assert cls.classes[v] == frozenset({v})
-        assert all(not c for c in cls.classes[4:])
+        assert cls.classes == (
+            frozenset({0}),
+            frozenset({1}),
+            frozenset({2}),
+            frozenset({3}),
+        )
 
     def test_partition(self):
         for seed in range(20):
@@ -416,6 +421,21 @@ class TestPipeline:
         assert isinstance(cert, ColoringWithinBound)
         assert len(seen) == len(cert.per_class) > 1
         assert [r.b2_max_out_degree for r in cert.per_class] == [split(d2)[2] for d2 in seen]
+
+    def test_cost_does_not_grow_with_k(self):
+        # A 3-cycle has three levels, so k1 = 10**5 and k1 = 2 both give
+        # three classes of one vertex; nothing may be sized by 2k.
+        tracemalloc.start()
+        try:
+            cert = color_strong_digraph(cycle(3), 10**5, 1)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 1_000_000
+        small = color_strong_digraph(cycle(3), 2, 1)
+        assert isinstance(cert, ColoringWithinBound)
+        assert cert.coloring.colors == small.coloring.colors
+        assert cert.per_class == small.per_class
 
     def test_certificate_json_shape(self):
         cert = color_strong_digraph(cycle(4), 1, 1)
