@@ -26,10 +26,16 @@ Kahn pass and DSATUR; they call the package's peels, greedy and DSATUR,
 which the reference loops above check. The package's stages skip the
 vertices that no arc of the group touches and must return exactly the same
 colorings and failures.
+The last section keeps the subdivision kernel's search, the two-block path
+search and the exact coloring as they were when each recursed once per
+vertex entered or colored. The package's versions run each search on an
+explicit stack, so long blocks need no recursion, and must return the same
+results and charge the same nodes: ``(status, payload, nodes)``, the
+witness, the coloring, or ``BudgetExceeded.nodes`` at the same budget cut.
 """
 
 from itertools import permutations
-from typing import Optional
+from typing import Iterable, Optional
 
 from fourblocks import (
     DEFAULT_BUDGET,
@@ -43,6 +49,7 @@ from fourblocks import (
     find_two_block_path,
 )
 from fourblocks import decomposition, exactcolor
+from fourblocks.witness import TwoBlockPathWitness
 from fourblocks.decomposition import D2Coloring, _acyclic_peel_order, greedy_reverse
 from fourblocks.errors import NotAcyclic, ParseError
 from fourblocks._subdiv_py import ABSENT, BUDGET, FOUND
@@ -545,3 +552,302 @@ def color_d3(d3, k: int, budget: int = DEFAULT_BUDGET):
             "so one of the two searches is buggy"
         )
     return witness
+
+
+# --- the recursive searchers ------------------------------------------------
+
+
+def recursive_search_cycle_subdivision(n, indptr, indices, k1, k2, k3, k4, budget):
+    """Returns (status, payload, nodes); payload is (junctions, paths) on FOUND."""
+    total_min = k1 + k2 + k3 + k4
+    if total_min > n:
+        return ABSENT, None, 0
+
+    out_deg = [indptr[v + 1] - indptr[v] for v in range(n)]
+    in_deg = [0] * n
+    for v in indices:
+        in_deg[v] += 1
+    sources = [v for v in range(n) if out_deg[v] >= 2]
+    sinks = [v for v in range(n) if in_deg[v] >= 2]
+    if len(sources) < 2 or len(sinks) < 2:
+        return ABSENT, None, 0
+
+    sym = (k1 == k3) and (k2 == k4)
+    mins = (k1, k2, k3, k4)
+    rem_after = (k2 + k3 + k4, k3 + k4, k4, 0)
+    used = bytearray(n)
+    paths = ([], [], [], [])
+    starts = [0, 0, 0, 0]
+    targets = [0, 0, 0, 0]
+    nodes = 0
+
+    is_sink = bytearray(n)
+    for v in sinks:
+        is_sink[v] = 1
+    nsrc, nsnk = len(sources), len(sinks)
+    # the reversed digraph, for the BFS into j2
+    rptr = [0] * (n + 1)
+    for v in range(n):
+        rptr[v + 1] = rptr[v] + in_deg[v]
+    rind = [0] * len(indices)
+    fill = rptr[:n]
+    for u in range(n):
+        for i in range(indptr[u], indptr[u + 1]):
+            v = indices[i]
+            rind[fill[v]] = u
+            fill[v] += 1
+
+    def extend(p, u, plen, total, L):
+        nonlocal nodes
+        nodes += 1
+        if nodes > budget:
+            return -1
+        kp = mins[p]
+        tgt = targets[p]
+        for i in range(indptr[u], indptr[u + 1]):
+            v = indices[i]
+            if v == tgt:
+                if plen + 1 >= kp and total + 1 + rem_after[p] <= L:
+                    paths[p].append(v)
+                    if p == 3:
+                        return 1
+                    r = begin_path(p + 1, total + 1, L)
+                    if r != 0:
+                        return r
+                    paths[p].pop()
+            elif not used[v]:
+                need = kp - (plen + 1)
+                if need < 1:
+                    need = 1
+                if total + 1 + need + rem_after[p] <= L:
+                    used[v] = 1
+                    paths[p].append(v)
+                    r = extend(p, v, plen + 1, total + 1, L)
+                    if r != 0:
+                        return r
+                    paths[p].pop()
+                    used[v] = 0
+        return 0
+
+    def begin_path(p, total, L):
+        s = starts[p]
+        paths[p].append(s)
+        r = extend(p, s, 0, total, L)
+        if r == 0:
+            paths[p].pop()
+        return r
+
+    def close(j1, j2, j3, j4, L):
+        """Runs the path search for one junction quadruple: 1, 0 or -1."""
+        starts[0], targets[0] = j1, j2
+        starts[1], targets[1] = j3, j2
+        starts[2], targets[2] = j3, j4
+        starts[3], targets[3] = j1, j4
+        used[j1] = used[j2] = used[j3] = used[j4] = 1
+        for p in paths:
+            p.clear()
+        r = begin_path(0, 0, L)
+        used[j1] = used[j2] = used[j3] = used[j4] = 0
+        return r
+
+    def ball(ptr, ind, s, radius):
+        """Vertex -> BFS distance from s along (ptr, ind), up to `radius`."""
+        dist = {s: 0}
+        layer = [s]
+        for r in range(1, radius + 1):
+            nxt = []
+            for u in layer:
+                for i in range(ptr[u], ptr[u + 1]):
+                    v = ind[i]
+                    if v not in dist:
+                        dist[v] = r
+                        nxt.append(v)
+            if not nxt:
+                break
+            layer = nxt
+        return dist
+
+    def room(a, t, j2):
+        """Whether the unpruned enumeration holds a quadruple under (j1, j2),
+        j1 = sources[a], or under j1 alone when j2 is -1 (no sink j2 can
+        then block every j3 found). t counts the sinks left for j4 besides
+        j1 and j2. The scan passes over at most j1, j2 and, when t == 1 (so
+        at most 3 sinks), the sinks."""
+        if t < 1:
+            return False
+        j1 = sources[a]
+        for c in range(a + 1 if sym else 0, nsrc):
+            j3 = sources[c]
+            if j3 != j1 and j3 != j2 and t - is_sink[j3] >= 1:
+                return True
+        return False
+
+    def junctions(L):
+        """Yields the quadruples that can close at L in lexicographic order,
+        and None for each walked prefix under which nothing was yielded;
+        the caller charges one node per item."""
+        items = 0
+        slack = L - total_min
+        # a prefix is walked only if the unpruned enumeration holds a
+        # quadruple under it: room() for (j1) and (j1, j2), t for (j1, j2, j3)
+        for a, j1 in enumerate(sources):
+            t = nsnk - 1 - is_sink[j1]
+            if not room(a, t, -1):
+                continue
+            # d(j1,j2) <= slack + k1 and d(j1,j4) <= slack + k4
+            d1 = ball(indptr, indices, j1, slack + max(k1, k4))
+            mark1 = items
+            for j2 in sorted(v for v in d1 if is_sink[v]):
+                if j2 == j1:
+                    continue
+                b12 = max(k1, d1[j2])
+                if b12 + rem_after[0] > L or not room(a, t, j2):
+                    continue
+                d2 = ball(rptr, rind, j2, L - b12 - rem_after[1])
+                mark2 = items
+                for j3 in sorted(v for v in d2 if out_deg[v] >= 2):
+                    if j3 == j1 or j3 == j2 or (sym and j3 < j1) or t - is_sink[j3] < 1:
+                        continue
+                    b123 = b12 + max(k2, d2[j3])
+                    d3 = ball(indptr, indices, j3, L - b123 - rem_after[2])
+                    mark3 = items
+                    for j4 in sorted(v for v in d3 if is_sink[v]):
+                        if j4 == j1 or j4 == j2 or j4 == j3 or j4 not in d1:
+                            continue
+                        if b123 + max(k3, d3[j4]) + max(k4, d1[j4]) <= L:
+                            items += 1
+                            yield j1, j2, j3, j4
+                    if items == mark3:
+                        items += 1
+                        yield None
+                if items == mark2:
+                    items += 1
+                    yield None
+            if items == mark1:
+                items += 1
+                yield None
+
+    for L in range(total_min, n + 1):
+        for q in junctions(L):
+            nodes += 1
+            if nodes > budget:
+                return BUDGET, None, nodes
+            if q is None:
+                continue
+            r = close(*q, L)
+            if r == 1:
+                return FOUND, (q, tuple(tuple(p) for p in paths)), nodes
+            if r == -1:
+                return BUDGET, None, nodes
+    return ABSENT, None, nodes
+
+
+def recursive_find_two_block_path(
+    d: Digraph, a: int, b: int, budget: int = DEFAULT_BUDGET
+) -> Optional[TwoBlockPathWitness]:
+    """Exhaustive search for P(a,b): dipaths of lengths >= a and >= b from a
+    common origin, vertex-disjoint elsewhere.
+
+    Any longer pair truncates to an exact (a,b) pair, so the search looks
+    for exact lengths only.
+    """
+    if a < 1 or b < 1:
+        raise ValueError("block lengths must be positive")
+    if 1 + a + b > d.n:
+        return None
+    used = bytearray(d.n)
+    q1: list[int] = []
+    q2: list[int] = []
+    nodes = 0
+
+    def grow(which: int, u: int, need: int) -> int:
+        nonlocal nodes
+        nodes += 1
+        if nodes > budget:
+            return -1
+        if need == 0:
+            if which == 1:
+                q2.append(origin)
+                r = grow(2, origin, b)
+                if r == 0:
+                    q2.pop()
+                return r
+            return 1
+        path = q1 if which == 1 else q2
+        for v in d.out_neighbors(u):
+            if not used[v]:
+                used[v] = 1
+                path.append(v)
+                r = grow(which, v, need - 1)
+                if r != 0:
+                    return r
+                path.pop()
+                used[v] = 0
+        return 0
+
+    for origin in range(d.n):
+        if d.out_degree(origin) < 2:
+            continue
+        used[origin] = 1
+        q1.clear()
+        q2.clear()
+        q1.append(origin)
+        r = grow(1, origin, a)
+        used[origin] = 0
+        if r == 1:
+            return TwoBlockPathWitness(tuple(q1), tuple(q2), a, b)
+        if r == -1:
+            raise BudgetExceeded(nodes)
+    return None
+
+
+def recursive_color_within(
+    vertices: Iterable[int], adj, q: int, budget: int
+) -> Optional[dict[int, int]]:
+    """Exact decision: a proper coloring with at most q colors, or None when
+    provably impossible. Raises BudgetExceeded when the node budget runs out.
+
+    DSATUR-ordered branch and bound; new colors are only opened one past the
+    current maximum, which prunes color permutations.
+    """
+    vs = sorted(vertices)
+    if not vs:
+        return {}
+    if q < 1:
+        return None
+    vset = set(vs)
+    neighbors = {v: sorted(adj[v] & vset) for v in vs}
+    colors: dict[int, int] = {}
+    nodes = 0
+
+    def pick() -> int:
+        return max(
+            (u for u in vs if u not in colors),
+            key=lambda u: (
+                len({colors[w] for w in neighbors[u] if w in colors}),
+                len(neighbors[u]),
+                -u,
+            ),
+        )
+
+    def solve(max_used: int) -> bool:
+        nonlocal nodes
+        nodes += 1
+        if nodes > budget:
+            raise BudgetExceeded(nodes)
+        if len(colors) == len(vs):
+            return True
+        v = pick()
+        taken = {colors[w] for w in neighbors[v] if w in colors}
+        limit = min(max_used + 1, q - 1)
+        for c in range(limit + 1):
+            if c not in taken:
+                colors[v] = c
+                if solve(max(max_used, c)):
+                    return True
+                del colors[v]
+        return False
+
+    if solve(-1):
+        return dict(colors)
+    return None

@@ -25,6 +25,7 @@ from fourblocks import (
     check_chord_neighbor_bound,
     finalize,
     find_hamiltonian_cycle,
+    find_two_block_path,
     generate,
     spanning_out_tree,
 )
@@ -37,7 +38,7 @@ from fourblocks.decomposition import (
     peel_low_degree,
 )
 from fourblocks.errors import NotAcyclic
-from fourblocks.exactcolor import dsatur
+from fourblocks.exactcolor import color_within, dsatur
 from fourblocks import _subdiv_py
 
 import naive
@@ -438,3 +439,94 @@ def test_pruned_kernel_decides_what_the_unpruned_one_decides(pattern):
             seen[old[0]] += 1
     assert seen[_subdiv_py.FOUND] and seen[_subdiv_py.ABSENT]
     assert seen[("budget ->", _subdiv_py.FOUND)] and seen[("budget ->", _subdiv_py.BUDGET)]
+
+
+# The explicit-stack searchers against the recursive ones they replaced.
+# Budgets of 5 and 40 cut most searches early, many of them mid-path.
+STACK_BUDGETS = (1, 5, 40, DEFAULT_BUDGET)
+
+
+def chorded_cycles():
+    """Directed cycles with two or three chords, and the patterns whose
+    paths are long on them: each length L holds at most a few junction
+    quadruples, so most nodes are vertices entered by a path search."""
+    cases = []
+    for n in (12, 25, 40, 61):
+        h = n // 2
+        d = Digraph(n, [(i, (i + 1) % n) for i in range(n)] + [(0, h), (1, h + 1)])
+        cases += [(d, (h - 3, 1, 1, 1)), (d, (2, 1, 2, 1)), (d, (1, 1, 1, 1))]
+    # a 60-cycle with the chords of the 1500-cycle case, scaled down
+    d = Digraph(60, [(i, (i + 1) % 60) for i in range(60)] + [(0, 52), (2, 53), (52, 4)])
+    cases += [(d, (48, 1, 3, 1)), (d, (3, 1, 3, 1))]
+    return cases
+
+
+STACK_KERNEL_CASES = (
+    [(d, p) for d in KERNEL_CASES for p in ((1, 1, 1, 1), (2, 1, 2, 1), (1, 2, 3, 1))]
+    + chorded_cycles()
+    + [(generate(GenSpec(Family.RANDOM_STRONG, 120, 1200, s)), (1, 1, 1, 1)) for s in range(3)]
+)
+
+
+def test_kernel_matches_the_recursive_kernel():
+    """Same (status, payload, nodes) at every budget."""
+    seen = Counter()
+    for d, pattern in STACK_KERNEL_CASES:
+        indptr, indices = d.csr()
+        for budget in STACK_BUDGETS:
+            want = naive.recursive_search_cycle_subdivision(
+                d.n, indptr, indices, *pattern, budget
+            )
+            got = _subdiv_py.search_cycle_subdivision(d.n, indptr, indices, *pattern, budget)
+            assert got == want
+            seen[want[0]] += 1
+    assert seen[_subdiv_py.FOUND] and seen[_subdiv_py.ABSENT] and seen[_subdiv_py.BUDGET]
+
+
+def outcome(search, *args):
+    """The search's result, or ("budget", nodes) when it runs out."""
+    try:
+        return search(*args)
+    except BudgetExceeded as exc:
+        return "budget", exc.nodes
+
+
+def test_two_block_path_search_matches_recursion():
+    """Same witness, None or BudgetExceeded.nodes at every budget."""
+    cases = [
+        (d, ab)
+        for d in KERNEL_CASES[:90:3]
+        for ab in ((1, 1), (2, 1), (1, 3), (3, 2), (4, 4))
+    ]
+    # one long path from vertex 0, the other a single arc
+    path = Digraph(60, [(i, i + 1) for i in range(59)] + [(0, 59), (59, 0)])
+    cases += [(path, (45, 1)), (path, (45, 2)), (path, (1, 45))]
+    seen = Counter()
+    for d, (a, b) in cases:
+        for budget in STACK_BUDGETS:
+            want = outcome(naive.recursive_find_two_block_path, d, a, b, budget)
+            assert outcome(find_two_block_path, d, a, b, budget) == want
+            seen["none" if want is None else want[0] if type(want) is tuple else "path"] += 1
+    assert seen["none"] and seen["budget"] and seen["path"]
+
+
+def test_exact_coloring_matches_recursion():
+    """Same coloring, None or BudgetExceeded.nodes at every budget, on
+    neighbor lists and on dicts keyed by a vertex subset."""
+    rng = Rng(73)
+    cases = []
+    for i in range(60):
+        n = 3 + i % 11
+        d = Digraph(n, {(u, v) for u in range(n) for v in range(u + 1, n)
+                        if rng.randrange(10) < 2 + i % 7})
+        adj = d.neighbor_sets()
+        cases.append((range(n), adj, 1 + i % 5))
+        sub = [v for v in range(n) if rng.randrange(3)]
+        cases.append((sub, {v: adj[v] for v in sub}, 2 + i % 3))
+    seen = Counter()
+    for vertices, adj, q in cases:
+        for budget in STACK_BUDGETS:
+            want = outcome(naive.recursive_color_within, vertices, adj, q, budget)
+            assert outcome(color_within, vertices, adj, q, budget) == want
+            seen["none" if want is None else "budget" if type(want) is tuple else "coloring"] += 1
+    assert seen["none"] and seen["budget"] and seen["coloring"]
