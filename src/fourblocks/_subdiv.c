@@ -3,12 +3,13 @@
    The twin of _subdiv_py.search_cycle_subdivision, which documents the
    algorithm: the same iterative deepening on L, the same distance-pruned
    walk over junction quadruples in (j1, j2, j3, j4) order with the same
-   j3 < j1 symmetry cut, the same ascending extension, and the same node
-   accounting and budget cut-off. The two kernels must return identical
-   results; tests/test_kernel_parity.py checks this. Only the containers
-   differ: here each truncated BFS fills a distance array (-1 off the
-   ball) and a queue, which is sorted into the candidate list and later
-   used to reset the array.
+   j3 < j1 symmetry cut, the same ascending extension on an explicit stack,
+   and the same node accounting and budget cut-off. The kernels must return
+   identical results; tests/test_kernel_parity.py checks this. Only the
+   containers differ: here each truncated BFS fills a distance array (-1
+   off the ball) and a queue, which is sorted into the candidate list and
+   later used to reset the array; and the path search keeps the next arc of
+   each vertex entered in a cursor array beside path_buf, on the heap.
 
    Plain C on flat int arrays, with no Python headers. _subdiv_ctypes.py
    loads the built library, checks the arguments and converts the result.
@@ -26,10 +27,10 @@ enum { FOUND = 0, ABSENT = 1, BUDGET = 2, NO_MEMORY = -1 };
 typedef struct {
     const int *indptr, *indices;
     char *used;
-    int *path_buf; /* 4 rows of `stride` = n + 1 vertices */
+    int *path_buf, *cursor; /* 4 rows of `stride` = n + 1 slots each */
     int *path_len;
     int stride, L;
-    int mins[4], rem_after[4], starts[4], targets[4];
+    int mins[4], rem_after[4];
     long long nodes, budget;
 } Search;
 
@@ -44,70 +45,64 @@ static int max2(int a, int b)
     return a > b ? a : b;
 }
 
-static int begin_path(Search *s, int p, int total);
+/* Runs the path search for one junction quadruple: 1, 0 or -1.
 
-static int extend(Search *s, int p, int u, int plen, int total)
-{
-    int i, v, r, need, kp, tgt;
-    s->nodes += 1;
-    if (s->nodes > s->budget)
-        return -1;
-    kp = s->mins[p];
-    tgt = s->targets[p];
-    for (i = s->indptr[u]; i < s->indptr[u + 1]; i++) {
-        v = s->indices[i];
-        if (v == tgt) {
-            if (plen + 1 >= kp && total + 1 + s->rem_after[p] <= s->L) {
-                s->path_buf[p * s->stride + s->path_len[p]++] = v;
-                if (p == 3)
-                    return 1;
-                r = begin_path(s, p + 1, total + 1);
-                if (r != 0)
-                    return r;
-                s->path_len[p]--;
-            }
-        } else if (!s->used[v]) {
-            need = kp - (plen + 1);
-            if (need < 1)
-                need = 1;
-            if (total + 1 + need + s->rem_after[p] <= s->L) {
-                s->used[v] = 1;
-                s->path_buf[p * s->stride + s->path_len[p]++] = v;
-                r = extend(s, p, v, plen + 1, total + 1);
-                if (r != 0)
-                    return r;
-                s->path_len[p]--;
-                s->used[v] = 0;
-            }
-        }
-    }
-    return 0;
-}
-
-static int begin_path(Search *s, int p, int total)
-{
-    int r;
-    s->path_buf[p * s->stride + s->path_len[p]++] = s->starts[p];
-    r = extend(s, p, s->starts[p], 0, total);
-    if (r == 0)
-        s->path_len[p]--;
-    return r;
-}
-
-/* Runs the path search for one junction quadruple: 1, 0 or -1. */
+   The paths are one explicit stack: slot i of row p holds vertex i of path
+   p in path_buf and, in cursor, the next of its arcs to try. Reaching the
+   target of path p enters the start of path p + 1; leaving that start
+   returns to path p. Path p may take at most `longest` arcs, which leaves
+   the later paths their minimum lengths at L: it closes with mins[p] to
+   `longest` arcs, and enters another vertex only while the arc into its
+   target still fits. */
 static int close_cycle(Search *s, int j1, int j2, int j3, int j4)
 {
-    int p, r;
-    s->starts[0] = j1, s->targets[0] = j2;
-    s->starts[1] = j3, s->targets[1] = j2;
-    s->starts[2] = j3, s->targets[2] = j4;
-    s->starts[3] = j1, s->targets[3] = j4;
+    const int ends[4][2] = {{j1, j2}, {j3, j2}, {j3, j4}, {j1, j4}};
+    int p = 0, plen = 0, longest = s->L - s->rem_after[0], i, v = j1, end;
+    int *row = s->path_buf, *cur = s->cursor;
     s->used[j1] = s->used[j2] = s->used[j3] = s->used[j4] = 1;
-    for (p = 0; p < 4; p++)
-        s->path_len[p] = 0;
-    r = begin_path(s, 0, 0);
+    if (++s->nodes > s->budget)
+        return -1;
+    row[0] = v;
+    cur[0] = s->indptr[v];
+    for (;;) {
+        end = s->indptr[row[plen] + 1];
+        for (i = cur[plen]; i < end; i++) {
+            v = s->indices[i];
+            if (v == ends[p][1] ? s->mins[p] <= plen + 1 && plen + 1 <= longest
+                                : plen + 2 <= longest && !s->used[v])
+                break;
+        }
+        if (i == end) {
+            if (plen > 0) {
+                s->used[row[plen--]] = 0;
+                continue;
+            }
+            if (p == 0)
+                break;
+            longest += s->path_len[p - 1] - 1 - s->mins[p];
+            p--, row -= s->stride, cur -= s->stride;
+            plen = s->path_len[p] - 2;
+            continue;
+        }
+        cur[plen] = i + 1;
+        if (v == ends[p][1]) {
+            row[plen + 1] = v;
+            s->path_len[p] = plen + 2;
+            if (p == 3)
+                return 1;
+            longest += s->mins[++p] - plen - 1;
+            row += s->stride, cur += s->stride;
+            v = ends[p][0];
+            plen = -1; /* the start of path p is its vertex 0 */
+        } else
+            s->used[v] = 1;
+        if (++s->nodes > s->budget)
+            return -1;
+        row[++plen] = v;
+        cur[plen] = s->indptr[v];
+    }
     s->used[j1] = s->used[j2] = s->used[j3] = s->used[j4] = 0;
-    return r;
+    return 0;
 }
 
 /* Fills ball with the vertices within `radius` of s along (ptr, ind). */
@@ -182,9 +177,8 @@ int fb_search_cycle_subdivision(int n, const int *indptr, const int *indices,
                                 long long budget, int *junctions,
                                 int *path_buf, int *path_len, long long *nodes)
 {
-    Search s = {indptr, indices, NULL, path_buf, path_len, n + 1, 0,
-                {k1, k2, k3, k4}, {k2 + k3 + k4, k3 + k4, k4, 0},
-                {0}, {0}, 0, budget};
+    Search s = {indptr, indices, NULL, path_buf, NULL, path_len, n + 1, 0,
+                {k1, k2, k3, k4}, {k2 + k3 + k4, k3 + k4, k4, 0}, 0, budget};
     Ball b1, b2, b3;
     int total_min = k1 + k2 + k3 + k4;
     int *in_deg = NULL, *sources = NULL, *rptr = NULL, *rind = NULL;
@@ -229,7 +223,8 @@ int fb_search_cycle_subdivision(int n, const int *indptr, const int *indices,
     dist = malloc(3 * (size_t)n * sizeof *dist);
     queue = malloc(3 * (size_t)n * sizeof *queue);
     cand = malloc(3 * (size_t)n * sizeof *cand);
-    if (!rptr || !rind || !dist || !queue || !cand) {
+    s.cursor = malloc(4 * ((size_t)n + 1) * sizeof *s.cursor);
+    if (!rptr || !rind || !dist || !queue || !cand || !s.cursor) {
         status = NO_MEMORY;
         goto done;
     }
@@ -325,5 +320,6 @@ done:
     free(dist);
     free(queue);
     free(cand);
+    free(s.cursor);
     return status;
 }

@@ -35,19 +35,21 @@ room for; no distance table over all sources is kept. When the pattern
 is invariant under swapping the two source roles ((k1,k2) == (k3,k4)) the
 enumeration is halved by requiring j1 < j3; for asymmetric patterns that
 restriction would lose witnesses, so it is skipped. Paths are extended in
-ascending vertex order.
+ascending vertex order, depth-first on one explicit stack with an entry
+per vertex entered, so a block of any length needs no recursion.
 
-A node is one kept junction quadruple, one path-extension call, or one
-walked prefix (j1), (j1, j2) or (j1, j2, j3) under which no node was
-charged. A prefix is walked only when the unpruned enumeration (every
-source x sink quadruple, tests/naive.py) holds a quadruple under it, so
-the search never takes more nodes than the unpruned one, and where that
-one finishes this one returns the same result; a pruned quadruple could
-never have closed. Between two nodes the walk runs at most three of the
-truncated BFS, sorts their results and scans O(n) candidates (room()
-turns down O(1) of the j1), so it does O(m + n log n) work in O(n + m)
-memory, whatever the pattern. The search aborts with BUDGET as soon as
-the node count passes the budget.
+A node is one kept junction quadruple, one vertex entered by the path
+search (each path's start included), or one walked prefix (j1), (j1, j2)
+or (j1, j2, j3) under which no node was charged. A prefix is walked only
+when the unpruned enumeration (every source x sink quadruple,
+tests/naive.py) holds a quadruple under it, so the search never takes
+more nodes than the unpruned one, and where that one finishes this one
+returns the same result; a pruned quadruple could never have closed.
+Between two nodes the walk runs at most three of the truncated BFS,
+sorts their results and scans O(n) candidates (room() turns down O(1) of
+the j1), so it does O(m + n log n) work in O(n + m) memory, whatever the
+pattern. The search aborts with BUDGET as soon as the node count passes
+the budget.
 """
 
 FOUND = 0
@@ -75,8 +77,6 @@ def search_cycle_subdivision(n, indptr, indices, k1, k2, k3, k4, budget):
     rem_after = (k2 + k3 + k4, k3 + k4, k4, 0)
     used = bytearray(n)
     paths = ([], [], [], [])
-    starts = [0, 0, 0, 0]
-    targets = [0, 0, 0, 0]
     nodes = 0
 
     is_sink = bytearray(n)
@@ -95,58 +95,65 @@ def search_cycle_subdivision(n, indptr, indices, k1, k2, k3, k4, budget):
             rind[fill[v]] = u
             fill[v] += 1
 
-    def extend(p, u, plen, total, L):
+    def close(j1, j2, j3, j4, L):
+        """Runs the path search for one junction quadruple: 1, 0 or -1.
+
+        One stack holds an iterator over the out-neighbors of each vertex
+        entered, in path order. Reaching the target of path p enters the
+        start of path p + 1; leaving that start returns to path p. Path p
+        may take at most `longest` arcs, which leaves the later paths their
+        minimum lengths at L: it closes with kp to `longest` arcs, and
+        enters another vertex only while the arc into its target still fits."""
         nonlocal nodes
+        ends = ((j1, j2), (j3, j2), (j3, j4), (j1, j4))
+        used[j1] = used[j2] = used[j3] = used[j4] = 1
+        p = plen = 0
+        kp, tgt, longest = k1, j2, L - rem_after[0]
+        path = paths[0]
+        path.append(j1)
         nodes += 1
         if nodes > budget:
             return -1
-        kp = mins[p]
-        tgt = targets[p]
-        for i in range(indptr[u], indptr[u + 1]):
-            v = indices[i]
-            if v == tgt:
-                if plen + 1 >= kp and total + 1 + rem_after[p] <= L:
-                    paths[p].append(v)
-                    if p == 3:
-                        return 1
-                    r = begin_path(p + 1, total + 1, L)
-                    if r != 0:
-                        return r
-                    paths[p].pop()
-            elif not used[v]:
-                need = kp - (plen + 1)
-                if need < 1:
-                    need = 1
-                if total + 1 + need + rem_after[p] <= L:
+        stack = [iter(indices[indptr[j1]:indptr[j1 + 1]])]
+        while stack:
+            for v in stack[-1]:
+                if v == tgt:
+                    if kp <= plen + 1 <= longest:
+                        path.append(v)
+                        if p == 3:
+                            return 1
+                        p += 1
+                        longest += mins[p] - plen - 1
+                        kp, (v, tgt) = mins[p], ends[p]
+                        path = paths[p]
+                        plen = -1  # the start of path p is its vertex 0
+                        break
+                elif plen + 2 <= longest and not used[v]:
                     used[v] = 1
-                    paths[p].append(v)
-                    r = extend(p, v, plen + 1, total + 1, L)
-                    if r != 0:
-                        return r
-                    paths[p].pop()
-                    used[v] = 0
-        return 0
-
-    def begin_path(p, total, L):
-        s = starts[p]
-        paths[p].append(s)
-        r = extend(p, s, 0, total, L)
-        if r == 0:
-            paths[p].pop()
-        return r
-
-    def close(j1, j2, j3, j4, L):
-        """Runs the path search for one junction quadruple: 1, 0 or -1."""
-        starts[0], targets[0] = j1, j2
-        starts[1], targets[1] = j3, j2
-        starts[2], targets[2] = j3, j4
-        starts[3], targets[3] = j1, j4
-        used[j1] = used[j2] = used[j3] = used[j4] = 1
-        for p in paths:
-            p.clear()
-        r = begin_path(0, 0, L)
+                    break
+            else:
+                stack.pop()
+                if plen:
+                    used[path.pop()] = 0
+                    plen -= 1
+                    continue
+                path.pop()
+                if p:
+                    p -= 1
+                    path = paths[p]
+                    path.pop()
+                    plen = len(path) - 1
+                    longest += plen + 1 - kp
+                    kp, tgt = mins[p], ends[p][1]
+                continue
+            path.append(v)
+            plen += 1
+            nodes += 1
+            if nodes > budget:
+                return -1
+            stack.append(iter(indices[indptr[v]:indptr[v + 1]]))
         used[j1] = used[j2] = used[j3] = used[j4] = 0
-        return r
+        return 0
 
     def ball(ptr, ind, s, radius):
         """Vertex -> BFS distance from s along (ptr, ind), up to `radius`."""

@@ -49,7 +49,9 @@ def color_within(
     provably impossible. Raises BudgetExceeded when the node budget runs out.
 
     DSATUR-ordered branch and bound; new colors are only opened one past the
-    current maximum, which prunes color permutations.
+    current maximum, which prunes color permutations. Depth-first on an
+    explicit stack, one candidate-color iterator per vertex colored; each
+    branch node, the root included, costs one node of the budget.
     """
     vs = sorted(vertices)
     if not vs:
@@ -59,7 +61,6 @@ def color_within(
     vset = set(vs)
     neighbors = {v: sorted(adj[v] & vset) for v in vs}
     colors: dict[int, int] = {}
-    nodes = 0
 
     def pick() -> int:
         return max(
@@ -71,24 +72,29 @@ def color_within(
             ),
         )
 
-    def solve(max_used: int) -> bool:
-        nonlocal nodes
+    def branch(max_used: int):
+        """The next vertex to color, with max_used and its candidate colors."""
+        v = pick()
+        taken = {colors[w] for w in neighbors[v] if w in colors}
+        limit = min(max_used + 1, q - 1)
+        return v, max_used, (c for c in range(limit + 1) if c not in taken)
+
+    nodes = 1
+    if nodes > budget:
+        raise BudgetExceeded(nodes)
+    stack = [branch(-1)]
+    while stack:
+        v, max_used, candidates = stack[-1]
+        c = next(candidates, None)
+        if c is None:
+            stack.pop()
+            colors.pop(v, None)
+            continue
+        colors[v] = c
         nodes += 1
         if nodes > budget:
             raise BudgetExceeded(nodes)
         if len(colors) == len(vs):
-            return True
-        v = pick()
-        taken = {colors[w] for w in neighbors[v] if w in colors}
-        limit = min(max_used + 1, q - 1)
-        for c in range(limit + 1):
-            if c not in taken:
-                colors[v] = c
-                if solve(max(max_used, c)):
-                    return True
-                del colors[v]
-        return False
-
-    if solve(-1):
-        return dict(colors)
+            return dict(colors)
+        stack.append(branch(max(max_used, c)))
     return None

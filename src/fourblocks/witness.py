@@ -203,55 +203,46 @@ def find_two_block_path(
     common origin, vertex-disjoint elsewhere.
 
     Any longer pair truncates to an exact (a,b) pair, so the search looks
-    for exact lengths only.
+    for exact lengths only. It runs depth-first over out-neighbors in
+    ascending order on an explicit stack, one iterator per vertex entered,
+    and each vertex entered (the origin once per path) costs one node.
     """
     if a < 1 or b < 1:
         raise ValueError("block lengths must be positive")
     if 1 + a + b > d.n:
         return None
     used = bytearray(d.n)
-    q1: list[int] = []
-    q2: list[int] = []
     nodes = 0
-
-    def grow(which: int, u: int, need: int) -> int:
-        nonlocal nodes
-        nodes += 1
-        if nodes > budget:
-            return -1
-        if need == 0:
-            if which == 1:
-                q2.append(origin)
-                r = grow(2, origin, b)
-                if r == 0:
-                    q2.pop()
-                return r
-            return 1
-        path = q1 if which == 1 else q2
-        for v in d.out_neighbors(u):
-            if not used[v]:
-                used[v] = 1
-                path.append(v)
-                r = grow(which, v, need - 1)
-                if r != 0:
-                    return r
-                path.pop()
-                used[v] = 0
-        return 0
-
     for origin in range(d.n):
         if d.out_degree(origin) < 2:
             continue
-        used[origin] = 1
-        q1.clear()
-        q2.clear()
-        q1.append(origin)
-        r = grow(1, origin, a)
-        used[origin] = 0
-        if r == 1:
-            return TwoBlockPathWitness(tuple(q1), tuple(q2), a, b)
-        if r == -1:
+        nodes += 1
+        if nodes > budget:
             raise BudgetExceeded(nodes)
+        used[origin] = 1
+        # walk holds q1 and then q2; the iterator of q1's last vertex
+        # yields the origin alone, where q2 starts
+        walk = [origin]
+        stack = [iter(d.out_neighbors(origin))]
+        while stack:
+            for v in stack[-1]:
+                if not used[v] or len(walk) == a + 1:
+                    break
+            else:
+                stack.pop()
+                v = walk.pop()
+                if v != origin:
+                    used[v] = 0
+                continue
+            nodes += 1
+            if nodes > budget:
+                raise BudgetExceeded(nodes)
+            walk.append(v)
+            if len(walk) == a + b + 2:
+                return TwoBlockPathWitness(tuple(walk[:a + 1]), tuple(walk[a + 1:]), a, b)
+            used[v] = 1
+            stack.append(iter((origin,) if len(walk) == a + 1 else d.out_neighbors(v)))
+        used[origin] = 0
     return None
 
 

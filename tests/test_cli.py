@@ -86,6 +86,25 @@ class TestColor:
         assert main(["color", "--json", cycle5]) == 4
         assert json.loads(capsys.readouterr().out)["outcome"] == "inconclusive"
 
+    def test_long_blocks_are_inconclusive_not_a_crash(self, tmp_path, capsys):
+        """A 14,500-cycle with a back arc and a transitive tournament on
+        {0, 2400, ..., 14400}: stage d2 fails, and the (1200,1,1200,1)
+        search runs out of budget deep inside a block. The pure kernel used
+        to die there with RecursionError and exit 1."""
+        n = 14_500
+        hubs = range(0, n, 2400)
+        arcs = [(i, (i + 1) % n) for i in range(n)] + [(2400, 0)]
+        arcs += [(x, y) for x in hubs for y in hubs if y < x and x >= 4800]
+        path = write_graph(tmp_path, Digraph(n, arcs))
+        code = main(["color", "--k1", "1200", "--k3", "1200", "--budget", "1000000",
+                     "--json", path])
+        assert code == 4
+        assert capsys.readouterr().out == (
+            '{"outcome":"inconclusive","reason":"class 1: vertex 14400 keeps '
+            'out-degree 4 in the high part; subdivision search ran out of budget",'
+            '"stage":"color_d2"}\n'
+        )
+
 
 class TestColorHam:
     def test_cycle_with_chords(self, tmp_path, capsys):

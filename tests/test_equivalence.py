@@ -484,11 +484,13 @@ def test_kernel_matches_the_recursive_kernel():
 
 
 def outcome(search, *args):
-    """The search's result, or ("budget", nodes) when it runs out."""
+    """The search's result, or ("budget", nodes) when it runs out; a
+    coloring as its (vertex, color) items, in insertion order."""
     try:
-        return search(*args)
+        got = search(*args)
     except BudgetExceeded as exc:
         return "budget", exc.nodes
+    return list(got.items()) if isinstance(got, dict) else got
 
 
 def test_two_block_path_search_matches_recursion():
@@ -528,5 +530,5 @@ def test_exact_coloring_matches_recursion():
         for budget in STACK_BUDGETS:
             want = outcome(naive.recursive_color_within, vertices, adj, q, budget)
             assert outcome(color_within, vertices, adj, q, budget) == want
-            seen["none" if want is None else "budget" if type(want) is tuple else "coloring"] += 1
+            seen["none" if want is None else "coloring" if type(want) is list else want[0]] += 1
     assert seen["none"] and seen["budget"] and seen["coloring"]

@@ -7,6 +7,7 @@ skip only when no C compiler is on PATH."""
 
 import importlib.machinery
 import os
+import resource
 import shutil
 import subprocess
 import sys
@@ -127,6 +128,47 @@ def test_budget_bounds_the_work_of_a_long_pattern(compiled_kernel):
     assert compiled_kernel.search_cycle_subdivision(
         d.n, indptr, indices, 20, 1, 20, 1, 1
     ) == a
+
+
+def test_identical_budget_cut_inside_a_long_block(compiled_kernel):
+    """A path of at least 1200 arcs: the pure kernel used to recurse once
+    per vertex entered and died with RecursionError."""
+    arcs = [(i, (i + 1) % 1500) for i in range(1500)] + [(0, 1300), (5, 1310), (1305, 20)]
+    d = Digraph(1500, arcs)
+    for kernel in (pure, compiled_kernel):
+        assert run(kernel, d, (1200, 1, 10, 1), 5000) == (pure.BUDGET, None, 5001)
+
+
+# Runs the compiled kernel on a 40,000-vertex cycle with two chords, where
+# the first path of pattern (n/2 - 3, 1, 1, 1) enters ~20,000 vertices.
+LONG_BLOCK_CHILD = """
+import sys
+from fourblocks import Digraph
+from fourblocks._subdiv_ctypes import CompiledKernel
+n = 40_000
+d = Digraph(n, [(i, (i + 1) % n) for i in range(n)] + [(0, n // 2), (1, n // 2 + 1)])
+indptr, indices = d.csr()
+kernel = CompiledKernel(sys.argv[1])
+print(kernel.search_cycle_subdivision(n, indptr, indices, n // 2 - 3, 1, 1, 1, 10**6))
+"""
+
+
+def _one_megabyte_stack():
+    hard = resource.getrlimit(resource.RLIMIT_STACK)[1]
+    resource.setrlimit(resource.RLIMIT_STACK, (1 << 20, hard))
+
+
+def test_compiled_kernel_runs_a_long_block_on_a_small_stack(compiled_library):
+    """A C stack frame per vertex entered overflowed a 1 MB stack here and
+    killed the process with SIGSEGV; the explicit stack lives on the heap."""
+    env = {**os.environ, "PYTHONPATH": str(Path(witness.__file__).parents[1])}
+    done = subprocess.run(
+        [sys.executable, "-c", LONG_BLOCK_CHILD, str(compiled_library)],
+        env=env, capture_output=True, text=True, preexec_fn=_one_megabyte_stack,
+        timeout=120,
+    )
+    assert done.returncode == 0, done.stderr
+    assert done.stdout == f"{(pure.BUDGET, None, 1_000_001)}\n"
 
 
 def test_identical_on_extreme_arguments(compiled_kernel):

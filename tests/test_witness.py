@@ -1,3 +1,8 @@
+import ast
+import re
+from graphlib import CycleError, TopologicalSorter
+from pathlib import Path
+
 import pytest
 
 from fourblocks import (
@@ -8,13 +13,17 @@ from fourblocks import (
     SubdivisionWitness,
     find_cycle_subdivision,
     find_two_block_path,
+    TwoBlockPathWitness,
     verify_subdivision,
     verify_two_block_path,
     witness_from_json,
     witness_to_json,
 )
+from fourblocks.exactcolor import color_within
 
 import naive
+
+PACKAGE = Path(__file__).resolve().parents[1] / "src" / "fourblocks"
 
 
 def cycle(n):
@@ -227,3 +236,52 @@ class TestTwoBlockPath:
         w = TwoBlockPathWitness((0, 1, 2), (0, 1, 3), 2, 2)
         res = verify_two_block_path(d, w)
         assert not res.ok and res.reason == "NotInternallyDisjoint"
+
+
+class TestLongBlocks:
+    """Searches far deeper than the interpreter's recursion limit (1000).
+    The subdivision kernels' long-block cases are in test_kernel_parity.py."""
+
+    def test_two_block_path_with_a_long_block(self):
+        d = Digraph(2000, [(i, i + 1) for i in range(1999)] + [(0, 1999), (1999, 0)])
+        w = find_two_block_path(d, 1500, 1)
+        assert w == TwoBlockPathWitness(tuple(range(1501)), (0, 1999), 1500, 1)
+        assert verify_two_block_path(d, w).ok
+
+    def test_exact_coloring_of_a_long_path(self):
+        n = 3000
+        adj = [{u for u in (v - 1, v + 1) if 0 <= u < n} for v in range(n)]
+        colors = color_within(range(n), adj, 2, 10**7)
+        assert colors == {v: (v + 1) % 2 for v in range(n)}
+
+    def test_no_function_in_src_calls_itself(self):
+        """No call cycle among the functions of one module, by plain name in
+        the Python modules and by name in the C kernel."""
+        for path in sorted(PACKAGE.glob("*.py")):
+            funcs = [
+                node for node in ast.walk(ast.parse(path.read_text()))
+                if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef))
+            ]
+            names = {f.name for f in funcs}
+            calls = {}
+            for f in funcs:
+                calls.setdefault(f.name, set()).update(
+                    node.func.id for node in ast.walk(f)
+                    if isinstance(node, ast.Call) and isinstance(node.func, ast.Name)
+                    and node.func.id in names
+                )
+            self._assert_acyclic(path, calls)
+        source = (PACKAGE / "_subdiv.c").read_text()
+        bodies = dict(re.findall(r"^\w[^;{]*?\b(\w+)\([^;{]*\)\s*\{(.*?)^\}", source, re.M | re.S))
+        assert {"close_cycle", "bfs", "fb_search_cycle_subdivision"} <= set(bodies)
+        self._assert_acyclic("_subdiv.c", {
+            name: set(re.findall(r"\b(\w+)\s*\(", body)) & set(bodies)
+            for name, body in bodies.items()
+        })
+
+    @staticmethod
+    def _assert_acyclic(where, calls):
+        try:
+            tuple(TopologicalSorter(calls).static_order())
+        except CycleError as exc:
+            pytest.fail(f"{where}: call cycle {exc.args[1]}")
