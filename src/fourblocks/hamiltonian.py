@@ -12,19 +12,22 @@ every vertex w strictly inside C]u,v[ has at most 2 neighbors among the
 cycle vertices that lie at least k arcs after v and at least k arcs before
 u along C[v,u]. Any violation pinpoints a subdivision. The checker is one
 sweep of prefix neighbor counts along the cycle: O(n + m) interpreted
-steps, plus slice arithmetic run inside C over every gap vertex of every
-chord. It keeps one record per violating chord, and its result builds a
-``ChordViolation`` row only when a reader asks for one.
+steps. The counts sit in fixed-width unsigned fields of one ``array``, so a
+chord reads its gap's counts as one integer, and one subtraction and one
+mask, run inside C, test every gap vertex of the chord at once. It keeps
+one record per violating chord, and its result builds a ``ChordViolation``
+row only when a reader asks for one.
 """
 
 from __future__ import annotations
 
+import sys
+from array import array
 from bisect import bisect_right
 from collections.abc import Sequence
 from dataclasses import dataclass
 from functools import partial
 from itertools import accumulate, chain, compress, repeat
-from operator import gt, sub
 from typing import NamedTuple, Optional, Union
 
 from .decomposition import greedy_reverse, peel_low_degree
@@ -47,13 +50,14 @@ class HamiltonianCycle:
     def is_valid_for(self, d: Digraph) -> bool:
         if sorted(self.order) != list(range(d.n)) or d.n < 2:
             return False
-        return all(
-            d.has_arc(u, v)
-            for u, v in zip(self.order, self.order[1:] + self.order[:1])
-        )
+        return d.arcs.issuperset(zip(self.order, self.order[1:] + self.order[:1]))
 
-    def positions(self) -> dict[int, int]:
-        return {v: i for i, v in enumerate(self.order)}
+    def positions(self) -> list[int]:
+        """positions()[v]: the index of vertex v in ``order``."""
+        pos = [0] * len(self.order)
+        for i, v in enumerate(self.order):
+            pos[v] = i
+        return pos
 
 
 def find_hamiltonian_cycle(
@@ -259,22 +263,30 @@ def check_chord_neighbor_bound(
     the zone [a, b] = [pos(v) + k, pos(v) + L - k] nor the gap slice
     [lo, hi) = [pos(u) + 1, pos(u) + n - L) wraps. One sweep over x keeps
     cnt[s], the number of neighbors of the vertex at position s (mod n)
-    that lie on the line at or before x. A chord copies cnt[lo:hi] just
-    before x = a and subtracts that copy from cnt[lo:hi] right after
-    x = b; ``compress`` then keeps the gap vertices whose count exceeds 2,
-    and their counts. The sweep costs O(n + m) interpreted steps. The
-    copies, subtractions and filters, one per gap vertex of every chord,
-    run inside C-level slice, ``map`` and ``compress`` calls, and the
-    copies alive at once hold at most that many counts.
+    that lie on the line at or before x. ``cnt`` is an ``array`` of
+    unsigned fields of W bytes, W chosen so that the largest undirected
+    degree D stays below 2^(8W-1); a counter reaches at most 2D, since the
+    line holds every vertex twice. Just before x = a a chord reads
+    cnt[lo:hi] as one integer; right after x = b it subtracts that from
+    the same read. Counters only grow, so no field borrows, and each field
+    of the difference is a gap vertex's zone count, at most D. Adding
+    2^(8W-1) - 3 to every field sets a field's top bit exactly when its
+    count exceeds 2, without a carry into the next field. A chord whose
+    masked sum is zero is done; otherwise the top byte of each field
+    selects, in two ``compress`` calls, the gap vertices and their counts.
+    The sweep costs O(n + m) interpreted steps. The reads, the integer
+    arithmetic and the filters, linear in the gap of every chord, run
+    inside C, and the reads alive at once hold at most W bytes per gap
+    vertex of the open chords.
     """
     if k < 1:
         raise ValueError("block parameter k must be positive")
     if not c.is_valid_for(d):
         raise ValueError("cycle is not a Hamiltonian directed cycle of the digraph")
     n = c.n
-    pos = c.positions()
     order = c.order
     line = order + order
+    pos = c.positions()
     # bumps[p]: both line positions of every neighbor of the vertex at p
     adj = d.neighbor_sets()
     bumps: list[list[int]] = []
@@ -285,33 +297,58 @@ def check_chord_neighbor_bound(
     chords = []
     opens: list[list[int]] = [[] for _ in range(2 * n)]
     closes: list[list[int]] = [[] for _ in range(2 * n)]
-    for v, u in sorted(d.arcs):
-        pv, pu = pos[v], pos[u]
-        L = (pu - pv) % n
-        # a cycle arc (L = 1) has no zone, and its reverse (L = n-1) an
-        # empty gap, so arcs whose underlying edge lies on C add no rows
-        if L < 2 * k:
-            continue
-        i = len(chords)
-        chords.append((u, v, pu + 1, pu + n - L))
-        opens[pv + k].append(i)
-        closes[pv + L - k].append(i)
+    # arcs (v, u) in sorted order: out-neighbor tuples are ascending
+    for v in range(n):
+        pv = pos[v]
+        for u in d.out_neighbors(v):
+            pu = pos[u]
+            L = (pu - pv) % n
+            # a cycle arc (L = 1) has no zone, and its reverse (L = n-1) an
+            # empty gap, so arcs whose underlying edge lies on C add no rows
+            if L < 2 * k:
+                continue
+            i = len(chords)
+            chords.append((u, v, pu + 1, pu + n - L))
+            opens[pv + k].append(i)
+            closes[pv + L - k].append(i)
 
-    before: dict[int, list[int]] = {}
+    # the narrowest unsigned field whose top bit stays clear up to the
+    # largest degree D; a counter, at most 2D, then fits in it too
+    degree = max(map(len, adj))
+    code = next(f for f in "BHILQ" if degree >> (8 * array(f).itemsize - 1) == 0)
+    width = array(code).itemsize
+    bits = 8 * width
+    endian = sys.byteorder
+    top_byte = width - 1 if endian == "little" else 0
+    # plus: 2^(bits-1) - 3 in each of n fields, high: 2^(bits-1) in each;
+    # a gap of g fields shifts plus down to g fields, so its sum and mask
+    # cost O(g), not O(n)
+    ones = int.from_bytes(array(code, [1]) * n, endian)
+    plus = ((1 << (bits - 1)) - 3) * ones
+    high = (1 << (bits - 1)) * ones
+
+    before: dict[int, int] = {}
     # found[i]: the record of chord i, or () while it has no violating row
     found: list[tuple] = [()] * len(chords)
-    cnt = [0] * (2 * n)
+    cnt = array(code, bytes(2 * n * width))
     for x, near in enumerate(bumps * 2):
         for i in opens[x]:
             _, _, lo, hi = chords[i]
-            before[i] = cnt[lo:hi]
+            before[i] = int.from_bytes(cnt[lo:hi], endian)
         for s in near:
             cnt[s] += 1
         for i in closes[x]:
             u, v, lo, hi = chords[i]
-            counts = list(map(sub, cnt[lo:hi], before.pop(i)))
-            above = list(map(gt, counts, repeat(2)))
-            ws = tuple(compress(line[lo:hi], above))
-            if ws:
-                found[i] = (u, v, ws, tuple(compress(counts, above)))
+            diff = int.from_bytes(cnt[lo:hi], endian) - before.pop(i)
+            over = (diff + (plus >> bits * (n - hi + lo))) & high
+            if over:
+                size = (hi - lo) * width
+                above = over.to_bytes(size, endian)[top_byte::width]
+                counts = memoryview(diff.to_bytes(size, endian)).cast(code)
+                found[i] = (
+                    u,
+                    v,
+                    tuple(compress(line[lo:hi], above)),
+                    tuple(compress(counts, above)),
+                )
     return ChordViolations(tuple(filter(None, found)))

@@ -396,6 +396,44 @@ def test_chord_sweep_matches_set_intersections():
     assert seen["zone across n-1"] and seen["zone past n-1"] and seen["gap across n-1"]
 
 
+def hub_cycle(degree, shift, n=420):
+    """A directed n-cycle through a shuffled vertex order with one hub of
+    undirected degree ``degree``: its two cycle neighbors plus chords to
+    the cycle positions 100, 101, ... after it. Five chords (v,u) put the
+    hub in their gap and every one of its chord neighbors in their zone
+    for k <= 35, and n further random chords avoid the hub. ``shift``
+    rotates where the hub sits on the cycle."""
+    rng = Rng(degree)
+    order = list(range(n))
+    rng.shuffle(order)
+    at = lambda p: order[(p + shift) % n]
+    hub = at(0)
+    arcs = {(order[i], order[(i + 1) % n]) for i in range(n)}
+    for p in range(100, 100 + degree - 2):
+        arcs.add((hub, at(p)) if rng.randrange(2) else (at(p), hub))
+    arcs |= {(at(40 + j), at(360 - j)) for j in range(5)}
+    while len(arcs) < n + degree + 3 + n:
+        p, q = 1 + rng.randrange(n - 1), 1 + rng.randrange(n - 1)
+        if p != q:
+            arcs.add((at(p), at(q)))
+    return Digraph(n, arcs), HamiltonianCycle(tuple(order)), hub
+
+
+@pytest.mark.parametrize("shift", [0, 200])
+@pytest.mark.parametrize("degree", [127, 128, 200])
+def test_chord_check_with_wide_counter_fields(degree, shift):
+    """The check packs one counter per gap vertex into a field narrow
+    enough for the largest degree: one byte up to degree 127, two bytes
+    from 128. A hub at that limit, with over 100 neighbors in the zone of
+    the chords that pass it, gives the rows of the set intersections."""
+    d, c, hub = hub_cycle(degree, shift)
+    assert max(map(len, d.neighbor_sets())) == len(d.neighbor_sets()[hub]) == degree
+    for k in (1, 2, 5):
+        want = naive.check_chord_neighbor_bound(d, c, k)
+        assert sum(w == hub and count > 100 for _, _, w, count in want) >= 5
+        assert check_chord_neighbor_bound(d, c, k) == want
+
+
 def kernel_cases():
     """Random digraphs on 4-17 vertices, from a few arcs to dense, and dense
     strong digraphs like the dense-fallback benchmark's."""

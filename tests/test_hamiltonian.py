@@ -253,3 +253,14 @@ class TestChordViolationsSequence:
                 rows = list(rows)
                 groups.append((u, v, tuple(r[2] for r in rows), tuple(r[3] for r in rows)))
             assert got.chords == tuple(groups)
+
+    def test_records_hold_plain_ints(self):
+        """The check reads its counts from packed bytes; none of them, nor
+        a view of them, is left in a record."""
+        for _, got in self.cases():
+            assert type(got.chords) is tuple
+            for record in got.chords:
+                assert type(record) is tuple and len(record) == 4
+                u, v, ws, counts = record
+                assert type(ws) is tuple and type(counts) is tuple
+                assert all(type(x) is int for x in (u, v, *ws, *counts))
