@@ -1,18 +1,22 @@
 """Core digraph and coloring types.
 
 Vertices are always dense integer ids 0..n-1. A ``Digraph`` may contain
-digons (both (u,v) and (v,u)) but never loops or duplicate arcs. Its
-``UGraph`` view forgets orientations and collapses each digon to a single
-edge. Colorings are plain vertex->color mappings; properness is always
-judged on an undirected graph.
+digons (both (u,v) and (v,u)) but never loops or duplicate arcs. It keeps
+its arcs and one sorted out-list per vertex, built from the arcs, so a
+vertex without out-arcs costs one shared empty tuple. Every other view (the
+CSR arrays, the undirected neighbor sets, the strong components) is read off
+those two. Its ``UGraph`` view forgets orientations and collapses each digon
+to a single edge. Colorings are plain vertex->color mappings; properness is
+always judged on an undirected graph.
 """
 
 from __future__ import annotations
 
 import re
+from collections import defaultdict
 from dataclasses import dataclass
 from operator import eq
-from typing import Hashable, Iterable, Optional, Sequence
+from typing import Hashable, Iterable, Optional
 
 from .errors import ParseError
 
@@ -20,7 +24,7 @@ from .errors import ParseError
 class Digraph:
     """Loop-free directed graph on vertices 0..n-1, digons allowed."""
 
-    __slots__ = ("n", "arcs", "_out", "_in", "_und", "_csr")
+    __slots__ = ("n", "arcs", "_out", "_und", "_csr")
 
     def __init__(self, n: int, arcs: Iterable[tuple[int, int]]):
         if n < 0:
@@ -34,27 +38,24 @@ class Digraph:
         self._build(n, arc_set)
 
     def _build(self, n: int, arcs: Iterable[tuple[int, int]]) -> "Digraph":
-        """Set every field from arcs already checked, kept in input order."""
+        """Set every field from arcs already checked, kept in input order.
+        Work beyond one shared empty tuple per vertex follows the arcs."""
         self.n = n
         self.arcs = frozenset(arcs)
-        out: list[list[int]] = [[] for _ in range(n)]
-        inn: list[list[int]] = [[] for _ in range(n)]
+        heads: defaultdict[int, list[int]] = defaultdict(list)
         for u, v in self.arcs:
-            out[u].append(v)
-            inn[v].append(u)
-        for vs in out + inn:
+            heads[u].append(v)
+        out: list[tuple[int, ...]] = [()] * n
+        for u, vs in heads.items():
             vs.sort()
-        self._out = tuple(map(tuple, out))
-        self._in = tuple(map(tuple, inn))
+            out[u] = tuple(vs)
+        self._out = out
         self._und: Optional[list[set[int]]] = None
         self._csr: Optional[tuple[list[int], list[int]]] = None
         return self
 
     def out_neighbors(self, u: int) -> tuple[int, ...]:
         return self._out[u]
-
-    def in_neighbors(self, u: int) -> tuple[int, ...]:
-        return self._in[u]
 
     def out_degree(self, u: int) -> int:
         return len(self._out[u])
@@ -78,7 +79,10 @@ class Digraph:
         once. Built on first use and shared by every caller, which must not
         mutate it."""
         if self._und is None:
-            self._und = [set(out).union(inn) for out, inn in zip(self._out, self._in)]
+            und = [set(vs) for vs in self._out]
+            for u, v in self.arcs:
+                und[v].add(u)
+            self._und = und
         return self._und
 
     def has_arc(self, u: int, v: int) -> bool:
@@ -170,22 +174,54 @@ def is_strongly_connected(d: Digraph) -> bool:
         raise ValueError("empty digraph has no connectivity status")
     if d.n == 1:
         return True
-    return _reaches_all(d.n, d._out, 0) and _reaches_all(d.n, d._in, 0)
+    return len(d.arcs) >= d.n and not any(strong_components(d))
 
 
-def _reaches_all(n: int, adj: Sequence[Sequence[int]], start: int) -> bool:
-    seen = [False] * n
-    seen[start] = True
-    stack = [start]
-    count = 1
-    while stack:
-        u = stack.pop()
-        for v in adj[u]:
-            if not seen[v]:
-                seen[v] = True
-                count += 1
-                stack.append(v)
-    return count == n
+def strong_components(d: Digraph) -> list[int]:
+    """Strong component id of every vertex (Tarjan 1972), numbered in the
+    order the components complete, so an arc never leads to a higher id.
+
+    Depth-first from each unvisited root in ascending order, out-neighbors
+    in ascending order, on an explicit stack of out-list iterators. A live
+    vertex's index is its position on the component stack, so a completed
+    component leaves the stack as one slice. Its vertices then hold n + id,
+    above every stack position, so an arc into it never lowers a low-link."""
+    out, n = d._out, d.n
+    index = [-1] * n
+    low = [0] * n
+    stack: list[int] = []
+    done = n
+    for root in range(n):
+        if index[root] >= 0:
+            continue
+        index[root] = low[root] = 0  # the stack is empty between roots
+        stack.append(root)
+        frames = [(root, iter(out[root]))]
+        while frames:
+            v, heads = frames[-1]
+            lv = low[v]
+            for w in heads:
+                iw = index[w]
+                if iw < 0:
+                    low[v] = lv
+                    index[w] = low[w] = len(stack)
+                    stack.append(w)
+                    frames.append((w, iter(out[w])))
+                    break
+                if iw < lv:
+                    lv = iw
+            else:
+                frames.pop()
+                if lv == index[v]:
+                    for w in stack[lv:]:
+                        index[w] = done
+                    del stack[lv:]
+                    done += 1
+                else:
+                    u = frames[-1][0]
+                    if lv < low[u]:
+                        low[u] = lv
+    return [i - n for i in index]
 
 
 def is_proper(g: UGraph, c: Coloring) -> bool:

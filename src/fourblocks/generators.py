@@ -14,7 +14,7 @@ from dataclasses import dataclass
 from enum import Enum
 from typing import Optional
 
-from .digraph import Digraph
+from .digraph import Digraph, strong_components
 from .errors import InfeasibleSpec
 from .witness import CyclePattern
 
@@ -127,10 +127,11 @@ def _random_strong(n: int, m: int, rng: Rng) -> Digraph:
         if u != v:
             arcs.add((u, v))
     while True:
-        comp = _scc_ids(n, arcs)
+        d = Digraph(n, arcs)
+        comp = strong_components(d)
         ncomp = max(comp) + 1
         if ncomp == 1:
-            break
+            return d
         has_out = [False] * ncomp
         has_in = [False] * ncomp
         for u, v in arcs:
@@ -142,7 +143,6 @@ def _random_strong(n: int, m: int, rng: Rng) -> Digraph:
         u = min(v for v in range(n) if comp[v] == sink)
         v = min(w for w in range(n) if comp[w] == source)
         arcs.add((u, v))
-    return Digraph(n, arcs)
 
 
 def _random_hamiltonian(n: int, m: int, rng: Rng) -> Digraph:
@@ -235,55 +235,3 @@ def _ancestor_digraph(n: int, m: int, rng: Rng) -> Digraph:
             break
         arcs.add((u, v))
     return Digraph(n, arcs)
-
-
-def _scc_ids(n: int, arcs: set[tuple[int, int]]) -> list[int]:
-    """Tarjan strongly connected component ids, iterative."""
-    adj: list[list[int]] = [[] for _ in range(n)]
-    for u, v in arcs:
-        adj[u].append(v)
-    for vs in adj:
-        vs.sort()
-    index = [-1] * n
-    low = [0] * n
-    on_stack = [False] * n
-    stack: list[int] = []
-    comp = [-1] * n
-    counter = 0
-    ncomp = 0
-    for root in range(n):
-        if index[root] != -1:
-            continue
-        work = [(root, 0)]
-        while work:
-            v, pi = work[-1]
-            if pi == 0:
-                index[v] = low[v] = counter
-                counter += 1
-                stack.append(v)
-                on_stack[v] = True
-            advanced = False
-            for i in range(pi, len(adj[v])):
-                w = adj[v][i]
-                if index[w] == -1:
-                    work[-1] = (v, i + 1)
-                    work.append((w, 0))
-                    advanced = True
-                    break
-                if on_stack[w]:
-                    low[v] = min(low[v], index[w])
-            if advanced:
-                continue
-            if low[v] == index[v]:
-                while True:
-                    w = stack.pop()
-                    on_stack[w] = False
-                    comp[w] = ncomp
-                    if w == v:
-                        break
-                ncomp += 1
-            work.pop()
-            if work:
-                pv, _ = work[-1]
-                low[pv] = min(low[pv], low[v])
-    return comp

@@ -20,6 +20,9 @@ rotate the same arcs in the same order.
 ``parse_digraph`` here is the line-by-line parser alone; the package's
 version reads plain text in bulk and must return the same digraph and raise
 the same ``ParseError`` (line and message) on every text.
+``scc_ids`` is the generator's Tarjan as it was, over out-lists it rebuilds
+from an arc set; ``digraph.strong_components`` reads the digraph's own
+out-lists and must return the same ids, numbered in completion order.
 ``SubDigraph`` and ``color_d1``/``color_d2``/``color_d3`` here are the
 per-class stages as they were when every class vertex entered each peel,
 Kahn pass and DSATUR; they call the package's peels, greedy and DSATUR,
@@ -465,6 +468,58 @@ def parse_digraph(text: str) -> Digraph:
             f"declared {header[1]} arcs but found {len(arcs)}",
         )
     return Digraph(header[0], arcs)
+
+
+def scc_ids(n: int, arcs: set[tuple[int, int]]) -> list[int]:
+    """Tarjan strongly connected component ids, iterative."""
+    adj: list[list[int]] = [[] for _ in range(n)]
+    for u, v in arcs:
+        adj[u].append(v)
+    for vs in adj:
+        vs.sort()
+    index = [-1] * n
+    low = [0] * n
+    on_stack = [False] * n
+    stack: list[int] = []
+    comp = [-1] * n
+    counter = 0
+    ncomp = 0
+    for root in range(n):
+        if index[root] != -1:
+            continue
+        work = [(root, 0)]
+        while work:
+            v, pi = work[-1]
+            if pi == 0:
+                index[v] = low[v] = counter
+                counter += 1
+                stack.append(v)
+                on_stack[v] = True
+            advanced = False
+            for i in range(pi, len(adj[v])):
+                w = adj[v][i]
+                if index[w] == -1:
+                    work[-1] = (v, i + 1)
+                    work.append((w, 0))
+                    advanced = True
+                    break
+                if on_stack[w]:
+                    low[v] = min(low[v], index[w])
+            if advanced:
+                continue
+            if low[v] == index[v]:
+                while True:
+                    w = stack.pop()
+                    on_stack[w] = False
+                    comp[w] = ncomp
+                    if w == v:
+                        break
+                ncomp += 1
+            work.pop()
+            if work:
+                pv, _ = work[-1]
+                low[pv] = min(low[pv], low[v])
+    return comp
 
 
 # --- per-class stages on every class vertex ---------------------------------

@@ -61,6 +61,13 @@ class TestColor:
         path = write_graph(tmp_path, tt(4))
         assert main(["color", path]) == 2
 
+    def test_huge_header_without_arcs_exits_2(self, tmp_path, capsys):
+        path = tmp_path / "huge.dg"
+        path.write_text("1000000 0\n")
+        assert path.stat().st_size == 10
+        assert main(["color", str(path)]) == 2
+        assert "not strongly connected" in capsys.readouterr().err
+
     def test_parse_error_exits_1(self, tmp_path, capsys):
         path = tmp_path / "bad.dg"
         path.write_text("2 1\n0 0\n")

@@ -1,4 +1,5 @@
-from itertools import permutations
+import tracemalloc
+from itertools import compress, permutations
 
 import pytest
 
@@ -6,12 +7,15 @@ from fourblocks import (
     Coloring,
     CyclePattern,
     Digraph,
+    Family,
+    GenSpec,
     ParseError,
     Rng,
     UGraph,
     find_cycle_subdivision,
     finalize,
     format_digraph,
+    generate,
     is_proper,
     is_strongly_connected,
     parse_digraph,
@@ -21,6 +25,7 @@ from fourblocks import (
 )
 from fourblocks import digraph as digraph_module
 from fourblocks.decomposition import greedy_reverse, peel_low_degree
+from fourblocks.digraph import strong_components
 
 import naive
 
@@ -76,7 +81,7 @@ class TestDigraph:
     def test_digon_allowed(self):
         d = Digraph(2, [(0, 1), (1, 0)])
         assert d.out_neighbors(0) == (1,)
-        assert d.in_neighbors(0) == (1,)
+        assert d.out_neighbors(1) == (0,)
 
     def test_adjacency_sorted(self):
         d = Digraph(4, [(0, 3), (0, 1), (0, 2)])
@@ -84,7 +89,6 @@ class TestDigraph:
         d = random_digraph(Rng(5), 40, 400)
         for v in range(d.n):
             assert d.out_neighbors(v) == tuple(sorted(w for u, w in d.arcs if u == v))
-            assert d.in_neighbors(v) == tuple(sorted(u for u, w in d.arcs if w == v))
 
     def test_csr_lists_arcs_in_tail_head_order(self):
         d = random_digraph(Rng(3), 30, 120)
@@ -148,6 +152,18 @@ class TestStrongConnectivity:
             )
             assert is_strongly_connected(d) == expected
 
+    def test_reading_cost_follows_the_arcs(self):
+        """A 10-byte text declaring 10^6 vertices and no arcs is read and
+        refused in a few bytes per declared vertex."""
+        tracemalloc.start()
+        try:
+            strong = is_strongly_connected(parse_digraph("1000000 0\n"))
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert not strong
+        assert peak < 40 * 2**20
+
 
 def _reaches(d, u, v):
     seen = {u}
@@ -161,6 +177,41 @@ def _reaches(d, u, v):
                 seen.add(y)
                 stack.append(y)
     return False
+
+
+def all_digraphs(n):
+    pairs = [(u, v) for u in range(n) for v in range(n) if u != v]
+    for mask in range(1 << len(pairs)):
+        yield Digraph(n, compress(pairs, (mask >> i & 1 for i in range(len(pairs)))))
+
+
+class TestStrongComponents:
+    """``strong_components`` against the generator's former Tarjan, kept in
+    ``naive.scc_ids``: the same ids, numbered in completion order."""
+
+    def test_every_digraph_up_to_four_vertices(self):
+        count = 0
+        for n in range(5):
+            for d in all_digraphs(n):
+                assert strong_components(d) == naive.scc_ids(d.n, set(d.arcs))
+                count += 1
+        assert count == 1 + 1 + 4 + 64 + 4096
+
+    @pytest.mark.parametrize("family", [Family.RANDOM_STRONG, Family.ANCESTOR_DIGRAPH])
+    def test_generated_digraphs_and_their_halves(self, family):
+        for seed in range(30):
+            n = 2 + seed * 7 % 60
+            d = generate(GenSpec(family, n, n + seed % (2 * n), seed))
+            half = Digraph(d.n, list(d.arcs)[: len(d.arcs) // 2])
+            for g in (d, half):
+                assert strong_components(g) == naive.scc_ids(g.n, set(g.arcs))
+
+    def test_long_cycle_and_path_need_no_recursion(self):
+        n = 10**5
+        ring, path = cycle(n), Digraph(n, ((i, i + 1) for i in range(n - 1)))
+        assert strong_components(ring) == naive.scc_ids(n, set(ring.arcs)) == [0] * n
+        # the path's last vertex completes first
+        assert strong_components(path) == naive.scc_ids(n, set(path.arcs)) == list(range(n - 1, -1, -1))
 
 
 class TestIsProper:
@@ -306,7 +357,7 @@ def same_parse(text):
         assert (exc.value.line, exc.value.message) == (err.line, err.message)
         return None
     got = parse_digraph(text)
-    assert (got.n, got.arcs, got._out, got._in) == (want.n, want.arcs, want._out, want._in)
+    assert (got.n, got.arcs, got._out) == (want.n, want.arcs, want._out)
     assert list(got.arcs) == list(want.arcs)
     return got
 

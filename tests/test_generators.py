@@ -1,3 +1,5 @@
+import hashlib
+
 import pytest
 
 from fourblocks import (
@@ -48,6 +50,23 @@ class TestDeterminism:
     )
     def test_byte_identical(self, spec):
         assert format_digraph(generate(spec)) == format_digraph(generate(spec))
+
+    # Random strong digraphs whose fill leaves them not strong, so the
+    # condensation patch adds an arc and the loop checks strong components
+    # twice. The digests were computed with the generator's former private
+    # Tarjan; the ids it numbers pick the patch arc.
+    @pytest.mark.parametrize(
+        "n, m, seed, digest",
+        [
+            (12, 11, 0, "c22bf3a77696b91840f239337988f751dfa5845ee3e0920089994233542cdc21"),
+            (40, 40, 3, "51ccaa0bdf792ab10f7c3d5acd5f28a905c01b4ef6014f4b2d85f1816fbdd015"),
+            (200, 199, 4, "e5e11e7085609e7fad64aafe7a80dc97fa9267f905a4ba754f2fef6a0ede1b41"),
+            (2000, 1999, 6, "4ea991645f2eb68334e8f06ec11d49f778f38ed1f7d7377823dab5471feb72d1"),
+        ],
+    )
+    def test_random_strong_bytes_are_pinned(self, n, m, seed, digest):
+        text = format_digraph(generate(GenSpec(Family.RANDOM_STRONG, n, m, seed)))
+        assert hashlib.sha256(text.encode()).hexdigest() == digest
 
 
 class TestFamilies:

@@ -1,9 +1,10 @@
 """Property tests on small random inputs.
 
 networkx is an independent oracle for strong connectivity and for the core
-that the degree peel leaves. Mutated certificates and mutated digraph files
-check the error contracts: the verifier raises nothing but ValueError, and
-the command line exits within 0-5 without a traceback.
+that the degree peel leaves, and ``underlying_graph`` for ``neighbor_sets``.
+Mutated certificates and mutated digraph files check the error contracts:
+the verifier raises nothing but ValueError, and the command line exits
+within 0-5 without a traceback.
 """
 
 import copy
@@ -23,6 +24,7 @@ from fourblocks import (
     find_cycle_subdivision,
     format_digraph,
     is_strongly_connected,
+    underlying_graph,
     verify_certificate,
     witness_to_json,
 )
@@ -75,6 +77,20 @@ class TestNetworkxOracle:
             assert set(core) == set(nx.k_core(undirected, t + 1))
 
         check()
+
+
+def test_neighbor_sets_match_the_underlying_graph():
+    """The two undirected views agree: the stall and chord checks read
+    ``neighbor_sets``, the benchmark gate reads ``underlying_graph``."""
+
+    @hyp.settings(max_examples=150, **SETTINGS)
+    @hyp.given(digraphs())
+    def check(d):
+        g = underlying_graph(d)
+        adj = d.neighbor_sets()
+        assert all(adj[v] == set(g.neighbors(v)) for v in range(d.n))
+
+    check()
 
 
 def cycle(n):
