@@ -93,6 +93,17 @@ def _emit(args, json_obj: dict, text_lines: list[str]) -> None:
         _write("".join(line + "\n" for line in text_lines))
 
 
+def _emit_coloring(args, cert) -> int:
+    """Emit a pipeline or peel coloring certificate; its exit code is 0."""
+    _emit(
+        args,
+        cert.to_json_dict(),
+        ["outcome: coloring", f"bound: {cert.bound}",
+         f"colors used: {cert.coloring.palette_size}"],
+    )
+    return 0
+
+
 def _parse_pattern(text: str) -> witness.CyclePattern:
     parts = [p for p in text.replace(",", " ").split() if p]
     try:
@@ -111,16 +122,7 @@ def cmd_color(args) -> int:
         print("input digraph is not strongly connected", file=sys.stderr)
         return 2
     if isinstance(cert, decomposition.ColoringWithinBound):
-        _emit(
-            args,
-            cert.to_json_dict(),
-            [
-                "outcome: coloring",
-                f"bound: {cert.bound}",
-                f"colors used: {cert.coloring.palette_size}",
-            ],
-        )
-        return 0
+        return _emit_coloring(args, cert)
     if isinstance(cert, decomposition.SubdivisionFound):
         _emit(
             args,
@@ -166,16 +168,7 @@ def cmd_color_ham(args) -> int:
         cycle = found
     cert = hamiltonian.color_hamiltonian(d, cycle, args.k1, args.k3, args.budget)
     if isinstance(cert, hamiltonian.PeelColoring):
-        _emit(
-            args,
-            cert.to_json_dict(),
-            [
-                "outcome: coloring",
-                f"bound: {cert.bound}",
-                f"colors used: {cert.coloring.palette_size}",
-            ],
-        )
-        return 0
+        return _emit_coloring(args, cert)
     _emit(
         args,
         cert.to_json_dict(),

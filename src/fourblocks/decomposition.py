@@ -116,7 +116,10 @@ def arc_partition(d: Digraph, t: OutTree, cls) -> ArcPartition:
                 continue
             if level[u] < level[v] and num.is_ancestor(u, v):
                 a1.add((u, v))
-            elif level[u] > level[v] and num.is_ancestor(v, u):
+            # In a final tree every arc with level[u] >= level[v] has v on
+            # the root path of u, so none joins equal levels and every
+            # backward arc points at an ancestor.
+            elif level[u] > level[v]:
                 a2.add((u, v))
             else:
                 a3.add((u, v))
@@ -303,9 +306,7 @@ def color_d3(
     q = 4 * k + 2
     heuristic = exactcolor.dsatur(d3.touched, d3.und_adj)
     if len(set(heuristic.values())) <= q:
-        colors = dict.fromkeys(d3.vertices, 0)
-        colors.update(heuristic)
-        return Coloring(colors)
+        return Coloring(dict.fromkeys(d3.vertices, 0) | heuristic)
     exact = exactcolor.color_within(d3.vertices, d3.und_adj, q, budget)
     if exact is not None:
         return Coloring(exact)

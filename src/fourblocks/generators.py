@@ -110,6 +110,18 @@ def _transitive_tournament(n: int) -> Digraph:
     return Digraph(n, ((i, j) for i in range(n) for j in range(i + 1, n)))
 
 
+def _random_fill(arcs: set, n: int, m: int, rng: Rng) -> set:
+    """Add uniform random non-loop arcs to arcs until it holds m, or until
+    100*n*n draws have been made; returns arcs."""
+    for _ in range(100 * n * n):
+        if len(arcs) >= m:
+            break
+        u, v = rng.randrange(n), rng.randrange(n)
+        if u != v:
+            arcs.add((u, v))
+    return arcs
+
+
 def _random_strong(n: int, m: int, rng: Rng) -> Digraph:
     """Random Hamiltonian-path skeleton, random fill to m arcs, then strong
     connectivity patched with one arc per missing condensation link."""
@@ -119,13 +131,7 @@ def _random_strong(n: int, m: int, rng: Rng) -> Digraph:
         raise InfeasibleSpec(f"random strong digraph needs m >= n-1 = {n - 1}")
     perm = list(range(n))
     rng.shuffle(perm)
-    arcs = {(perm[i], perm[i + 1]) for i in range(n - 1)}
-    attempts = 0
-    while len(arcs) < m and attempts < 100 * n * n:
-        u, v = rng.randrange(n), rng.randrange(n)
-        attempts += 1
-        if u != v:
-            arcs.add((u, v))
+    arcs = _random_fill({(perm[i], perm[i + 1]) for i in range(n - 1)}, n, m, rng)
     while True:
         d = Digraph(n, arcs)
         comp = strong_components(d)
@@ -153,14 +159,8 @@ def _random_hamiltonian(n: int, m: int, rng: Rng) -> Digraph:
         raise InfeasibleSpec(f"Hamiltonian family needs m >= n = {n}")
     perm = list(range(n))
     rng.shuffle(perm)
-    arcs = {(perm[i], perm[(i + 1) % n]) for i in range(n)}
-    attempts = 0
-    while len(arcs) < m and attempts < 100 * n * n:
-        u, v = rng.randrange(n), rng.randrange(n)
-        attempts += 1
-        if u != v:
-            arcs.add((u, v))
-    return Digraph(n, arcs)
+    cycle = {(perm[i], perm[(i + 1) % n]) for i in range(n)}
+    return Digraph(n, _random_fill(cycle, n, m, rng))
 
 
 def _planted_subdivision(

@@ -117,6 +117,18 @@ class VerifyResult:
         return self.ok
 
 
+def _has_two_forks_each_way(arcs) -> bool:
+    """Whether at least two vertices are each the tail of two or more arcs
+    and at least two are each the head of two or more; stops once they are."""
+    tails, heads, fork_tails, fork_heads = set(), set(), set(), set()
+    for u, v in arcs:
+        (fork_tails if u in tails else tails).add(u)
+        (fork_heads if v in heads else heads).add(v)
+        if len(fork_tails) > 1 and len(fork_heads) > 1:
+            return True
+    return False
+
+
 def find_cycle_subdivision(
     d: Digraph, p: CyclePattern, budget: int = DEFAULT_BUDGET
 ) -> Optional[SubdivisionWitness]:
@@ -124,7 +136,13 @@ def find_cycle_subdivision(
 
     Returns a witness, or None only when the whole search space was
     exhausted. Raises BudgetExceeded when the node budget runs out first.
+    The kernel answers ABSENT without a node when the blocks need more
+    than n vertices or fewer than two tails or two heads carry two arcs;
+    those cases are decided here from the arcs, before ``d.csr()`` costs a
+    step per declared vertex.
     """
+    if sum(p.blocks) > d.n or not _has_two_forks_each_way(d.arcs):
+        return None
     indptr, indices = d.csr()
     status, payload, nodes = _kernel.search_cycle_subdivision(
         d.n, indptr, indices, *p.blocks, budget

@@ -204,6 +204,12 @@ class TestFind:
     def test_not_found_exits_3(self, cycle5):
         assert main(["find", "--k1", "1", "--k3", "1", cycle5]) == 3
 
+    def test_huge_header_without_arcs_exits_3(self, tmp_path, capsys):
+        path = tmp_path / "huge.dg"
+        path.write_text("1000000 0\n")
+        assert main(["find", str(path)]) == 3
+        assert capsys.readouterr().out == "no subdivision found\n"
+
     def test_budget_exits_4(self, tmp_path):
         path = write_graph(tmp_path, tt(8))
         assert main(["find", "--budget", "3", path]) == 4

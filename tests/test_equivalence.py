@@ -550,11 +550,63 @@ def test_two_block_path_search_matches_recursion():
     assert seen["none"] and seen["budget"] and seen["path"]
 
 
+def undirected(n, edges):
+    adj = [set() for _ in range(n)]
+    for u, v in edges:
+        adj[u].add(v)
+        adj[v].add(u)
+    return adj
+
+
+def mycielskian(n, edges):
+    """Mycielski's construction: one more color needed, still no triangle."""
+    shadows = [(n + u, v) for u, v in edges] + [(u, n + v) for u, v in edges]
+    return 2 * n + 1, edges + shadows + [(n + i, 2 * n) for i in range(n)]
+
+
+def uncolorable_cases():
+    """(vertices, adj, q) with chromatic number q + 1, so the exact search
+    ends in None only after backtracking through every branch, and each
+    backtrack lowers saturations: the Grötzsch graph and its Mycielskian,
+    odd wheels at q = 3 and K_{q+1}."""
+    c5 = [(i, (i + 1) % 5) for i in range(5)]
+    groetzsch = mycielskian(5, c5)
+    cases = [(range(11), undirected(*groetzsch), 3)]
+    cases.append((range(23), undirected(*mycielskian(*groetzsch)), 4))
+    for r in (5, 7, 9):
+        rim = [(i, i % r + 1) for i in range(1, r + 1)]
+        spokes = [(0, i) for i in range(1, r + 1)]
+        cases.append((range(r + 1), undirected(r + 1, rim + spokes), 3))
+    for q in range(1, 6):
+        clique = [(u, v) for u in range(q + 1) for v in range(u + 1, q + 1)]
+        cases.append((range(q + 1), undirected(q + 1, clique), q))
+    return cases
+
+
+def lazy_heap_cases():
+    """Graphs from a seeded random search, shrunk edge by edge, on which the
+    exact search at q = 3 picks the wrong vertex unless a popped entry with
+    a stale saturation is skipped, and unless a backtrack queues a fresh
+    entry for the uncolored vertex (first graph) and for a neighbor whose
+    saturation falls (second graph)."""
+    requeue = [(0, 2), (0, 8), (0, 10), (1, 4), (1, 6), (1, 10), (2, 4), (2, 9), (3, 10),
+               (4, 9), (5, 11), (7, 11), (9, 11), (10, 11)]
+    fall = [(0, 2), (0, 6), (0, 8), (0, 9), (0, 11), (1, 11), (2, 6), (2, 10), (3, 9),
+            (4, 9), (5, 11), (6, 10), (7, 12), (8, 9), (8, 12), (10, 12), (11, 12)]
+    return [(range(12), undirected(12, requeue), 3), (range(13), undirected(13, fall), 3)]
+
+
+def test_uncolorable_cases_end_in_none():
+    for vertices, adj, q in uncolorable_cases():
+        assert naive.recursive_color_within(vertices, adj, q, DEFAULT_BUDGET) is None
+        assert color_within(vertices, adj, q + 1, DEFAULT_BUDGET) is not None
+
+
 def test_exact_coloring_matches_recursion():
     """Same coloring, None or BudgetExceeded.nodes at every budget, on
     neighbor lists and on dicts keyed by a vertex subset."""
     rng = Rng(73)
-    cases = []
+    cases = uncolorable_cases() + lazy_heap_cases()
     for i in range(60):
         n = 3 + i % 11
         d = Digraph(n, {(u, v) for u in range(n) for v in range(u + 1, n)

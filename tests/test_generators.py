@@ -68,6 +68,21 @@ class TestDeterminism:
         text = format_digraph(generate(GenSpec(Family.RANDOM_STRONG, n, m, seed)))
         assert hashlib.sha256(text.encode()).hexdigest() == digest
 
+    # Hamiltonian digraphs from sparse to complete; the complete one draws
+    # many loops and repeated arcs before its fill ends.
+    @pytest.mark.parametrize(
+        "n, m, seed, digest",
+        [
+            (8, 12, 99, "c7d7ad4b5f8b220de63659708503997876c9498c8ad8e6394f4f9a06027f9587"),
+            (6, 30, 2, "3f034c26ec821d2d2d607a4ab5455a5aa081848ba2207d4e91f69e4f001a8478"),
+            (40, 120, 7, "038d040d2676e3b553fce8b24566c6dcbd4ddc8c91eccbe584959047545f88ec"),
+            (400, 1200, 101, "44617c6e4d5304d12e635eccad4dba484c4650a6738fd8d8e061b3607cfd5e97"),
+        ],
+    )
+    def test_random_hamiltonian_bytes_are_pinned(self, n, m, seed, digest):
+        text = format_digraph(generate(GenSpec(Family.RANDOM_HAMILTONIAN, n, m, seed)))
+        assert hashlib.sha256(text.encode()).hexdigest() == digest
+
 
 class TestFamilies:
     def test_directed_cycle(self):

@@ -1,5 +1,6 @@
 import ast
 import re
+import tracemalloc
 from graphlib import CycleError, TopologicalSorter
 from pathlib import Path
 
@@ -16,10 +17,13 @@ from fourblocks import (
     TwoBlockPathWitness,
     verify_subdivision,
     verify_two_block_path,
+    parse_digraph,
     witness_from_json,
     witness_to_json,
 )
 from fourblocks.exactcolor import color_within
+from fourblocks import _subdiv_py
+from fourblocks.witness import _has_two_forks_each_way, available_kernels
 
 import naive
 
@@ -150,6 +154,36 @@ class TestFindCycleSubdivision:
         with pytest.raises(BudgetExceeded):
             find_cycle_subdivision(tt(8), P1111, budget=3)
 
+    def test_empty_search_costs_nothing_per_declared_vertex(self):
+        d = parse_digraph("1000000 0\n")
+        tracemalloc.start()
+        try:
+            w = find_cycle_subdivision(d, P1111)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert w is None
+        assert peak < 2**20
+
+    def test_searches_decided_without_a_kernel_are_its_zero_node_absences(self):
+        """Where find_cycle_subdivision answers without a kernel call, every
+        kernel answers ABSENT without a node, at any budget."""
+        rng = Rng(17)
+        decided = 0
+        for i in range(300):
+            n = 2 + i % 9
+            d = random_digraph(rng, n, rng.randrange(2 * n))
+            pattern = CyclePattern((1 + i % 3, 1, 1 + i % 2, 1))
+            if sum(pattern.blocks) <= n and _has_two_forks_each_way(d.arcs):
+                continue
+            decided += 1
+            assert find_cycle_subdivision(d, pattern, budget=0) is None
+            indptr, indices = d.csr()
+            for kernel in available_kernels().values():
+                got = kernel.search_cycle_subdivision(d.n, indptr, indices, *pattern.blocks, 0)
+                assert got == (_subdiv_py.ABSENT, None, 0)
+        assert decided > 100
+
     def test_library_ignores_the_budget_environment_variable(self, monkeypatch):
         # FOURBLOCKS_BUDGET is read by the CLI only; a library call with no
         # budget searches under DEFAULT_BUDGET
@@ -248,8 +282,8 @@ class TestLongBlocks:
         assert w == TwoBlockPathWitness(tuple(range(1501)), (0, 1999), 1500, 1)
         assert verify_two_block_path(d, w).ok
 
-    def test_exact_coloring_of_a_long_path(self):
-        n = 3000
+    @pytest.mark.parametrize("n", [3000, 30000])
+    def test_exact_coloring_of_a_long_path(self, n):
         adj = [{u for u in (v - 1, v + 1) if 0 <= u < n} for v in range(n)]
         colors = color_within(range(n), adj, 2, 10**7)
         assert colors == {v: (v + 1) % 2 for v in range(n)}
