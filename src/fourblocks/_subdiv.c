@@ -11,8 +11,11 @@
    later used to reset the array; and the path search keeps the next arc of
    each vertex entered in a cursor array beside path_buf, on the heap.
 
-   Plain C on flat int arrays, with no Python headers. _subdiv_ctypes.py
-   loads the built library, checks the arguments and converts the result.
+   Plain C on flat int arrays, with no Python headers: the out-neighbors of
+   u are indices[indptr[u] .. indptr[u + 1]), in ascending order.
+   _subdiv_ctypes.py loads the built library, flattens the digraph's
+   out-lists into those two arrays, checks the arguments and converts the
+   result.
    Build with `python setup.py build_ext --inplace`, or by hand:
 
        cc -O2 -shared -fPIC _subdiv.c -o _subdiv.so

@@ -3,11 +3,14 @@
 ``CompiledKernel(path)`` opens a built library. Its
 ``search_cycle_subdivision`` takes the same arguments as the pure twin in
 ``_subdiv_py`` and returns the same ``(status, payload, nodes)`` shape, built
-from tuples of Python ints.
+from tuples of Python ints. The C kernel reads the digraph as flat int
+arrays (a row index ``indptr`` and the heads ``indices``); this module alone
+builds them, from the out-lists, at each call.
 """
 
 import ctypes
 from array import array
+from itertools import accumulate, chain
 
 from ._subdiv_py import FOUND
 
@@ -26,25 +29,27 @@ class CompiledKernel:
         fn.restype = ctypes.c_int
         self._search = fn
 
-    def search_cycle_subdivision(self, n, indptr, indices, k1, k2, k3, k4, budget):
+    def search_cycle_subdivision(self, out, k1, k2, k3, k4, budget):
         """Returns (status, payload, nodes); payload is (junctions, paths) on FOUND."""
+        n = len(out)
         # ctypes truncates out-of-range ints silently and C indexes without
         # checks, so everything the kernel trusts is checked here.
-        if (len(indptr) != n + 1 or indptr[0] != 0 or indptr[n] != len(indices)
-                or any(a > b for a, b in zip(indptr, indptr[1:]))):
-            raise ValueError("indptr is not a CSR row index over n vertices")
+        try:  # the heads of vertex u are indices[indptr[u]:indptr[u + 1]]
+            indices = array("i", chain.from_iterable(out))
+        except OverflowError:
+            raise ValueError("arc head out of range") from None
         if indices and not 0 <= min(indices) <= max(indices) < n:
             raise ValueError("arc head out of range")
+        indptr = array("i", accumulate(map(len, out), initial=0))
         if min(k1, k2, k3, k4) < 1:
             raise ValueError("block lengths must be positive")
         # a block longer than n leaves the search ABSENT either way
         blocks = [min(k, n + 1) for k in (k1, k2, k3, k4)]
-        c_indptr, c_indices = array("i", indptr), array("i", indices)
         path_buf = (ctypes.c_int * (4 * (n + 1)))()
         path_len, junctions = (ctypes.c_int * 4)(), (ctypes.c_int * 4)()
         nodes = ctypes.c_longlong()
         status = self._search(
-            n, _pointer(c_indptr), _pointer(c_indices), *blocks,
+            n, _pointer(indptr), _pointer(indices), *blocks,
             min(budget, _BUDGET_MAX), junctions, path_buf, path_len, nodes,
         )
         if status < 0:

@@ -3,7 +3,10 @@
 This module and the compiled twin (_subdiv.c, loaded by _subdiv_ctypes)
 implement the exact same backtracking search with the exact same visit
 order and node accounting, so either can back the public API
-interchangeably. A change to one must land in the other.
+interchangeably. A change to one must land in the other. Both take the
+digraph as its ascending out-lists (``Digraph.out_lists()``): this kernel
+iterates them as they are and builds the ascending in-lists once per
+search, for the BFS into j2.
 
 The target shape is an oriented cycle with four blocks: junctions j1..j4
 where j1 and j3 are sources and j2 and j4 are sinks, realized by four
@@ -57,18 +60,22 @@ ABSENT = 1
 BUDGET = 2
 
 
-def search_cycle_subdivision(n, indptr, indices, k1, k2, k3, k4, budget):
-    """Returns (status, payload, nodes); payload is (junctions, paths) on FOUND."""
+def search_cycle_subdivision(out, k1, k2, k3, k4, budget):
+    """Searches the digraph on vertices 0..len(out)-1 whose out-neighbors
+    of v are out[v], in ascending order. Returns (status, payload, nodes);
+    payload is (junctions, paths) on FOUND."""
+    n = len(out)
     total_min = k1 + k2 + k3 + k4
     if total_min > n:
         return ABSENT, None, 0
 
-    out_deg = [indptr[v + 1] - indptr[v] for v in range(n)]
-    in_deg = [0] * n
-    for v in indices:
-        in_deg[v] += 1
-    sources = [v for v in range(n) if out_deg[v] >= 2]
-    sinks = [v for v in range(n) if in_deg[v] >= 2]
+    # the in-lists, ascending, for the BFS into j2
+    ins = [[] for _ in range(n)]
+    for u, heads in enumerate(out):
+        for v in heads:
+            ins[v].append(u)
+    sources = [v for v in range(n) if len(out[v]) >= 2]
+    sinks = [v for v in range(n) if len(ins[v]) >= 2]
     if len(sources) < 2 or len(sinks) < 2:
         return ABSENT, None, 0
 
@@ -83,17 +90,6 @@ def search_cycle_subdivision(n, indptr, indices, k1, k2, k3, k4, budget):
     for v in sinks:
         is_sink[v] = 1
     nsrc, nsnk = len(sources), len(sinks)
-    # the reversed digraph, for the BFS into j2
-    rptr = [0] * (n + 1)
-    for v in range(n):
-        rptr[v + 1] = rptr[v] + in_deg[v]
-    rind = [0] * len(indices)
-    fill = rptr[:n]
-    for u in range(n):
-        for i in range(indptr[u], indptr[u + 1]):
-            v = indices[i]
-            rind[fill[v]] = u
-            fill[v] += 1
 
     def close(j1, j2, j3, j4, L):
         """Runs the path search for one junction quadruple: 1, 0 or -1.
@@ -114,7 +110,7 @@ def search_cycle_subdivision(n, indptr, indices, k1, k2, k3, k4, budget):
         nodes += 1
         if nodes > budget:
             return -1
-        stack = [iter(indices[indptr[j1]:indptr[j1 + 1]])]
+        stack = [iter(out[j1])]
         while stack:
             for v in stack[-1]:
                 if v == tgt:
@@ -151,19 +147,18 @@ def search_cycle_subdivision(n, indptr, indices, k1, k2, k3, k4, budget):
             nodes += 1
             if nodes > budget:
                 return -1
-            stack.append(iter(indices[indptr[v]:indptr[v + 1]]))
+            stack.append(iter(out[v]))
         used[j1] = used[j2] = used[j3] = used[j4] = 0
         return 0
 
-    def ball(ptr, ind, s, radius):
-        """Vertex -> BFS distance from s along (ptr, ind), up to `radius`."""
+    def ball(adj, s, radius):
+        """Vertex -> BFS distance from s along the lists adj, up to `radius`."""
         dist = {s: 0}
         layer = [s]
         for r in range(1, radius + 1):
             nxt = []
             for u in layer:
-                for i in range(ptr[u], ptr[u + 1]):
-                    v = ind[i]
+                for v in adj[u]:
                     if v not in dist:
                         dist[v] = r
                         nxt.append(v)
@@ -200,7 +195,7 @@ def search_cycle_subdivision(n, indptr, indices, k1, k2, k3, k4, budget):
             if not room(a, t, -1):
                 continue
             # d(j1,j2) <= slack + k1 and d(j1,j4) <= slack + k4
-            d1 = ball(indptr, indices, j1, slack + max(k1, k4))
+            d1 = ball(out, j1, slack + max(k1, k4))
             mark1 = items
             for j2 in sorted(v for v in d1 if is_sink[v]):
                 if j2 == j1:
@@ -208,13 +203,13 @@ def search_cycle_subdivision(n, indptr, indices, k1, k2, k3, k4, budget):
                 b12 = max(k1, d1[j2])
                 if b12 + rem_after[0] > L or not room(a, t, j2):
                     continue
-                d2 = ball(rptr, rind, j2, L - b12 - rem_after[1])
+                d2 = ball(ins, j2, L - b12 - rem_after[1])
                 mark2 = items
-                for j3 in sorted(v for v in d2 if out_deg[v] >= 2):
+                for j3 in sorted(v for v in d2 if len(out[v]) >= 2):
                     if j3 == j1 or j3 == j2 or (sym and j3 < j1) or t - is_sink[j3] < 1:
                         continue
                     b123 = b12 + max(k2, d2[j3])
-                    d3 = ball(indptr, indices, j3, L - b123 - rem_after[2])
+                    d3 = ball(out, j3, L - b123 - rem_after[2])
                     mark3 = items
                     for j4 in sorted(v for v in d3 if is_sink[v]):
                         if j4 == j1 or j4 == j2 or j4 == j3 or j4 not in d1:

@@ -364,9 +364,8 @@ def cmd_bench(args) -> int:
         start = time.perf_counter()
         found = []
         for d in digraphs:
-            indptr, indices = d.csr()
             status, payload, _ = module.search_cycle_subdivision(
-                d.n, indptr, indices, *pattern, budget
+                d.out_lists(), *pattern, budget
             )
             found.append((status, payload))
         elapsed = time.perf_counter() - start

@@ -3,9 +3,10 @@
 Vertices are always dense integer ids 0..n-1. A ``Digraph`` may contain
 digons (both (u,v) and (v,u)) but never loops or duplicate arcs. It keeps
 its arcs and one sorted out-list per vertex, built from the arcs, so a
-vertex without out-arcs costs one shared empty tuple. Every other view (the
-CSR arrays, the undirected neighbor sets, the strong components) is read off
-those two. Its ``UGraph`` view forgets orientations and collapses each digon
+vertex without out-arcs costs one shared empty tuple. Every layer reads
+the digraph's adjacency from those out-lists, one at a time or all of them
+through ``out_lists()``, and every other view (the undirected neighbor
+sets, the strong components) is read off them and the arcs. Its ``UGraph`` view forgets orientations and collapses each digon
 to a single edge. Colorings are plain vertex->color mappings; properness is
 always judged on an undirected graph.
 """
@@ -16,7 +17,7 @@ import re
 from collections import defaultdict
 from dataclasses import dataclass
 from operator import eq
-from typing import Hashable, Iterable, Optional
+from typing import Hashable, Iterable, Optional, Sequence
 
 from .errors import ParseError
 
@@ -24,7 +25,7 @@ from .errors import ParseError
 class Digraph:
     """Loop-free directed graph on vertices 0..n-1, digons allowed."""
 
-    __slots__ = ("n", "arcs", "_out", "_und", "_csr")
+    __slots__ = ("n", "arcs", "_out", "_und")
 
     def __init__(self, n: int, arcs: Iterable[tuple[int, int]]):
         if n < 0:
@@ -51,7 +52,6 @@ class Digraph:
             out[u] = tuple(vs)
         self._out = out
         self._und: Optional[list[set[int]]] = None
-        self._csr: Optional[tuple[list[int], list[int]]] = None
         return self
 
     def out_neighbors(self, u: int) -> tuple[int, ...]:
@@ -60,19 +60,11 @@ class Digraph:
     def out_degree(self, u: int) -> int:
         return len(self._out[u])
 
-    def csr(self) -> tuple[list[int], list[int]]:
-        """(indptr, indices): the out-neighbors of u are
-        indices[indptr[u]:indptr[u+1]], in ascending order. Position i in
-        indices numbers the arcs in (tail, head) order. Built on first use
-        and shared by every caller, which must not mutate either list."""
-        if self._csr is None:
-            indptr = [0]
-            indices: list[int] = []
-            for vs in self._out:
-                indices.extend(vs)
-                indptr.append(len(indices))
-            self._csr = indptr, indices
-        return self._csr
+    def out_lists(self) -> Sequence[tuple[int, ...]]:
+        """The out-neighbors of every vertex, indexed by vertex, each tuple
+        in ascending order. Shared by every caller, which must not mutate
+        it."""
+        return self._out
 
     def neighbor_sets(self) -> list[set[int]]:
         """Undirected neighbors of every vertex; a digon counts its neighbor
@@ -186,7 +178,7 @@ def strong_components(d: Digraph) -> list[int]:
     vertex's index is its position on the component stack, so a completed
     component leaves the stack as one slice. Its vertices then hold n + id,
     above every stack position, so an arc into it never lowers a low-link."""
-    out, n = d._out, d.n
+    out, n = d.out_lists(), d.n
     index = [-1] * n
     low = [0] * n
     stack: list[int] = []

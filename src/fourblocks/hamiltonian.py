@@ -48,7 +48,7 @@ class HamiltonianCycle:
         return len(self.order)
 
     def is_valid_for(self, d: Digraph) -> bool:
-        if sorted(self.order) != list(range(d.n)) or d.n < 2:
+        if len(self.order) != d.n or d.n < 2 or sorted(self.order) != list(range(d.n)):
             return False
         return d.arcs.issuperset(zip(self.order, self.order[1:] + self.order[:1]))
 

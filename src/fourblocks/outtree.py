@@ -6,14 +6,14 @@ when level(x) < level(y) and backward otherwise (equal levels included).
 A tree is final when every backward arc points into its tail's ancestor
 chain; rotating offending arcs into the tree always terminates because each
 rotation strictly raises some vertex's level. ``finalize`` queues tail
-vertices, each with a cursor into its out-arcs. It marks a tail's root
+vertices, each with a cursor into its out-list. It marks a tail's root
 path, indexed by level, only once the tail shows a backward arc, and tests
 ancestry against that one marked path. After a rotation it keeps scanning
 the same tail while that tail is still the smallest queued, and it queues
 a vertex of the moved subtree only when one of its arcs leaving that
 subtree now offends, or resets its cursor if it is queued already.
-Ancestor tests on a built tree use its pre/post-order numbering and take
-O(1).
+Ancestor tests on a built tree use its pre-order numbers and subtree
+sizes and take O(1).
 """
 
 from __future__ import annotations
@@ -42,19 +42,20 @@ class OutTree:
 
     @cached_property
     def numbering(self) -> "TreeNumbering":
-        """Pre/post-order numbers, built on first use in O(n)."""
+        """Pre-order numbers and subtree sizes, built on first use in O(n)."""
         return TreeNumbering(self)
 
 
 class TreeNumbering:
-    """Pre/post-order numbers of an out-tree.
+    """Pre-order numbers and subtree sizes of an out-tree.
 
-    y is an ancestor of x (reflexively) iff pre[y] <= pre[x] and
-    post[x] <= post[y]. ``final_arcs`` holds the arc set the tree was last
-    found final for, so ``is_final`` scans the arcs once per (tree, digraph).
+    A subtree takes consecutive pre-order numbers, so y is an ancestor of x
+    (reflexively) iff pre[y] <= pre[x] < pre[y] + size[y]. ``final_arcs``
+    holds the arc set the tree was last found final for, so ``is_final``
+    scans the arcs once per (tree, digraph).
     """
 
-    __slots__ = ("pre", "post", "final_arcs")
+    __slots__ = ("pre", "size", "final_arcs")
 
     def __init__(self, t: OutTree):
         children: list[list[int]] = [[] for _ in range(t.n)]
@@ -62,25 +63,25 @@ class TreeNumbering:
             if p is not None:
                 children[p].append(v)
         pre = [-1] * t.n
-        post = [-1] * t.n
-        entered = exited = 0
-        stack = [(t.root, False)]
+        order: list[int] = []
+        stack = [t.root]
         while stack:
-            v, leaving = stack.pop()
-            if leaving:
-                post[v] = exited
-                exited += 1
-                continue
-            pre[v] = entered
-            entered += 1
-            stack.append((v, True))
-            stack.extend((c, False) for c in children[v])
+            v = stack.pop()
+            pre[v] = len(order)
+            order.append(v)
+            stack.extend(children[v])
+        parent, size = t.parent, [1] * t.n
+        for v in reversed(order):  # a subtree's sizes are summed before its root's
+            p = parent[v]
+            if p is not None:
+                size[p] += size[v]
         self.pre = pre
-        self.post = post
+        self.size = size
         self.final_arcs: Optional[frozenset[tuple[int, int]]] = None
 
     def is_ancestor(self, y: int, x: int) -> bool:
-        return self.pre[y] <= self.pre[x] and self.post[x] <= self.post[y]
+        pre = self.pre
+        return pre[y] <= pre[x] < pre[y] + self.size[y]
 
 
 def spanning_out_tree(d: Digraph, r: int) -> OutTree:
@@ -138,8 +139,8 @@ def finalize(d: Digraph, t: OutTree) -> OutTree:
     decreases, so the total level sum is a strictly increasing potential
     bounded by n*n.
 
-    The worklist is a min-heap of tail vertices. cursor[x] is the position,
-    in ``d.csr()`` order, of the first out-arc of x not yet known not to
+    The worklist is a min-heap of tail vertices. cursor[x] is the index, in
+    x's ascending out-list, of the first out-arc of x not yet known not to
     offend. Invariant: every tail with an offending arc is queued, and no
     arc of a queued x before cursor[x] offends. The smallest queued tail,
     scanned from its cursor, thus yields the smallest offending arc:
@@ -192,8 +193,8 @@ def finalize(d: Digraph, t: OutTree) -> OutTree:
     for v, p in enumerate(parent):
         if p is not None:
             children[p].add(v)
-    indptr, head = d.csr()
-    cursor = indptr[:-1]
+    out = d.out_lists()
+    cursor = [0] * n
     queued = [True] * n
     heap = list(range(n))  # ascending, so already a heap
     path = [t.root] * (n + 1)  # the root is the one vertex at level 1
@@ -204,8 +205,9 @@ def finalize(d: Digraph, t: OutTree) -> OutTree:
     while heap:
         x = heap[0]
         lx = level[x]
-        for e in range(cursor[x], indptr[x + 1]):
-            y = head[e]
+        heads = out[x]
+        for e in range(cursor[x], len(heads)):
+            y = heads[e]
             ly = level[y]
             if ly > lx:
                 continue
@@ -230,11 +232,10 @@ def finalize(d: Digraph, t: OutTree) -> OutTree:
                 subtree.extend(children[u])
             for u in subtree:
                 if queued[u]:
-                    cursor[u] = indptr[u]
+                    cursor[u] = 0
                     continue
                 lu = level[u]
-                for f in range(indptr[u], indptr[u + 1]):
-                    b = head[f]
+                for f, b in enumerate(out[u]):
                     lb = level[b]
                     if (lb <= lu and stamp[b] != rotation
                             and (lb > lx or path[lb] != b)):

@@ -138,14 +138,13 @@ def find_cycle_subdivision(
     exhausted. Raises BudgetExceeded when the node budget runs out first.
     The kernel answers ABSENT without a node when the blocks need more
     than n vertices or fewer than two tails or two heads carry two arcs;
-    those cases are decided here from the arcs, before ``d.csr()`` costs a
-    step per declared vertex.
+    those cases are decided here from the arcs, before the kernel's set-up
+    costs a step per declared vertex. The kernel reads ``d.out_lists()``.
     """
     if sum(p.blocks) > d.n or not _has_two_forks_each_way(d.arcs):
         return None
-    indptr, indices = d.csr()
     status, payload, nodes = _kernel.search_cycle_subdivision(
-        d.n, indptr, indices, *p.blocks, budget
+        d.out_lists(), *p.blocks, budget
     )
     if status == _subdiv_py.BUDGET:
         raise BudgetExceeded(nodes)

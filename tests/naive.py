@@ -324,6 +324,18 @@ def check_chord_neighbor_bound(d: Digraph, c, k: int) -> list:
     return violations
 
 
+def csr(d: Digraph) -> tuple[list[int], list[int]]:
+    """(indptr, indices), the flat arrays the subdivision oracles here read:
+    the out-neighbors of u are indices[indptr[u]:indptr[u+1]], in ascending
+    order."""
+    indptr = [0]
+    indices: list[int] = []
+    for vs in d.out_lists():
+        indices.extend(vs)
+        indptr.append(len(indices))
+    return indptr, indices
+
+
 def search_cycle_subdivision(n, indptr, indices, k1, k2, k3, k4, budget):
     """Returns (status, payload, nodes); payload is (junctions, paths) on FOUND."""
     total_min = k1 + k2 + k3 + k4

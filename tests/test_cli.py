@@ -219,7 +219,7 @@ class TestFind:
         node, so it runs out of 1000 nodes on this dense strong digraph
         (and finds at 10^4); the pruned one finds the same first witness."""
         d = generate(GenSpec(Family.RANDOM_STRONG, 30, 300, 0))
-        indptr, indices = d.csr()
+        indptr, indices = naive.csr(d)
         unpruned = naive.search_cycle_subdivision(d.n, indptr, indices, 1, 1, 1, 1, 1000)
         assert unpruned[0] == BUDGET
         path = write_graph(tmp_path, d)
@@ -331,6 +331,14 @@ class TestVerify:
         cert.write_text(capsys.readouterr().out)
         if code in (0, 3):
             assert main(["verify", path, str(cert)]) == 0
+
+    def test_stall_core_on_a_huge_header_exits_3(self, tmp_path, capsys):
+        path = tmp_path / "huge.dg"
+        path.write_text("1000000 0\n")
+        cert = tmp_path / "cert.json"
+        cert.write_text('{"outcome":"stall","k":1,"core":[0,1]}')
+        assert main(["verify", str(path), str(cert)]) == 3
+        assert "core minimum degree 0 is below 6" in capsys.readouterr().out
 
     def test_malformed_exits_1(self, cycle5, tmp_path):
         cert = tmp_path / "cert.json"

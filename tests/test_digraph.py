@@ -5,22 +5,18 @@ import pytest
 
 from fourblocks import (
     Coloring,
-    CyclePattern,
     Digraph,
     Family,
     GenSpec,
     ParseError,
     Rng,
     UGraph,
-    find_cycle_subdivision,
-    finalize,
     format_digraph,
     generate,
     is_proper,
     is_strongly_connected,
     parse_digraph,
     product_coloring,
-    spanning_out_tree,
     underlying_graph,
 )
 from fourblocks import digraph as digraph_module
@@ -89,21 +85,6 @@ class TestDigraph:
         d = random_digraph(Rng(5), 40, 400)
         for v in range(d.n):
             assert d.out_neighbors(v) == tuple(sorted(w for u, w in d.arcs if u == v))
-
-    def test_csr_lists_arcs_in_tail_head_order(self):
-        d = random_digraph(Rng(3), 30, 120)
-        indptr, indices = d.csr()
-        assert len(indptr) == d.n + 1
-        tails = [u for u in range(d.n) for _ in range(indptr[u], indptr[u + 1])]
-        assert list(zip(tails, indices)) == sorted(d.arcs)
-
-    def test_csr_built_once_and_left_intact(self):
-        d = random_digraph(Rng(4), 30, 150)
-        csr = d.csr()
-        finalize(d, spanning_out_tree(d, 0))
-        find_cycle_subdivision(d, CyclePattern((1, 1, 1, 1)))
-        assert d.csr() is csr
-        assert csr == Digraph(d.n, d.arcs).csr()
 
     def test_neighbor_sets_built_once(self):
         d = Digraph(3, [(0, 1), (1, 0), (2, 0)])

@@ -465,10 +465,10 @@ def test_pruned_kernel_decides_what_the_unpruned_one_decides(pattern):
     the pruned one may decide."""
     seen = Counter()
     for d in KERNEL_CASES:
-        indptr, indices = d.csr()
+        indptr, indices = naive.csr(d)
         for budget in (1, 6, 40, 300, 10**6):
             old = naive.search_cycle_subdivision(d.n, indptr, indices, *pattern, budget)
-            new = _subdiv_py.search_cycle_subdivision(d.n, indptr, indices, *pattern, budget)
+            new = _subdiv_py.search_cycle_subdivision(d.out_lists(), *pattern, budget)
             if old[0] == _subdiv_py.BUDGET:
                 seen[("budget ->", new[0])] += 1
                 continue
@@ -510,12 +510,12 @@ def test_kernel_matches_the_recursive_kernel():
     """Same (status, payload, nodes) at every budget."""
     seen = Counter()
     for d, pattern in STACK_KERNEL_CASES:
-        indptr, indices = d.csr()
+        indptr, indices = naive.csr(d)
         for budget in STACK_BUDGETS:
             want = naive.recursive_search_cycle_subdivision(
                 d.n, indptr, indices, *pattern, budget
             )
-            got = _subdiv_py.search_cycle_subdivision(d.n, indptr, indices, *pattern, budget)
+            got = _subdiv_py.search_cycle_subdivision(d.out_lists(), *pattern, budget)
             assert got == want
             seen[want[0]] += 1
     assert seen[_subdiv_py.FOUND] and seen[_subdiv_py.ABSENT] and seen[_subdiv_py.BUDGET]

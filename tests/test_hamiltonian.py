@@ -1,3 +1,4 @@
+import tracemalloc
 from collections.abc import Sequence
 from itertools import groupby
 
@@ -21,6 +22,7 @@ from fourblocks import (
     find_hamiltonian_cycle,
     generate,
     is_proper,
+    parse_digraph,
     underlying_graph,
     verify_subdivision,
 )
@@ -58,6 +60,17 @@ class TestFindHamiltonianCycle:
     def test_budget(self):
         with pytest.raises(BudgetExceeded):
             find_hamiltonian_cycle(complete_digraph(10), budget=5)
+
+    def test_short_cycle_is_refused_before_a_step_per_declared_vertex(self):
+        d = parse_digraph("1000000 0\n")
+        tracemalloc.start()
+        try:
+            valid = HamiltonianCycle((0, 1, 2)).is_valid_for(d)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert not valid
+        assert peak < 2**20
 
     def test_single_vertex_has_none(self):
         assert find_hamiltonian_cycle(Digraph(1, [])) is None

@@ -46,8 +46,7 @@ def random_digraph(rng, n, m):
 
 
 def run(kernel, d, pattern, budget):
-    indptr, indices = d.csr()
-    return kernel.search_cycle_subdivision(d.n, indptr, indices, *pattern, budget)
+    return kernel.search_cycle_subdivision(d.out_lists(), *pattern, budget)
 
 
 def test_identical_outcomes_across_instances(compiled_kernel):
@@ -116,18 +115,15 @@ def test_budget_bounds_the_work_of_a_long_pattern(compiled_kernel):
     multiple of n + m; BFS balls kept for every source out to that radius
     would hold about 2*10^7 distances."""
     d = random_digraph(Rng(5), 5000, 15_000)
-    indptr, indices = d.csr()
     tracemalloc.start()
     try:
-        a = pure.search_cycle_subdivision(d.n, indptr, indices, 20, 1, 20, 1, 1)
+        a = pure.search_cycle_subdivision(d.out_lists(), 20, 1, 20, 1, 1)
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
     assert a == (pure.BUDGET, None, 2)
-    assert peak < 200 * (d.n + len(indices))
-    assert compiled_kernel.search_cycle_subdivision(
-        d.n, indptr, indices, 20, 1, 20, 1, 1
-    ) == a
+    assert peak < 200 * (d.n + len(d.arcs))
+    assert compiled_kernel.search_cycle_subdivision(d.out_lists(), 20, 1, 20, 1, 1) == a
 
 
 def test_identical_budget_cut_inside_a_long_block(compiled_kernel):
@@ -147,9 +143,8 @@ from fourblocks import Digraph
 from fourblocks._subdiv_ctypes import CompiledKernel
 n = 40_000
 d = Digraph(n, [(i, (i + 1) % n) for i in range(n)] + [(0, n // 2), (1, n // 2 + 1)])
-indptr, indices = d.csr()
 kernel = CompiledKernel(sys.argv[1])
-print(kernel.search_cycle_subdivision(n, indptr, indices, n // 2 - 3, 1, 1, 1, 10**6))
+print(kernel.search_cycle_subdivision(d.out_lists(), n // 2 - 3, 1, 1, 1, 10**6))
 """
 
 
@@ -184,13 +179,13 @@ def test_identical_on_extreme_arguments(compiled_kernel):
 def test_binding_rejects_what_the_kernel_would_misread(compiled_kernel):
     search = compiled_kernel.search_cycle_subdivision
     with pytest.raises(ValueError):
-        search(3, [0, 1, 2], [1, 2, 0], 1, 1, 1, 1, 10)  # indptr too short
+        search([(1,), (-1,), (0,)], 1, 1, 1, 1, 10)  # negative head
     with pytest.raises(ValueError):
-        search(3, [0, 2, 1, 3], [1, 2, 0], 1, 1, 1, 1, 10)  # decreasing
+        search([(1,), (3,), (0,)], 1, 1, 1, 1, 10)  # head out of range
     with pytest.raises(ValueError):
-        search(3, [0, 1, 2, 3], [1, 3, 0], 1, 1, 1, 1, 10)  # head out of range
+        search([(1,), (2**31,), (0,)], 1, 1, 1, 1, 10)  # beyond a C int
     with pytest.raises(ValueError):
-        search(3, [0, 1, 2, 3], [1, 2, 0], 0, 1, 1, 1, 10)  # empty block
+        search([(1,), (2,), (0,)], 0, 1, 1, 1, 10)  # empty block
 
 
 def _package_copy(tmp_path, library=None):

@@ -1,5 +1,6 @@
 import copy
 import json
+import tracemalloc
 
 import pytest
 
@@ -8,6 +9,7 @@ from fourblocks import (
     HamiltonianCycle,
     color_hamiltonian,
     color_strong_digraph,
+    parse_digraph,
     verify_certificate,
 )
 
@@ -77,3 +79,28 @@ def test_emitted_certificates_pass_and_tampered_ones_fail(name, d, cert, tamper)
 def test_malformed_raises_value_error(cert):
     with pytest.raises(ValueError):
         verify_certificate(cycle(3), cert)
+
+
+def test_stall_check_costs_nothing_per_declared_vertex():
+    """The core's degrees are read off the arcs inside it, not off
+    neighbor sets for all 10^6 declared vertices."""
+    d = parse_digraph("1000000 0\n")
+    cert = {"outcome": "stall", "k": 1, "core": [0, 1]}
+    tracemalloc.start()
+    try:
+        result = verify_certificate(d, cert)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert not result.ok and result.reason == "core minimum degree 0 is below 6"
+    assert peak < 2**20
+
+
+def test_stall_core_degree_counts_a_digon_once():
+    core = list(range(7))
+    digons = Digraph(8, [(u, v) for u in core for v in core if u != v] + [(0, 7), (7, 0)])
+    one_way = Digraph(8, [(u, v) for u in core for v in core if u < v])
+    for d in (digons, one_way):
+        assert verify_certificate(d, {"outcome": "stall", "k": 1, "core": core}).ok
+    cert = {"outcome": "stall", "k": 1, "core": core[:6] + [7]}
+    assert verify_certificate(digons, cert).reason == "core minimum degree 1 is below 6"

@@ -178,9 +178,8 @@ class TestFindCycleSubdivision:
                 continue
             decided += 1
             assert find_cycle_subdivision(d, pattern, budget=0) is None
-            indptr, indices = d.csr()
             for kernel in available_kernels().values():
-                got = kernel.search_cycle_subdivision(d.n, indptr, indices, *pattern.blocks, 0)
+                got = kernel.search_cycle_subdivision(d.out_lists(), *pattern.blocks, 0)
                 assert got == (_subdiv_py.ABSENT, None, 0)
         assert decided > 100
 
@@ -312,6 +311,15 @@ class TestLongBlocks:
             name: set(re.findall(r"\b(\w+)\s*\(", body)) & set(bodies)
             for name, body in bodies.items()
         })
+
+    def test_only_the_binding_knows_the_flat_arrays(self):
+        """Every Python layer reads the digraph's out-lists; the flat row
+        index and head arrays exist only where the C kernel is called."""
+        for path in sorted(PACKAGE.glob("*.py")):
+            if path.name == "_subdiv_ctypes.py":
+                continue
+            found = re.findall(r"indptr|csr", path.read_text(), re.I)
+            assert not found, f"{path.name} mentions {sorted(set(found))}"
 
     @staticmethod
     def _assert_acyclic(where, calls):
