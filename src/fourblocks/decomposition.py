@@ -28,7 +28,7 @@ from typing import Union
 from . import exactcolor
 from .digraph import Coloring, Digraph, is_strongly_connected, product_coloring
 from .errors import BudgetExceeded, NotAcyclic, NotFinalTree, NotStronglyConnected
-from .outtree import OutTree, finalize, is_final, spanning_out_tree
+from .outtree import OutTree, _check_vertex_count, finalize, spanning_out_tree
 from .witness import (
     DEFAULT_BUDGET,
     CyclePattern,
@@ -104,25 +104,30 @@ def level_classes(t: OutTree, k: int) -> LevelClasses:
 
 
 def arc_partition(d: Digraph, t: OutTree, cls) -> ArcPartition:
-    """Split the arcs induced by one class; requires a final tree."""
-    if not is_final(d, t):
-        raise NotFinalTree("arc partition requires a final out-tree")
+    """Split the arcs induced by one class, checking finality as it reads.
+
+    Each out-arc (u,v) of a class vertex u is read once. A backward arc
+    (level[u] >= level[v]) must point at an ancestor of u, or the tree is
+    not final and ``NotFinalTree`` is raised; inside the class it goes to
+    a2. A forward arc inside the class goes to a1 when u is an ancestor of
+    v and to a3 otherwise. Only the out-arcs of class vertices are read, so
+    a call raises exactly when one of them offends. The classes of
+    ``level_classes`` partition the vertices, so calls on all of them read
+    every arc once, and some call raises iff the tree is not final.
+    """
+    _check_vertex_count(d, t)
     level, num = t.level, t.numbering
     vset = set(cls)
     a1, a2, a3 = set(), set(), set()
     for u in vset:
         for v in d.out_neighbors(u):
-            if v not in vset:
-                continue
-            if level[u] < level[v] and num.is_ancestor(u, v):
-                a1.add((u, v))
-            # In a final tree every arc with level[u] >= level[v] has v on
-            # the root path of u, so none joins equal levels and every
-            # backward arc points at an ancestor.
-            elif level[u] > level[v]:
+            if level[u] < level[v]:
+                if v in vset:
+                    (a1 if num.is_ancestor(u, v) else a3).add((u, v))
+            elif not num.is_ancestor(v, u):
+                raise NotFinalTree(f"backward arc ({u},{v}) points off the root path of {u}")
+            elif v in vset:
                 a2.add((u, v))
-            else:
-                a3.add((u, v))
     return ArcPartition(frozenset(a1), frozenset(a2), frozenset(a3))
 
 

@@ -44,9 +44,6 @@ class Rng:
             j = self.randrange(i + 1)
             xs[i], xs[j] = xs[j], xs[i]
 
-    def split(self) -> "Rng":
-        return Rng(self.next_u64())
-
 
 class Family(Enum):
     DIRECTED_CYCLE = "cycle"

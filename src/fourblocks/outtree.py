@@ -13,7 +13,10 @@ the same tail while that tail is still the smallest queued, and it queues
 a vertex of the moved subtree only when one of its arcs leaving that
 subtree now offends, or resets its cursor if it is queued already.
 Ancestor tests on a built tree use its pre-order numbers and subtree
-sizes and take O(1).
+sizes and take O(1). A tree and its numbering are never written after
+construction; ``is_final`` rescans the arcs on every call, and the
+pipeline itself checks finality arc by arc in
+``decomposition.arc_partition``, where each arc is read anyway.
 """
 
 from __future__ import annotations
@@ -47,15 +50,13 @@ class OutTree:
 
 
 class TreeNumbering:
-    """Pre-order numbers and subtree sizes of an out-tree.
+    """Pre-order numbers and subtree sizes of an out-tree, fixed once built.
 
     A subtree takes consecutive pre-order numbers, so y is an ancestor of x
-    (reflexively) iff pre[y] <= pre[x] < pre[y] + size[y]. ``final_arcs``
-    holds the arc set the tree was last found final for, so ``is_final``
-    scans the arcs once per (tree, digraph).
+    (reflexively) iff pre[y] <= pre[x] < pre[y] + size[y].
     """
 
-    __slots__ = ("pre", "size", "final_arcs")
+    __slots__ = ("pre", "size")
 
     def __init__(self, t: OutTree):
         children: list[list[int]] = [[] for _ in range(t.n)]
@@ -77,7 +78,6 @@ class TreeNumbering:
                 size[p] += size[v]
         self.pre = pre
         self.size = size
-        self.final_arcs: Optional[frozenset[tuple[int, int]]] = None
 
     def is_ancestor(self, y: int, x: int) -> bool:
         pre = self.pre
@@ -116,17 +116,11 @@ def _check_vertex_count(d: Digraph, t: OutTree) -> None:
 
 
 def is_final(d: Digraph, t: OutTree) -> bool:
-    """Every backward arc (x,y) must satisfy y on the root path of x."""
+    """True iff every backward arc (x,y) has y on the root path of x: one
+    scan of the arcs, O(m) on every call."""
     _check_vertex_count(d, t)
-    num = t.numbering
-    if num.final_arcs is d.arcs:
-        return True
-    level = t.level
-    for x, y in d.arcs:
-        if level[x] >= level[y] and not num.is_ancestor(y, x):
-            return False
-    num.final_arcs = d.arcs
-    return True
+    level, num = t.level, t.numbering
+    return all(level[x] < level[y] or num.is_ancestor(y, x) for x, y in d.arcs)
 
 
 def finalize(d: Digraph, t: OutTree) -> OutTree:

@@ -3,6 +3,7 @@ import os
 import subprocess
 import sys
 from pathlib import Path
+from types import SimpleNamespace
 
 import pytest
 
@@ -526,6 +527,46 @@ class TestBench:
         assert main(["bench", "--count", "3", "--n", "8"]) == 0
         out = capsys.readouterr().out
         assert "pure" in out
+
+    @staticmethod
+    def fake_kernels(monkeypatch, statuses):
+        """Replace the loaded kernels by ones that return statuses[name] and
+        record each call's kernel name; returns that record."""
+        from fourblocks import witness
+
+        calls = []
+
+        def kernel(name):
+            def search_cycle_subdivision(out, k1, k2, k3, k4, budget):
+                calls.append(name)
+                return statuses[name], None, 0
+
+            return SimpleNamespace(search_cycle_subdivision=search_cycle_subdivision)
+
+        monkeypatch.setattr(
+            witness, "available_kernels", lambda: {name: kernel(name) for name in statuses}
+        )
+        return calls
+
+    def test_one_kernel_is_called_count_times_5(self, capsys, monkeypatch):
+        calls = self.fake_kernels(monkeypatch, {"pure": 1})
+        assert main(["bench", "--count", "4", "--n", "8"]) == 0
+        assert calls == ["pure"] * 4 * 5
+        out = capsys.readouterr().out
+        assert "median of 5 passes" in out and "pure kernel only" in out
+
+    # The kernels take turns pass by pass; each pass runs one kernel on
+    # every instance.
+    def test_kernels_alternate_pass_by_pass(self, capsys, monkeypatch):
+        calls = self.fake_kernels(monkeypatch, {"pure": 1, "compiled": 1})
+        assert main(["bench", "--count", "3", "--n", "8"]) == 0
+        assert calls == (["compiled"] * 3 + ["pure"] * 3) * 5
+        assert "kernels agree on all outcomes: True" in capsys.readouterr().out
+
+    def test_kernels_that_disagree_exit_1(self, capsys, monkeypatch):
+        self.fake_kernels(monkeypatch, {"pure": 1, "compiled": 2})
+        assert main(["bench", "--count", "2", "--n", "8"]) == 1
+        assert "kernels agree on all outcomes: False" in capsys.readouterr().out
 
 
 class TestBudgetEnvVar:

@@ -94,6 +94,19 @@ class TestArcPartition:
         with pytest.raises(NotFinalTree):
             arc_partition(d, t, {0, 1, 2})
 
+    # The tree of test_outtree's TestClassify::test_equal_levels_backward:
+    # at k = 1 the classes are {0, 3} (levels 1 and 3) and {1, 2} (level 2).
+    # Only (1,2), an out-arc of the second class, keeps the tree from being
+    # final, so only that class's call raises.
+    def test_raises_only_for_the_class_that_reads_the_offending_arc(self):
+        d = Digraph(4, [(0, 1), (0, 2), (2, 3), (1, 2)])
+        t = OutTree(0, (None, 0, 0, 2), (1, 2, 2, 3))
+        assert level_classes(t, 1).classes == (frozenset({0, 3}), frozenset({1, 2}))
+        part = arc_partition(d, t, {0, 3})
+        assert not part.a1 and not part.a2 and not part.a3
+        with pytest.raises(NotFinalTree, match=r"backward arc \(1,2\)"):
+            arc_partition(d, t, {1, 2})
+
     def test_three_kinds(self):
         # path tree 0->1->2->3->4->5 with extra arcs inside class {0,2,4}
         arcs = [(0, 1), (1, 2), (2, 3), (3, 4), (4, 5), (0, 2), (4, 0), (5, 0)]

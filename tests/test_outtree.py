@@ -6,6 +6,7 @@ from fourblocks import (
     Digraph,
     Family,
     GenSpec,
+    NotFinalTree,
     OutTree,
     Rng,
     UnreachableVertex,
@@ -14,6 +15,7 @@ from fourblocks import (
     generate,
     is_ancestor,
     is_final,
+    level_classes,
     spanning_out_tree,
 )
 
@@ -125,6 +127,39 @@ class TestIsFinal:
         t = OutTree(0, (None, 0, 0), (1, 2, 2))
         assert is_final(Digraph(3, [(0, 1), (0, 2)]), t)
         assert not is_final(Digraph(3, [(0, 1), (0, 2), (1, 2)]), t)
+
+    # arc_partition checks finality on the out-arcs of its class alone: a
+    # class raises iff one of those arcs offends, so over the level classes,
+    # which partition the vertices, some class raises iff the tree is not
+    # final. Random trees and BFS trees are mostly not final, finalized
+    # trees always are.
+    def test_some_level_class_raises_iff_not_final(self):
+        rng = Rng(43)
+        verdicts = set()
+        for seed in range(90):
+            n = 4 + seed % 23
+            d = generate(GenSpec(Family.RANDOM_STRONG, n, n + seed % (2 * n), seed))
+            bfs = spanning_out_tree(d, 0)
+            for t in (random_tree(rng, n), bfs, finalize(d, bfs)):
+                final = is_final(d, t)
+                verdicts.add(final)
+                for k in (1, 2, 3):
+                    raised = False
+                    for c in level_classes(t, k).classes:
+                        offends = any(
+                            t.level[u] >= t.level[v] and not is_ancestor(t, v, u)
+                            for u in c
+                            for v in d.out_neighbors(u)
+                        )
+                        try:
+                            arc_partition(d, t, c)
+                        except NotFinalTree:
+                            assert offends
+                            raised = True
+                        else:
+                            assert not offends
+                    assert raised == (not final)
+        assert verdicts == {True, False}
 
 
 class TestFinalize:
