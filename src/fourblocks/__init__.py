@@ -52,7 +52,6 @@ from .decomposition import (
     ClassReport,
     ColoringWithinBound,
     Inconclusive,
-    LevelClasses,
     OutDegreeFailure,
     SubDigraph,
     SubdivisionFound,

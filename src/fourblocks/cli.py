@@ -14,8 +14,8 @@ Exit codes are a stable contract:
 
 JSON output (--json) is the machine contract; the default text output is
 for humans and carries no stability promise. All randomness flows from
---seed. FOURBLOCKS_BUDGET overrides the default search budget; --budget
-overrides both.
+--seed. --budget sets the search node budget; it defaults to
+witness.DEFAULT_BUDGET, and no environment variable changes it.
 """
 
 from __future__ import annotations
@@ -61,18 +61,10 @@ def _load_digraph(path: str) -> Digraph:
 
 
 def _check_args(args) -> None:
-    """Reject bad block lengths and budgets before any work; resolves
-    args.budget to the flag, else FOURBLOCKS_BUDGET, else the default."""
+    """Reject bad block lengths and budgets before any work."""
     if min(getattr(args, "k1", 1), getattr(args, "k3", 1)) < 1:
         raise InputError("block lengths --k1 and --k3 must be at least 1")
-    if "budget" not in args:
-        return
-    if args.budget is None:
-        env = os.environ.get("FOURBLOCKS_BUDGET")
-        if env and not env.strip().isdecimal():
-            raise InputError(f"FOURBLOCKS_BUDGET={env!r} is not a nonnegative integer")
-        args.budget = int(env) if env else witness.DEFAULT_BUDGET
-    elif args.budget < 0:
+    if getattr(args, "budget", 0) < 0:
         raise InputError("--budget must be nonnegative")
 
 
@@ -337,8 +329,13 @@ def cmd_stress(args) -> int:
             family = generators.Family(args.family)
             spec = _stress_instance(family, seed, args.n, args.k1, args.k3)
             dump = Path(f"stress_fail_{args.family}_{seed}.dg")
-            dump.write_text(format_digraph(generators.generate(spec)))
-            print(f"seed {seed}: FAIL ({detail}) -> {dump}", file=sys.stderr)
+            try:
+                dump.write_text(format_digraph(generators.generate(spec)))
+            except OSError as exc:
+                print(f"seed {seed}: FAIL ({detail}); cannot write {dump}: {exc}",
+                      file=sys.stderr)
+            else:
+                print(f"seed {seed}: FAIL ({detail}) -> {dump}", file=sys.stderr)
     _write(
         f"family={args.family} count={args.count} k1={args.k1} k3={args.k3}\n"
         f"pass={counts['pass']} fail={counts['fail']} skip={counts['skip']}\n"
@@ -408,7 +405,9 @@ def build_parser() -> argparse.ArgumentParser:
         p.add_argument("input", help="digraph file in the shared text format")
         p.add_argument("--k1", type=int, default=1, help="first block length")
         p.add_argument("--k3", type=int, default=1, help="third block length")
-        p.add_argument("--budget", type=int, default=None, help="search node budget")
+        p.add_argument(
+            "--budget", type=int, default=witness.DEFAULT_BUDGET, help="search node budget"
+        )
         p.add_argument("--json", action="store_true", help="machine-readable output")
 
     p = sub.add_parser("color", help="run the certifying coloring pipeline")
@@ -446,7 +445,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--k1", type=int, default=1)
     p.add_argument("--k3", type=int, default=1)
     p.add_argument("--seed", type=int, default=0, help="first seed of the campaign")
-    p.add_argument("--budget", type=int, default=None)
+    p.add_argument("--budget", type=int, default=witness.DEFAULT_BUDGET)
     p.set_defaults(func=cmd_stress)
 
     p = sub.add_parser("bench", help="compare the subdivision search kernels")
@@ -455,7 +454,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("--k1", type=int, default=2)
     p.add_argument("--k3", type=int, default=2)
-    p.add_argument("--budget", type=int, default=None)
+    p.add_argument("--budget", type=int, default=witness.DEFAULT_BUDGET)
     p.set_defaults(func=cmd_bench)
 
     return parser

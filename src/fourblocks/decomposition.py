@@ -75,32 +75,24 @@ class SubDigraph:
 
 
 @dataclass(frozen=True)
-class LevelClasses:
-    """Vertex classes V_1..V_m by level residue mod 2k: level l goes to
-    V_((l-1) mod 2k + 1), and m = min(2k, tree depth). Every class is
-    nonempty, since a deepest root path has levels 1..depth."""
-
-    k: int
-    classes: tuple[frozenset[int], ...]
-
-
-@dataclass(frozen=True)
 class ArcPartition:
     a1: frozenset[tuple[int, int]]
     a2: frozenset[tuple[int, int]]
     a3: frozenset[tuple[int, int]]
 
 
-def level_classes(t: OutTree, k: int) -> LevelClasses:
-    """The level classes of ``t`` for block parameter k, in one pass over
-    the vertices: O(n) time and space whatever k is."""
+def level_classes(t: OutTree, k: int) -> tuple[frozenset[int], ...]:
+    """The level classes V_1..V_m of ``t`` for block parameter k: level l
+    goes to V_((l-1) mod 2k + 1), and m = min(2k, tree depth). Every class
+    is nonempty, since a deepest root path has levels 1..depth. One pass
+    over the vertices: O(n) time and space whatever k is."""
     if k < 1:
         raise ValueError("block parameter k must be positive")
     period = 2 * k
     classes: list[set[int]] = [set() for _ in range(min(period, max(t.level)))]
     for v, lv in enumerate(t.level):
         classes[(lv - 1) % period].add(v)
-    return LevelClasses(k, tuple(map(frozenset, classes)))
+    return tuple(map(frozenset, classes))
 
 
 def arc_partition(d: Digraph, t: OutTree, cls) -> ArcPartition:
@@ -157,34 +149,39 @@ class D2Coloring(Coloring):
     high_max_out_degree: int
 
 
+def _peel(counts: dict[int, int], adj, threshold: int):
+    """Repeatedly remove the vertex of lowest (count, id) while that count is
+    at most threshold, lowering the count of each w in adj[v] still present.
+    ``counts`` holds the vertices still present and is consumed. Returns
+    (removal order, stuck vertex set).
+
+    The heap holds only entries at or below the threshold. Counts only
+    fall, and each fall to or below the threshold pushes a fresh entry, so a
+    present vertex's smallest entry is its current count; an entry popped
+    after its vertex is gone is skipped.
+    """
+    heap = [(c, v) for v, c in counts.items() if c <= threshold]
+    heapify(heap)
+    order: list[int] = []
+    while heap:
+        v = heappop(heap)[1]
+        if v not in counts:
+            continue
+        del counts[v]
+        order.append(v)
+        for w in adj[v]:
+            if w in counts:
+                c = counts[w] = counts[w] - 1
+                if c <= threshold:
+                    heappush(heap, (c, w))
+    return order, set(counts)
+
+
 def peel_low_degree(vertices, adj, threshold: int):
     """Repeatedly remove a vertex of degree <= threshold, lowest (degree, id)
     first; adj[v] holds each undirected neighbor of v once. Returns (removal
-    order, stuck core vertex set).
-
-    A degree drop pushes a fresh (degree, id) heap entry, which pops before
-    the vertex's older entries; those are skipped once the vertex is gone.
-    """
-    deg = {v: len(adj[v]) for v in vertices}
-    heap = [(dv, v) for v, dv in deg.items()]
-    heapify(heap)
-    alive = set(deg)
-    order: list[int] = []
-    while heap:
-        dv, v = heap[0]
-        if v not in alive:
-            heappop(heap)
-            continue
-        if dv > threshold:
-            break
-        heappop(heap)
-        alive.discard(v)
-        order.append(v)
-        for w in adj[v]:
-            if w in alive:
-                deg[w] -= 1
-                heappush(heap, (deg[w], w))
-    return order, alive
+    order, stuck core vertex set)."""
+    return _peel({v: len(adj[v]) for v in vertices}, adj, threshold)
 
 
 def greedy_reverse(adj, order) -> dict[int, int]:
@@ -243,26 +240,15 @@ def split_by_out_degree(d2: SubDigraph):
 
 def _acyclic_peel_order(d2: SubDigraph, vertices) -> list[int]:
     """Repeatedly remove an in-degree-0 vertex (smallest id first) from the
-    induced subdigraph; raises NotAcyclic when stuck. Kahn's algorithm with
-    a min-heap of the vertices whose in-degree has dropped to 0."""
-    vset = set(vertices)
-    indeg = dict.fromkeys(vset, 0)
-    for u in vset:
+    induced subdigraph: the peel at threshold 0 on in-degrees inside the
+    vertex set. Raises NotAcyclic when vertices are left stuck."""
+    indeg = dict.fromkeys(vertices, 0)
+    for u in indeg:
         for w in d2.out_adj[u]:
-            if w in vset:
+            if w in indeg:
                 indeg[w] += 1
-    ready = [v for v in vset if indeg[v] == 0]
-    heapify(ready)
-    order: list[int] = []
-    while ready:
-        v = heappop(ready)
-        order.append(v)
-        for w in d2.out_adj[v]:
-            if w in vset:
-                indeg[w] -= 1
-                if indeg[w] == 0:
-                    heappush(ready, w)
-    if len(order) < len(vset):
+    order, stuck = _peel(indeg, d2.out_adj, 0)
+    if stuck:
         raise NotAcyclic(
             "directed cycle found in a descendant-to-ancestor arc group"
         )
@@ -277,8 +263,8 @@ def color_d2(d2: SubDigraph) -> Union[D2Coloring, OutDegreeFailure]:
     reverse uses at most (max out-degree + 1) colors. Vertices of out-degree
     <= 1 take ids 0, 1, the rest ids 2..5 if their induced max out-degree is
     at most 3, which holds unless the host has a four-blocks cycle subdivision.
-    Kahn's peel and both greedies run on the touched vertices only; an
-    untouched vertex is in the low part and takes 0, as the greedy gave it.
+    The in-degree-0 peels and both greedies run on the touched vertices only;
+    an untouched vertex is in the low part and takes 0, as the greedy gave it.
     """
     touched = d2.touched
     _acyclic_peel_order(d2, touched)
@@ -428,7 +414,7 @@ def color_strong_digraph(
     reports: list[ClassReport] = []
     keys: dict[int, tuple[int, int]] = {}  # vertex -> (class, product id)
 
-    for i, cls in enumerate(level_classes(t, k).classes, start=1):
+    for i, cls in enumerate(level_classes(t, k), start=1):
         part = arc_partition(d, t, cls)
         r1 = color_d1(SubDigraph(cls, part.a1), t)
         if isinstance(r1, WheelCoreFailure):

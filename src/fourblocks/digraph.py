@@ -6,9 +6,10 @@ its arcs and one sorted out-list per vertex, built from the arcs, so a
 vertex without out-arcs costs one shared empty tuple. Every layer reads
 the digraph's adjacency from those out-lists, one at a time or all of them
 through ``out_lists()``, and every other view (the undirected neighbor
-sets, the strong components) is read off them and the arcs. Its ``UGraph`` view forgets orientations and collapses each digon
-to a single edge. Colorings are plain vertex->color mappings; properness is
-always judged on an undirected graph.
+sets, the strong components) is read off them and the arcs. Its ``UGraph``
+view forgets orientations and collapses each digon to a single edge.
+Colorings are plain vertex->color mappings; properness is always judged on
+an undirected graph.
 """
 
 from __future__ import annotations

@@ -24,11 +24,11 @@ the same ``ParseError`` (line and message) on every text.
 from an arc set; ``digraph.strong_components`` reads the digraph's own
 out-lists and must return the same ids, numbered in completion order.
 ``SubDigraph`` and ``color_d1``/``color_d2``/``color_d3`` here are the
-per-class stages as they were when every class vertex entered each peel,
-Kahn pass and DSATUR; they call the package's peels, greedy and DSATUR,
-which the reference loops above check. The package's stages skip the
-vertices that no arc of the group touches and must return exactly the same
-colorings and failures.
+per-class stages as they were when every class vertex entered each peel
+and DSATUR; they call the package's peels, greedy and DSATUR, which the
+reference loops above check. The package's stages skip the vertices that
+no arc of the group touches and must return exactly the same colorings and
+failures.
 The last section keeps the subdivision kernel's search, the two-block path
 search and the exact coloring as they were when each recursed once per
 vertex entered or colored. The package's versions run each search on an
@@ -584,7 +584,7 @@ def split_by_out_degree(d2):
 
 
 def color_d2(d2):
-    """Kahn's peel and the two greedies over every class vertex."""
+    """The in-degree-0 peels and the two greedies over every class vertex."""
     _acyclic_peel_order(d2, d2.vertices)
     low, high, max_out, worst = split_by_out_degree(d2)
     if max_out > 3:

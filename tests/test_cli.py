@@ -521,6 +521,20 @@ class TestStress:
 
         parse_digraph(dumps[0].read_text())
 
+    def test_unwritable_dump_still_reports_the_failure(
+        self, capsys, tmp_path, monkeypatch
+    ):
+        import fourblocks.cli as cli
+
+        monkeypatch.chdir(tmp_path)
+        (tmp_path / "stress_fail_strong_11.dg").mkdir()
+        monkeypatch.setattr(cli, "_stress_one", lambda args, seed: ("fail", "forced"))
+        assert main(["stress", "--count", "1", "--n", "6", "--seed", "11"]) == 1
+        out, err = capsys.readouterr()
+        assert "seed 11: FAIL (forced)" in err
+        assert "cannot write stress_fail_strong_11.dg" in err
+        assert "pass=0 fail=1 skip=0" in out
+
 
 class TestBench:
     def test_smoke(self, capsys):
@@ -569,20 +583,13 @@ class TestBench:
         assert "kernels agree on all outcomes: False" in capsys.readouterr().out
 
 
-class TestBudgetEnvVar:
-    def test_env_var_sets_default_budget(self, tmp_path, monkeypatch):
+class TestBudgetDefault:
+    def test_environment_does_not_change_the_budget(self, tmp_path, monkeypatch):
+        # only --budget sets the budget; a three-node budget would end this
+        # search inconclusive (exit 4)
         path = write_graph(tmp_path, tt(8))
         monkeypatch.setenv("FOURBLOCKS_BUDGET", "3")
-        assert main(["find", path]) == 4
-        monkeypatch.delenv("FOURBLOCKS_BUDGET")
-        assert main(["find", "--json", path]) == 0
-
-    def test_flag_overrides_env(self, tmp_path, monkeypatch, capsys):
-        path = write_graph(tmp_path, tt(8))
-        monkeypatch.setenv("FOURBLOCKS_BUDGET", "3")
-        assert main(["find", "--budget", "1000000", "--json", path]) == 0
-        monkeypatch.setenv("FOURBLOCKS_BUDGET", "1000000")
-        assert main(["find", "--budget", "0", path]) == 4
+        assert main(["find", path]) == 0
 
 
 class TestEmptyDigraph:
@@ -640,13 +647,6 @@ class TestInputProblemsExit1:
         code, err = run_cli(argv)
         assert code == 1, err
         assert err and "Traceback" not in err
-
-    @pytest.mark.parametrize("value", ["abc", "-5", "1e6"])
-    def test_bad_env_budget(self, tmp_path, value):
-        code, err = run_cli(["find", write_graph(tmp_path, tt(4))],
-                            env={"FOURBLOCKS_BUDGET": value})
-        assert code == 1, err
-        assert "FOURBLOCKS_BUDGET" in err and "Traceback" not in err
 
     def test_budget_0_is_a_budget(self, tmp_path):
         path = write_graph(tmp_path, tt(8))

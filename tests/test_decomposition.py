@@ -53,12 +53,12 @@ def cycle(n):
 class TestLevelClasses:
     def test_k1_residues(self):
         cls = level_classes(path_tree(5), 1)
-        assert cls.classes[0] == frozenset({0, 2, 4})
-        assert cls.classes[1] == frozenset({1, 3})
+        assert cls[0] == frozenset({0, 2, 4})
+        assert cls[1] == frozenset({1, 3})
 
     def test_k2_residues(self):
         cls = level_classes(path_tree(5), 2)
-        assert cls.classes == (
+        assert cls == (
             frozenset({0, 4}),
             frozenset({1}),
             frozenset({2}),
@@ -67,7 +67,7 @@ class TestLevelClasses:
 
     def test_large_k_gives_level_sets(self):
         cls = level_classes(path_tree(4), 7)
-        assert cls.classes == (
+        assert cls == (
             frozenset({0}),
             frozenset({1}),
             frozenset({2}),
@@ -81,7 +81,7 @@ class TestLevelClasses:
             for k in (1, 2, 3):
                 cls = level_classes(t, k)
                 union = set()
-                for c in cls.classes:
+                for c in cls:
                     assert not (union & c)
                     union |= c
                 assert union == set(range(d.n))
@@ -101,7 +101,7 @@ class TestArcPartition:
     def test_raises_only_for_the_class_that_reads_the_offending_arc(self):
         d = Digraph(4, [(0, 1), (0, 2), (2, 3), (1, 2)])
         t = OutTree(0, (None, 0, 0, 2), (1, 2, 2, 3))
-        assert level_classes(t, 1).classes == (frozenset({0, 3}), frozenset({1, 2}))
+        assert level_classes(t, 1) == (frozenset({0, 3}), frozenset({1, 2}))
         part = arc_partition(d, t, {0, 3})
         assert not part.a1 and not part.a2 and not part.a3
         with pytest.raises(NotFinalTree, match=r"backward arc \(1,2\)"):
@@ -137,7 +137,7 @@ class TestArcPartition:
 
             for k in (1, 2):
                 cls = level_classes(t, k)
-                for c in cls.classes:
+                for c in cls:
                     part = arc_partition(d, t, c)
                     induced = {
                         (u, v) for u, v in d.arcs if u in c and v in c
@@ -216,7 +216,7 @@ class TestColorD1:
                 continue
             t = finalize(d, spanning_out_tree(d, 0))
             cls = level_classes(t, 1)
-            for c in cls.classes:
+            for c in cls:
                 part = arc_partition(d, t, c)
                 out = color_d1(SubDigraph(c, part.a1), t)
                 assert isinstance(out, Coloring)
@@ -275,7 +275,7 @@ class TestColorD2:
             t = spanning_out_tree(d, 0)
             t = finalize(d, t)
             cls = level_classes(t, 1)
-            for c in cls.classes:
+            for c in cls:
                 part = arc_partition(d, t, c)
                 out = color_d2(SubDigraph(c, part.a2))
                 if isinstance(out, Coloring):

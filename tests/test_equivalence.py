@@ -190,7 +190,7 @@ def test_acyclic_peel_matches(family):
         cases = [(whole, whole.vertices), (forward, forward.vertices)]
         if d.n <= 200:
             t = finalize(d, spanning_out_tree(d, root))
-            for cls in level_classes(t, 1).classes:
+            for cls in level_classes(t, 1):
                 a2 = SubDigraph(cls, arc_partition(d, t, cls).a2)
                 cases.append((a2, a2.vertices))
             for _ in range(4):
@@ -239,7 +239,7 @@ def stage_cases(d, root, rng):
     cases = []
     t = finalize(d, spanning_out_tree(d, root))
     for k in (1, 2):
-        for cls in level_classes(t, k).classes:
+        for cls in level_classes(t, k):
             if not cls:
                 continue
             part = arc_partition(d, t, cls)

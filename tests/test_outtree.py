@@ -145,7 +145,7 @@ class TestIsFinal:
                 verdicts.add(final)
                 for k in (1, 2, 3):
                     raised = False
-                    for c in level_classes(t, k).classes:
+                    for c in level_classes(t, k):
                         offends = any(
                             t.level[u] >= t.level[v] and not is_ancestor(t, v, u)
                             for u in c

@@ -184,8 +184,8 @@ class TestFindCycleSubdivision:
         assert decided > 100
 
     def test_library_ignores_the_budget_environment_variable(self, monkeypatch):
-        # FOURBLOCKS_BUDGET is read by the CLI only; a library call with no
-        # budget searches under DEFAULT_BUDGET
+        # nothing reads FOURBLOCKS_BUDGET; a library call with no budget
+        # searches under DEFAULT_BUDGET
         monkeypatch.setenv("FOURBLOCKS_BUDGET", "3")
         w = find_cycle_subdivision(tt(8), P1111)
         assert w is not None and verify_subdivision(tt(8), w, P1111).ok
