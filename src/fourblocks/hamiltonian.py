@@ -14,13 +14,16 @@ u along C[v,u]. Any violation pinpoints a subdivision. The checker is one
 sweep of prefix neighbor counts along the cycle: O(n + m) interpreted
 steps. The counts sit in fixed-width unsigned fields of one ``array``, so a
 chord reads its gap's counts as one integer, and one subtraction and one
-mask, run inside C, test every gap vertex of the chord at once. It keeps
-one record per violating chord, and its result builds a ``ChordViolation``
-row only when a reader asks for one.
+mask, run inside C, test every gap vertex of the chord at once. A
+violating chord picks its gap vertices with one ``compress`` and, when a
+field is one byte, its counts with one ``bytes.translate`` that deletes
+the bytes 0, 1 and 2. It keeps one record per violating chord, and its
+result builds a ``ChordViolation`` row only when a reader asks for one.
 """
 
 from __future__ import annotations
 
+import operator
 import sys
 from array import array
 from bisect import bisect_right
@@ -220,6 +223,9 @@ class ChordViolations(Sequence):
         return self._starts[-1]
 
     def __getitem__(self, i: int) -> ChordViolation:
+        """The row at integer index ``i`` (negative counts from the end);
+        integer indices only, no slices."""
+        i = operator.index(i)
         if i < 0:
             i += len(self)
         if not 0 <= i < len(self):
@@ -273,11 +279,14 @@ def check_chord_neighbor_bound(
     2^(8W-1) - 3 to every field sets a field's top bit exactly when its
     count exceeds 2, without a carry into the next field. A chord whose
     masked sum is zero is done; otherwise the top byte of each field
-    selects, in two ``compress`` calls, the gap vertices and their counts.
-    The sweep costs O(n + m) interpreted steps. The reads, the integer
-    arithmetic and the filters, linear in the gap of every chord, run
-    inside C, and the reads alive at once hold at most W bytes per gap
-    vertex of the open chords.
+    selects the gap vertices with one ``compress`` call. Their counts come
+    from the bytes of the difference: with one-byte fields (D <= 127, every
+    benchmark instance) one ``bytes.translate`` deletes the bytes 0, 1 and
+    2 and keeps the rest in order; wider fields go through a second
+    ``compress`` over a ``memoryview`` of them. The sweep costs O(n + m)
+    interpreted steps. The reads, the integer arithmetic and the filters,
+    linear in the gap of every chord, run inside C, and the reads alive at
+    once hold at most W bytes per gap vertex of the open chords.
     """
     if k < 1:
         raise ValueError("block parameter k must be positive")
@@ -320,12 +329,17 @@ def check_chord_neighbor_bound(
     bits = 8 * width
     endian = sys.byteorder
     top_byte = width - 1 if endian == "little" else 0
-    # plus: 2^(bits-1) - 3 in each of n fields, high: 2^(bits-1) in each;
-    # a gap of g fields shifts plus down to g fields, so its sum and mask
-    # cost O(g), not O(n)
+    # plus: 2^(bits-1) - (bound + 1) in each of n fields, high: 2^(bits-1)
+    # in each; a gap of g fields shifts plus down to g fields, so its sum
+    # and mask cost O(g), not O(n)
+    bound = 2
     ones = int.from_bytes(array(code, [1]) * n, endian)
-    plus = ((1 << (bits - 1)) - 3) * ones
+    plus = ((1 << (bits - 1)) - bound - 1) * ones
     high = (1 << (bits - 1)) * ones
+    # small: the counts 0..bound, the fields whose top bit plus leaves
+    # clear; a one-byte field is its count, so deleting these byte values
+    # from a gap's difference keeps exactly the counts that plus flags
+    small = bytes(range(bound + 1))
 
     before: dict[int, int] = {}
     # found[i]: the record of chord i, or () while it has no violating row
@@ -344,11 +358,10 @@ def check_chord_neighbor_bound(
             if over:
                 size = (hi - lo) * width
                 above = over.to_bytes(size, endian)[top_byte::width]
-                counts = memoryview(diff.to_bytes(size, endian)).cast(code)
-                found[i] = (
-                    u,
-                    v,
-                    tuple(compress(line[lo:hi], above)),
-                    tuple(compress(counts, above)),
-                )
+                counts = diff.to_bytes(size, endian)
+                if width == 1:
+                    counts = counts.translate(None, small)
+                else:
+                    counts = compress(memoryview(counts).cast(code), above)
+                found[i] = (u, v, tuple(compress(line[lo:hi], above)), tuple(counts))
     return ChordViolations(tuple(filter(None, found)))

@@ -373,6 +373,23 @@ def chord_shapes(d, c, k):
     return shapes
 
 
+def one_byte_edges(d, c, k, got):
+    """On one-byte counter fields, whether some violating chord's gap holds
+    a vertex with zone count exactly 2, the largest dropped count, beside
+    a row of count exactly 3, the smallest kept one."""
+    n, order, pos = c.n, c.order, c.positions()
+    adj = d.neighbor_sets()
+    for u, v, _, counts in got.chords:
+        if 3 not in counts:
+            continue
+        L = (pos[u] - pos[v]) % n
+        zone = {order[(pos[v] + t) % n] for t in range(k, L - k + 1)}
+        gap = (order[(pos[u] + s) % n] for s in range(1, n - L))
+        if any(len(adj[w] & zone) == 2 for w in gap):
+            return {"count 2 beside a row of count 3"}
+    return set()
+
+
 def test_chord_sweep_matches_set_intersections():
     rng = Rng(17)
     cases = []
@@ -391,9 +408,12 @@ def test_chord_sweep_matches_set_intersections():
         assert all(type(x) is ChordViolation for x in got)
         seen["violations" if got else "none"] += 1
         seen.update(chord_shapes(d, c, k))
+        if max(map(len, d.neighbor_sets())) < 128:
+            seen.update(one_byte_edges(d, c, k, got))
     assert seen["violations"] and seen["none"]
     assert seen["antiparallel"] and seen["short"]
     assert seen["zone across n-1"] and seen["zone past n-1"] and seen["gap across n-1"]
+    assert seen["count 2 beside a row of count 3"]
 
 
 def hub_cycle(degree, shift, n=420):

@@ -238,6 +238,9 @@ class TestChordViolationsSequence:
             for i in (size, size + 5, -size - 1):
                 with pytest.raises(IndexError):
                     got[i]
+            for i in (slice(0, 2), 1.0, "1"):
+                with pytest.raises(TypeError, match="cannot be interpreted as an integer"):
+                    got[i]
 
     def test_iteration_yields_chord_violation_rows(self):
         for want, got in self.cases():
