@@ -10,15 +10,14 @@ The chord checker tests a local consequence of subdivision-freeness: for
 every arc (v,u) whose underlying edge is not on the Hamiltonian cycle C,
 every vertex w strictly inside C]u,v[ has at most 2 neighbors among the
 cycle vertices that lie at least k arcs after v and at least k arcs before
-u along C[v,u]. Any violation pinpoints a subdivision. The checker is one
-sweep of prefix neighbor counts along the cycle: O(n + m) interpreted
-steps. The counts sit in fixed-width unsigned fields of one ``array``, so a
-chord reads its gap's counts as one integer, and one subtraction and one
-mask, run inside C, test every gap vertex of the chord at once. A
-violating chord picks its gap vertices with one ``compress`` and, when a
-field is one byte, its counts with one ``bytes.translate`` that deletes
-the bytes 0, 1 and 2. It keeps one record per violating chord, and its
-result builds a ``ChordViolation`` row only when a reader asks for one.
+u along C[v,u]. Any violation pinpoints a subdivision. The checker walks
+the cycle once, O(n + m) interpreted steps, counting each vertex's
+neighbors so far in packed fields of one ``array``, and keeps that counter
+as one integer, a snapshot, only where some chord's zone starts or ends.
+A chord's zone counts are the difference of two snapshots, so one
+subtraction, shift and mask, run inside C, test its whole gap at once. It
+keeps one record per violating chord, and builds a ``ChordViolation`` row
+only when a reader asks for one.
 """
 
 from __future__ import annotations
@@ -265,28 +264,30 @@ def check_chord_neighbor_bound(
     ``ChordViolations`` sequence of ``ChordViolation`` rows, which keeps one
     ``(u, v, ws, counts)`` record per violating chord.
 
-    Cycle positions are laid out twice, on the line 0..2n-1, where neither
-    the zone [a, b] = [pos(v) + k, pos(v) + L - k] nor the gap slice
-    [lo, hi) = [pos(u) + 1, pos(u) + n - L) wraps. One sweep over x keeps
-    cnt[s], the number of neighbors of the vertex at position s (mod n)
-    that lie on the line at or before x. ``cnt`` is an ``array`` of
-    unsigned fields of W bytes, W chosen so that the largest undirected
-    degree D stays below 2^(8W-1); a counter reaches at most 2D, since the
-    line holds every vertex twice. Just before x = a a chord reads
-    cnt[lo:hi] as one integer; right after x = b it subtracts that from
-    the same read. Counters only grow, so no field borrows, and each field
-    of the difference is a gap vertex's zone count, at most D. Adding
-    2^(8W-1) - 3 to every field sets a field's top bit exactly when its
-    count exceeds 2, without a carry into the next field. A chord whose
-    masked sum is zero is done; otherwise the top byte of each field
-    selects the gap vertices with one ``compress`` call. Their counts come
-    from the bytes of the difference: with one-byte fields (D <= 127, every
-    benchmark instance) one ``bytes.translate`` deletes the bytes 0, 1 and
-    2 and keeps the rest in order; wider fields go through a second
-    ``compress`` over a ``memoryview`` of them. The sweep costs O(n + m)
-    interpreted steps. The reads, the integer arithmetic and the filters,
-    linear in the gap of every chord, run inside C, and the reads alive at
-    once hold at most W bytes per gap vertex of the open chords.
+    One walk along the cycle keeps cnt[s], the number of neighbors of the
+    vertex at position s among the first x positions, in an ``array`` of n
+    unsigned W-byte fields, W chosen so that the largest undirected degree
+    D stays below 2^(8W-1). After each x that a chord reads, and after
+    x = n, it stores cnt as one integer snap[x]; snap[0] is 0. On the line
+    0..2n-1, which lays the positions out twice, the zone of a chord (v,u)
+    is [a, b) = [pos(v) + k, pos(v) + L - k + 1) and its counts are
+
+    - snap[b] - snap[a] when the zone ends at or before n-1 (b <= n),
+    - snap[b-n] + snap[n] - snap[a] when it runs across n-1 (a < n < b),
+    - snap[b-n] - snap[a-n] when it starts past n-1 (a >= n).
+
+    Counters only grow and a zone count is at most D, so no field borrows
+    or carries. The counts, laid out twice, are shifted down to the gap
+    [lo, hi) = [pos(u) + 1, pos(u) + n - L), which then never wraps. Adding
+    2^(8W-1) - 3 to every gap field sets a field's top bit exactly when its
+    count exceeds 2, without a carry. A chord whose masked sum is zero is
+    done; otherwise the top byte of each field selects the gap vertices
+    with one ``compress``. With one-byte fields (D <= 127, every benchmark
+    instance) one ``bytes.translate`` that deletes the bytes 0, 1 and 2
+    keeps their counts in order; wider fields take a second ``compress``
+    over a ``memoryview``. Past the walk's O(n + m) interpreted steps, the
+    work, O(n) bytes per chord, runs inside C. The snapshots that chords
+    read are all that is kept: O(min(n, 2c) * n * W) bytes for c chords.
     """
     if k < 1:
         raise ValueError("block parameter k must be positive")
@@ -294,18 +295,13 @@ def check_chord_neighbor_bound(
         raise ValueError("cycle is not a Hamiltonian directed cycle of the digraph")
     n = c.n
     order = c.order
-    line = order + order
     pos = c.positions()
-    # bumps[p]: both line positions of every neighbor of the vertex at p
     adj = d.neighbor_sets()
-    bumps: list[list[int]] = []
-    for x in order:
-        near = [pos[y] for y in adj[x]]
-        bumps.append(near + [s + n for s in near])
 
     chords = []
-    opens: list[list[int]] = [[] for _ in range(2 * n)]
-    closes: list[list[int]] = [[] for _ in range(2 * n)]
+    # marked[x]: some chord reads snap[x]; snap[n] is the total
+    marked = bytearray(n + 1)
+    marked[n] = 1
     # arcs (v, u) in sorted order: out-neighbor tuples are ascending
     for v in range(n):
         pv = pos[v]
@@ -316,13 +312,12 @@ def check_chord_neighbor_bound(
             # empty gap, so arcs whose underlying edge lies on C add no rows
             if L < 2 * k:
                 continue
-            i = len(chords)
-            chords.append((u, v, pu + 1, pu + n - L))
-            opens[pv + k].append(i)
-            closes[pv + L - k].append(i)
+            a, b = pv + k, pv + L - k + 1
+            chords.append((u, v, pu + 1, pu + n - L, a, b))
+            marked[a - n if a > n else a] = marked[b - n if b > n else b] = 1
 
     # the narrowest unsigned field whose top bit stays clear up to the
-    # largest degree D; a counter, at most 2D, then fits in it too
+    # largest degree D; a zone count, at most D, fits in it too
     degree = max(map(len, adj))
     code = next(f for f in "BHILQ" if degree >> (8 * array(f).itemsize - 1) == 0)
     width = array(code).itemsize
@@ -330,38 +325,43 @@ def check_chord_neighbor_bound(
     endian = sys.byteorder
     top_byte = width - 1 if endian == "little" else 0
     # plus: 2^(bits-1) - (bound + 1) in each of n fields, high: 2^(bits-1)
-    # in each; a gap of g fields shifts plus down to g fields, so its sum
-    # and mask cost O(g), not O(n)
+    # in each; a gap of g fields shifts both down to g fields
     bound = 2
     ones = int.from_bytes(array(code, [1]) * n, endian)
     plus = ((1 << (bits - 1)) - bound - 1) * ones
     high = (1 << (bits - 1)) * ones
     # small: the counts 0..bound, the fields whose top bit plus leaves
     # clear; a one-byte field is its count, so deleting these byte values
-    # from a gap's difference keeps exactly the counts that plus flags
+    # from a gap's counts keeps exactly the counts that plus flags
     small = bytes(range(bound + 1))
 
-    before: dict[int, int] = {}
-    # found[i]: the record of chord i, or () while it has no violating row
-    found: list[tuple] = [()] * len(chords)
-    cnt = array(code, bytes(2 * n * width))
-    for x, near in enumerate(bumps * 2):
-        for i in opens[x]:
-            _, _, lo, hi = chords[i]
-            before[i] = int.from_bytes(cnt[lo:hi], endian)
-        for s in near:
-            cnt[s] += 1
-        for i in closes[x]:
-            u, v, lo, hi = chords[i]
-            diff = int.from_bytes(cnt[lo:hi], endian) - before.pop(i)
-            over = (diff + (plus >> bits * (n - hi + lo))) & high
-            if over:
-                size = (hi - lo) * width
-                above = over.to_bytes(size, endian)[top_byte::width]
-                counts = diff.to_bytes(size, endian)
-                if width == 1:
-                    counts = counts.translate(None, small)
-                else:
-                    counts = compress(memoryview(counts).cast(code), above)
-                found[i] = (u, v, tuple(compress(line[lo:hi], above)), tuple(counts))
-    return ChordViolations(tuple(filter(None, found)))
+    snap = [0] * (n + 1)
+    cnt = array(code, bytes(n * width))
+    for x, v in enumerate(order, 1):
+        for y in adj[v]:
+            cnt[pos[y]] += 1
+        if marked[x]:
+            snap[x] = int.from_bytes(cnt, endian)
+
+    line = order + order
+    found = []
+    for u, v, lo, hi, a, b in chords:
+        if b <= n:
+            zone = snap[b] - snap[a]
+        elif a < n:
+            zone = snap[b - n] + snap[n] - snap[a]
+        else:
+            zone = snap[b - n] - snap[a - n]
+        gap = (zone | zone << bits * n) >> bits * lo
+        shift = bits * (n - hi + lo)
+        over = (gap + (plus >> shift)) & (high >> shift)
+        if over:
+            size = (hi - lo) * width
+            above = over.to_bytes(size, endian)[top_byte::width]
+            counts = (gap & ((1 << 8 * size) - 1)).to_bytes(size, endian)
+            if width == 1:
+                counts = counts.translate(None, small)
+            else:
+                counts = compress(memoryview(counts).cast(code), above)
+            found.append((u, v, tuple(compress(line[lo:hi], above)), tuple(counts)))
+    return ChordViolations(tuple(found))

@@ -1,4 +1,4 @@
-"""Seeded campaign: the worklist, heap and sweep versions return exactly
+"""Seeded campaign: the worklist, heap and snapshot versions return exactly
 what the plain rescanning loops in ``naive`` return, and the pruned
 subdivision kernel decides what the unpruned one decides.
 
@@ -8,6 +8,7 @@ maps), not just their validity, and checks that it met stalled peels,
 NotAcyclic cases and full orders alike.
 """
 
+import tracemalloc
 from collections import Counter
 
 import pytest
@@ -364,6 +365,8 @@ def chord_shapes(d, c, k):
         elif 1 < L < 2 * k:
             shapes.add("short")
         elif L >= 2 * k:
+            if pv + L - k < n:
+                shapes.add("zone before n-1")
             if pv + k < n <= pv + L - k:
                 shapes.add("zone across n-1")
             if pv + k >= n:
@@ -413,7 +416,30 @@ def test_chord_sweep_matches_set_intersections():
     assert seen["violations"] and seen["none"]
     assert seen["antiparallel"] and seen["short"]
     assert seen["zone across n-1"] and seen["zone past n-1"] and seen["gap across n-1"]
+    # with "zone across n-1" and "zone past n-1": all three snapshot
+    # differences the check takes
+    assert seen["zone before n-1"]
     assert seen["count 2 beside a row of count 3"]
+
+
+def test_chord_check_memory_follows_the_chords():
+    """On a long cycle with few chords the check keeps counter snapshots
+    only where a chord's zone starts or ends: a snapshot at every position
+    would hold n bytes per vertex, about 5,000 here."""
+    n = 5000
+    d, c = chorded_cycle(Rng(5), n, n + 20)
+    d.neighbor_sets()
+    want = naive.check_chord_neighbor_bound(d, c, 1)
+    tracemalloc.start()
+    try:
+        tracemalloc.reset_peak()
+        before = tracemalloc.get_traced_memory()[0]
+        got = check_chord_neighbor_bound(d, c, 1)
+        peak = tracemalloc.get_traced_memory()[1] - before
+    finally:
+        tracemalloc.stop()
+    assert got == want
+    assert peak < 250 * n
 
 
 def hub_cycle(degree, shift, n=420):

@@ -1,7 +1,8 @@
 """Property tests on small random inputs.
 
 networkx is an independent oracle for strong connectivity and for the core
-that the degree peel leaves, and ``underlying_graph`` for ``neighbor_sets``.
+that the degree peel leaves, ``underlying_graph`` for ``neighbor_sets``,
+and ``naive.check_chord_neighbor_bound`` for the chord check.
 Mutated certificates and mutated digraph files check the error contracts:
 the verifier raises nothing but ValueError, and the command line exits
 within 0-5 without a traceback.
@@ -19,6 +20,7 @@ from fourblocks import (
     Digraph,
     Family,
     HamiltonianCycle,
+    check_chord_neighbor_bound,
     color_hamiltonian,
     color_strong_digraph,
     find_cycle_subdivision,
@@ -30,6 +32,8 @@ from fourblocks import (
 )
 from fourblocks.cli import main
 from fourblocks.decomposition import peel_low_degree
+
+import naive
 
 hyp = pytest.importorskip("hypothesis")
 st = hyp.strategies
@@ -89,6 +93,36 @@ def test_neighbor_sets_match_the_underlying_graph():
         g = underlying_graph(d)
         adj = d.neighbor_sets()
         assert all(adj[v] == set(g.neighbors(v)) for v in range(d.n))
+
+    check()
+
+
+@st.composite
+def chorded_cycles(draw):
+    """A directed cycle through a drawn order of 3..40 vertices, some of
+    its arcs also reversed, up to 3n drawn chords, and k in 1..n, so that
+    2k > n and zones past position n-1 both occur."""
+    n = draw(st.integers(3, 40))
+    order = draw(st.permutations(range(n)))
+    arcs = {(order[i], order[(i + 1) % n]) for i in range(n)}
+    back = draw(st.lists(st.integers(0, n - 1), max_size=n))
+    arcs |= {(order[(i + 1) % n], order[i]) for i in back}
+    shifts = st.tuples(st.integers(0, n - 1), st.integers(1, n - 1))
+    arcs |= {(u, (u + s) % n) for u, s in draw(st.lists(shifts, max_size=3 * n))}
+    k = draw(st.integers(1, n))
+    return Digraph(n, arcs), HamiltonianCycle(tuple(order)), k
+
+
+def test_chord_check_matches_the_naive_oracle():
+    """The snapshot differences give the rows that fresh zone sets,
+    intersected with every gap vertex's neighbors, give."""
+
+    @hyp.settings(max_examples=300, **SETTINGS)
+    @hyp.given(chorded_cycles())
+    def check(case):
+        d, c, k = case
+        want = naive.check_chord_neighbor_bound(d, c, k)
+        assert check_chord_neighbor_bound(d, c, k) == want
 
     check()
 
