@@ -57,6 +57,9 @@ def _load_digraph(path: str) -> Digraph:
         raise InputError(f"parse error: {exc}") from None
     except (OSError, UnicodeDecodeError) as exc:
         raise InputError(f"cannot read digraph: {exc}") from None
+    except (MemoryError, OverflowError):
+        # a header's vertex count past what a list can index or allocate
+        raise InputError("digraph too large to hold in memory") from None
     return d
 
 

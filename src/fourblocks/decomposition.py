@@ -319,7 +319,9 @@ def color_d3(
 
 @dataclass(frozen=True)
 class ClassReport:
-    """Observed stage palettes and bounds for one level class."""
+    """Observed stage palettes and bounds for one level class. Library
+    only: no certificate carries it, since the verifier cannot recompute
+    it without the out-tree."""
 
     index: int
     size: int
@@ -329,20 +331,13 @@ class ClassReport:
     b2_max_out_degree: int
     combined_colors: int
 
-    def to_json_dict(self) -> dict:
-        return {
-            "class": self.index,
-            "size": self.size,
-            "d1_colors": self.d1_colors,
-            "d2_colors": self.d2_colors,
-            "d3_colors": self.d3_colors,
-            "b2_max_out_degree": self.b2_max_out_degree,
-            "combined_colors": self.combined_colors,
-        }
-
 
 @dataclass(frozen=True)
 class ColoringWithinBound:
+    """A proper coloring within ``bound``. The certificate holds only what
+    the verifier checks; ``per_class`` stays in the library, never
+    serialized."""
+
     coloring: Coloring
     bound: int
     per_class: tuple[ClassReport, ...]
@@ -357,7 +352,6 @@ class ColoringWithinBound:
             "colors": self.coloring.as_list(n),
             "k1": self.k1,
             "k3": self.k3,
-            "classes": [c.to_json_dict() for c in self.per_class],
         }
 
 

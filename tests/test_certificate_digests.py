@@ -32,7 +32,8 @@ def canonical_sha256(cert) -> str:
 
 
 def pipeline(n, m, seed, k1=1, k3=1):
-    return color_strong_digraph(generate(GenSpec(Family.RANDOM_STRONG, n, m, seed)), k1, k3)
+    d = generate(GenSpec(Family.RANDOM_STRONG, n, m, seed))
+    return d, color_strong_digraph(d, k1, k3)
 
 
 def peel(seed, n=60):
@@ -43,25 +44,26 @@ def peel(seed, n=60):
         u, v = rng.randrange(n), rng.randrange(n)
         if u != v:
             arcs.add((u, v))
-    return color_hamiltonian(Digraph(n, arcs), HamiltonianCycle(tuple(range(n))), 1, 1)
+    d = Digraph(n, arcs)
+    return d, color_hamiltonian(d, HamiltonianCycle(tuple(range(n))), 1, 1)
 
 
 # (path, seed) -> (outcome, digest)
 PINNED = {
     ("pipeline-coloring", 1): (
-        "coloring", "e7e7e5a48b451b505c534f6022d6bbb17e277380f519b2dfac42f24af34d651a"),
+        "coloring", "ebd5d26f36898b1a434f793e4fe33b7ad50958899b00b71d323b8bdd45a55591"),
     ("pipeline-coloring", 2): (
-        "coloring", "909cca0442cc34b585a4e47304c823c6c1812ee4e6f175c0aedc844119ed9a06"),
+        "coloring", "c3a8b78ff70006e2948099bd4be61f79d6861ab4904e26f75d5de599475e80b3"),
     ("pipeline-coloring", 3): (
-        "coloring", "d3615bcf278b8ea6464a764346bfdad911f0030b551a908b1359b0da46864336"),
+        "coloring", "197e05055953331abdb9234ccd449a0362e67f13d279b12d1e48053df261776b"),
     ("pipeline-coloring-k2,2", 1): (
-        "coloring", "c2fd911348f300addbf5f1fdfdb6376c612dc8df993f099e352e2f273f903da6"),
+        "coloring", "26f17c45870579ad85cae415b249a5b1f472db043cf807f6e47a8074d6f5b047"),
     ("pipeline-coloring-k2,2", 2): (
-        "coloring", "bcd868e70b99c5b59de65af3b73b07ff8ef37776b88e3a56d4e46df69020c4c0"),
+        "coloring", "4454edf04eb6fc74a3c55e6c0a44e7dd9af66952120fe65e62d7c523f04cb5f7"),
     ("pipeline-coloring-k2,2", 3): (
-        "coloring", "090c996942af8db7997b6f3421d3d3236cd9fd6407a973a8e05467b0ae0976ef"),
+        "coloring", "eadab2d537b6d43a88becf580a50279be47d1d28543592a2511b2ad08e6f6827"),
     ("pipeline-coloring-k1,2", 1): (
-        "coloring", "b8aad2e34f4b94fc021720a731deb16ab45cb19903a9a626473d5f41fc00fb97"),
+        "coloring", "b347ea2e3e3f358e5306da62c28c860b34b2d394a5d3ccd9cf819db08b2a86e2"),
     ("pipeline-subdivision", 1): (
         "subdivision", "ecb0305cb100bbd5a8f16b306779199e203a9435979800c56cbf1b7ca420df23"),
     ("pipeline-subdivision", 2): (
@@ -76,6 +78,7 @@ PINNED = {
         "coloring", "060a7ff2a6a8b021f6739a500966f6a097caf5291d0c3e0467b4986eb8740f94"),
 }
 
+# path -> seed -> (digraph, certificate)
 RUN = {
     "pipeline-coloring": lambda seed: pipeline(60, 120, seed),
     "pipeline-coloring-k2,2": lambda seed: pipeline(60, 120, seed, 2, 2),
@@ -87,7 +90,7 @@ RUN = {
 
 @pytest.mark.parametrize("path, seed", sorted(PINNED), ids=lambda x: str(x))
 def test_certificate_bytes_are_pinned(path, seed):
-    cert = RUN[path](seed)
+    _, cert = RUN[path](seed)
     outcome, digest = PINNED[(path, seed)]
     assert cert.to_json_dict()["outcome"] == outcome
     assert canonical_sha256(cert) == digest

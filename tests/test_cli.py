@@ -245,6 +245,16 @@ class TestVerify:
         cert = tmp_path / "cert.json"
         cert.write_text(capsys.readouterr().out)
         assert main(["verify", cycle5, str(cert)]) == 0
+        # the older format, which also carried the per-class stage palettes,
+        # still verifies: verify ignores the key
+        cert.write_text(
+            '{"bound":432,"classes":[{"b2_max_out_degree":0,"class":1,'
+            '"combined_colors":2,"d1_colors":1,"d2_colors":2,"d3_colors":1,"size":3},'
+            '{"b2_max_out_degree":0,"class":2,"combined_colors":1,"d1_colors":1,'
+            '"d2_colors":1,"d3_colors":1,"size":2}],"colors":[0,1,0,1,2],'
+            '"k1":1,"k3":1,"outcome":"coloring"}'
+        )
+        assert main(["verify", cycle5, str(cert)]) == 0
 
     def test_tampered_color_exits_3(self, cycle5, tmp_path, capsys):
         assert main(["color", "--json", cycle5]) == 0
@@ -633,17 +643,38 @@ class TestInputProblemsExit1:
             ["find", "--budget", "-1", "{graph}"],
             ["verify", "{graph}", "{deep}"],
             ["gen", "--family", "cycle", "--n", "5", "-o", "{missing}/g.dg"],
+            # headers that no list can hold: 2^62 vertices fails the
+            # allocation's size check (MemoryError) and 10^20 does not fit
+            # an index (OverflowError), both before any memory is taken
+            *(
+                argv
+                for header in ("{huge}", "{overflow}")
+                for argv in (["color", header], ["color-ham", header],
+                             ["find", header], ["verify", header, "{stall}"])
+            ),
         ],
         ids=["color-missing", "color-ham-missing", "find-missing", "verify-missing",
              "color-k1", "color-ham-k1", "find-k3", "stress-k1", "bench-k3",
-             "find-budget", "verify-deep-nesting", "gen-missing-dir"],
+             "find-budget", "verify-deep-nesting", "gen-missing-dir",
+             *(f"{cmd}-{header}-header"
+               for header in ("huge", "overflow")
+               for cmd in ("color", "color-ham", "find", "verify"))],
     )
     def test_exits_1_without_traceback(self, tmp_path, argv):
         graph = write_graph(tmp_path, tt(4))
         missing = str(tmp_path / "missing.dg")
         deep = tmp_path / "deep.json"
         deep.write_text("[" * 200_000 + "]" * 200_000)
-        argv = [a.format(graph=graph, missing=missing, deep=deep) for a in argv]
+        huge, overflow = tmp_path / "huge.dg", tmp_path / "overflow.dg"
+        huge.write_text("4611686018427387904 0\n")
+        overflow.write_text("99999999999999999999 0\n")
+        stall = tmp_path / "stall.json"
+        stall.write_text('{"outcome":"stall","k":1,"core":[0]}')
+        argv = [
+            a.format(graph=graph, missing=missing, deep=deep, huge=huge,
+                     overflow=overflow, stall=stall)
+            for a in argv
+        ]
         code, err = run_cli(argv)
         assert code == 1, err
         assert err and "Traceback" not in err

@@ -1,6 +1,7 @@
 import copy
 import json
 import tracemalloc
+from functools import partial
 
 import pytest
 
@@ -12,6 +13,7 @@ from fourblocks import (
     parse_digraph,
     verify_certificate,
 )
+from test_certificate_digests import PINNED, RUN
 
 
 def cycle(n):
@@ -72,6 +74,65 @@ def test_emitted_certificates_pass_and_tampered_ones_fail(name, d, cert, tamper)
     tamper(bad)
     result = verify_certificate(d, bad)
     assert not result.ok and result.reason
+
+
+class ReadKeys(dict):
+    """A JSON object that records the keys a reader looks up."""
+
+    def __init__(self, pairs):
+        super().__init__(pairs)
+        self.read = set()
+
+    def __getitem__(self, key):
+        self.read.add(key)
+        return super().__getitem__(key)
+
+    def get(self, key, default=None):
+        self.read.add(key)
+        return super().get(key, default)
+
+    def __contains__(self, key):
+        self.read.add(key)
+        return super().__contains__(key)
+
+
+def unread_keys(d, cert) -> set[str]:
+    """The keys of the emitted certificate, at any depth, that a passing
+    verify_certificate never looked up."""
+    objects: list[ReadKeys] = []
+
+    def hook(pairs):
+        objects.append(ReadKeys(pairs))
+        return objects[-1]
+
+    obj = json.loads(json.dumps(cert.to_json_dict()), object_pairs_hook=hook)
+    assert verify_certificate(d, obj).ok
+    return {key for o in objects for key in o.keys() - o.read}
+
+
+def stall_with_witness():
+    d = complete(8)
+    stall = color_hamiltonian(d, HamiltonianCycle(tuple(range(8))), 1, 1)
+    assert stall.witness is not None
+    return d, stall
+
+
+# name -> () -> (digraph, library certificate): every pinned certificate,
+# plus the two outcomes that no pin covers
+READ_CASES = {f"{path}-{seed}": partial(RUN[path], seed) for path, seed in PINNED}
+READ_CASES["stall-witness"] = stall_with_witness
+READ_CASES["inconclusive"] = lambda: (
+    complete(13), color_strong_digraph(complete(13), 1, 1, budget=0)
+)
+
+
+@pytest.mark.parametrize("case", sorted(READ_CASES))
+def test_verify_reads_every_key_the_library_writes(case):
+    """A certificate holds only what verify checks. An inconclusive one
+    makes no claim, so its stage and reason go unread."""
+    d, cert = READ_CASES[case]()
+    exempt = {"stage", "reason"} if case == "inconclusive" else set()
+    assert unread_keys(d, cert) <= exempt
 
 
 @pytest.mark.parametrize("cert", [5, {"outcome": "coloring"}, {"outcome": "stall", "k": 1},

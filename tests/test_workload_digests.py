@@ -20,8 +20,8 @@ SEED = 101
 SLOTS = 20
 
 PINNED = {
-    "sparse-color": "ee6e14be7120a7cdb5e34a9aed441d16d49582963240cadf97947cd71cec4574",
-    "dense-fallback": "110a9727c63f1f6ae42265c1ec1ec35667b41b88f29617c71c02fd0e12b01d48",
+    "sparse-color": "88ebf23eb4ad66aebe5d0c6cf6fe1bbc59646c88e2764926073f3e41930a795d",
+    "dense-fallback": "6e0fe35ffa2c6d2184f94bd9deae69b9a4b4b5509b9758a22cf9ef2461d16f9b",
     "ham-peel": "5c0cbd32b28792c72f96a623a5e8dcb7df4099a6cfa60f178f47ad2266dcf9c7",
 }
 
