@@ -48,7 +48,6 @@ from .witness import (
     witness_to_json,
 )
 from .decomposition import (
-    ArcPartition,
     ClassReport,
     ColoringWithinBound,
     Inconclusive,

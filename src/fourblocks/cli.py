@@ -4,8 +4,9 @@ Exit codes are a stable contract:
 
     0  success (coloring produced / witness found / certificate valid)
     1  input problem (missing, unparsable or unwritable file, malformed
-       certificate or cycle file, block length below 1, bad budget); also
-       a failed `stress` campaign member, or kernels that disagree in `bench`
+       certificate or cycle file, block length below 1, bad budget, a
+       `stress` or `bench` count below 1); also a failed `stress` campaign
+       member, or kernels that disagree in `bench`
     2  precondition failure (not strongly connected)
     3  structural outcome (subdivision found / peel stalled / not found /
        certificate invalid, depending on the command)
@@ -64,11 +65,13 @@ def _load_digraph(path: str) -> Digraph:
 
 
 def _check_args(args) -> None:
-    """Reject bad block lengths and budgets before any work."""
+    """Reject bad block lengths, budgets and counts before any work."""
     if min(getattr(args, "k1", 1), getattr(args, "k3", 1)) < 1:
         raise InputError("block lengths --k1 and --k3 must be at least 1")
     if getattr(args, "budget", 0) < 0:
         raise InputError("--budget must be nonnegative")
+    if getattr(args, "count", 1) < 1:
+        raise InputError("--count must be at least 1")
 
 
 def _write(text: str) -> None:
@@ -276,7 +279,15 @@ def _stress_one(args, seed: int) -> tuple[str, str]:
         return "fail", "oracle witness failed verification"
 
     if family is generators.Family.PLANTED_SUBDIVISION:
-        if w is None:
+        # the plant is C(k1,1,k3,1), which need not contain the C(k,1,k,1)
+        # that w answers for the pipeline
+        try:
+            planted = w if k1 == k3 else witness.find_cycle_subdivision(
+                d, spec.pattern, budget
+            )
+        except BudgetExceeded:
+            return "skip", "oracle budget exhausted"
+        if planted is None or not witness.verify_subdivision(d, planted, spec.pattern).ok:
             return "fail", "planted subdivision not found by oracle"
 
     if family is generators.Family.RANDOM_HAMILTONIAN:

@@ -3,11 +3,11 @@
 Given a strong digraph and block lengths (k1, k3) with k = max(k1, k3), the
 pipeline builds a final spanning out-tree, splits vertices into at most 2k
 level classes (level residues mod 2k), and partitions each class's induced
-arcs into three groups:
+arcs into three subdigraphs:
 
-    a1: level increases along an ancestor chain,
-    a2: level decreases along an ancestor chain (descendant to ancestor),
-    a3: everything else.
+    d1: level increases along an ancestor chain,
+    d2: level decreases along an ancestor chain (descendant to ancestor),
+    d3: everything else.
 
 Each group has its own bounded coloring routine. When every class colors
 within its stage bounds (6, 6 and 4k+2), the three stage colorings combine
@@ -42,7 +42,9 @@ from .witness import (
 
 
 class SubDigraph:
-    """Induced subdigraph keeping the host's vertex ids.
+    """A stage input: a vertex set and arcs between its vertices, keeping
+    the host's vertex ids. ``arc_partition`` builds the pipeline's three per
+    class; tests and callers build their own the same way.
 
     ``touched`` holds the vertices that lie on an arc. ``out_adj`` (read by
     ``color_d2``) and ``und_adj`` (every stage) are keyed by every vertex,
@@ -74,13 +76,6 @@ class SubDigraph:
         return f"SubDigraph(|V|={len(self.vertices)}, |A|={len(self.arcs)})"
 
 
-@dataclass(frozen=True)
-class ArcPartition:
-    a1: frozenset[tuple[int, int]]
-    a2: frozenset[tuple[int, int]]
-    a3: frozenset[tuple[int, int]]
-
-
 def level_classes(t: OutTree, k: int) -> tuple[frozenset[int], ...]:
     """The level classes V_1..V_m of ``t`` for block parameter k: level l
     goes to V_((l-1) mod 2k + 1), and m = min(2k, tree depth). Every class
@@ -95,14 +90,15 @@ def level_classes(t: OutTree, k: int) -> tuple[frozenset[int], ...]:
     return tuple(map(frozenset, classes))
 
 
-def arc_partition(d: Digraph, t: OutTree, cls) -> ArcPartition:
-    """Split the arcs induced by one class, checking finality as it reads.
+def arc_partition(d: Digraph, t: OutTree, cls) -> tuple[SubDigraph, SubDigraph, SubDigraph]:
+    """Split the arcs induced by one class into the stage inputs (d1, d2,
+    d3) on the class's vertices, checking finality as it reads.
 
     Each out-arc (u,v) of a class vertex u is read once. A backward arc
     (level[u] >= level[v]) must point at an ancestor of u, or the tree is
     not final and ``NotFinalTree`` is raised; inside the class it goes to
-    a2. A forward arc inside the class goes to a1 when u is an ancestor of
-    v and to a3 otherwise. Only the out-arcs of class vertices are read, so
+    d2. A forward arc inside the class goes to d1 when u is an ancestor of
+    v and to d3 otherwise. Only the out-arcs of class vertices are read, so
     a call raises exactly when one of them offends. The classes of
     ``level_classes`` partition the vertices, so calls on all of them read
     every arc once, and some call raises iff the tree is not final.
@@ -110,17 +106,17 @@ def arc_partition(d: Digraph, t: OutTree, cls) -> ArcPartition:
     _check_vertex_count(d, t)
     level, num = t.level, t.numbering
     vset = set(cls)
-    a1, a2, a3 = set(), set(), set()
+    a1, a2, a3 = [], [], []
     for u in vset:
         for v in d.out_neighbors(u):
             if level[u] < level[v]:
                 if v in vset:
-                    (a1 if num.is_ancestor(u, v) else a3).add((u, v))
+                    (a1 if num.is_ancestor(u, v) else a3).append((u, v))
             elif not num.is_ancestor(v, u):
                 raise NotFinalTree(f"backward arc ({u},{v}) points off the root path of {u}")
             elif v in vset:
-                a2.add((u, v))
-    return ArcPartition(frozenset(a1), frozenset(a2), frozenset(a3))
+                a2.append((u, v))
+    return SubDigraph(vset, a1), SubDigraph(vset, a2), SubDigraph(vset, a3)
 
 
 # --- stage colorings ---------------------------------------------------------
@@ -409,15 +405,15 @@ def color_strong_digraph(
     keys: dict[int, tuple[int, int]] = {}  # vertex -> (class, product id)
 
     for i, cls in enumerate(level_classes(t, k), start=1):
-        part = arc_partition(d, t, cls)
-        r1 = color_d1(SubDigraph(cls, part.a1), t)
+        d1, d2, d3 = arc_partition(d, t, cls)
+        r1 = color_d1(d1, t)
         if isinstance(r1, WheelCoreFailure):
             return _fallback(
                 d, k1, k3, budget, "color_d1",
                 f"class {i}: degree-5 peel stalled on a core of "
                 f"{len(r1.core)} vertices",
             )
-        r2 = color_d2(SubDigraph(cls, part.a2))
+        r2 = color_d2(d2)
         if isinstance(r2, OutDegreeFailure):
             return _fallback(
                 d, k1, k3, budget, "color_d2",
@@ -425,7 +421,7 @@ def color_strong_digraph(
                 f"{len(r2.out_neighbors)} in the high part",
             )
         try:
-            r3 = color_d3(SubDigraph(cls, part.a3), k, budget)
+            r3 = color_d3(d3, k, budget)
         except BudgetExceeded as exc:
             return Inconclusive("color_d3", f"class {i}: {exc}")
         if isinstance(r3, TwoBlockPathWitness):

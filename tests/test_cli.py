@@ -502,6 +502,15 @@ class TestStress:
         monkeypatch.chdir(tmp_path)
         assert main(["stress", "--family", "planted", "--count", "6", "--n", "12"]) == 0
 
+    def test_planted_campaign_with_unequal_blocks(self, capsys, tmp_path, monkeypatch):
+        # the plant is C(2,1,1,1), which need not contain C(2,1,2,1): the
+        # planted check searches for the planted pattern itself
+        monkeypatch.chdir(tmp_path)
+        argv = ["stress", "--family", "planted", "--k1", "2", "--k3", "1",
+                "--count", "10", "--n", "14"]
+        assert main(argv) == 0
+        assert "pass=10 fail=0" in capsys.readouterr().out
+
     def test_hamiltonian_campaign(self, capsys, tmp_path, monkeypatch):
         monkeypatch.chdir(tmp_path)
         assert (
@@ -623,9 +632,9 @@ def run_cli(argv, env=None):
 
 
 class TestInputProblemsExit1:
-    """Missing files, block lengths below 1 and bad budgets exit 1 before
-    any work; an unparsable certificate or an unwritable output file exits
-    1 too. None of them prints a traceback."""
+    """Missing files, block lengths below 1, bad budgets and counts below 1
+    exit 1 before any work; an unparsable certificate or an unwritable
+    output file exits 1 too. None of them prints a traceback."""
 
     @pytest.mark.parametrize(
         "argv",
@@ -640,6 +649,8 @@ class TestInputProblemsExit1:
             ["find", "--k3", "0", "{graph}"],
             ["stress", "--k1", "0", "--count", "1"],
             ["bench", "--k3", "-2", "--count", "1"],
+            ["stress", "--count", "-3"],
+            ["bench", "--count", "0"],
             ["find", "--budget", "-1", "{graph}"],
             ["verify", "{graph}", "{deep}"],
             ["gen", "--family", "cycle", "--n", "5", "-o", "{missing}/g.dg"],
@@ -655,6 +666,7 @@ class TestInputProblemsExit1:
         ],
         ids=["color-missing", "color-ham-missing", "find-missing", "verify-missing",
              "color-k1", "color-ham-k1", "find-k3", "stress-k1", "bench-k3",
+             "stress-count", "bench-count",
              "find-budget", "verify-deep-nesting", "gen-missing-dir",
              *(f"{cmd}-{header}-header"
                for header in ("huge", "overflow")

@@ -192,7 +192,7 @@ def test_acyclic_peel_matches(family):
         if d.n <= 200:
             t = finalize(d, spanning_out_tree(d, root))
             for cls in level_classes(t, 1):
-                a2 = SubDigraph(cls, arc_partition(d, t, cls).a2)
+                _, a2, _ = arc_partition(d, t, cls)
                 cases.append((a2, a2.vertices))
             for _ in range(4):
                 subset = [v for v in range(d.n) if rng.randrange(3)]
@@ -243,12 +243,12 @@ def stage_cases(d, root, rng):
         for cls in level_classes(t, k):
             if not cls:
                 continue
-            part = arc_partition(d, t, cls)
+            d1, d2, d3 = arc_partition(d, t, cls)
             pad = [v for v in range(d.n) if v not in cls and rng.randrange(2)]
             for vertices in (cls, cls | set(pad)):
-                cases.append(("d1", t, vertices, part.a1, k, None))
-                cases.append(("d2", t, vertices, part.a2, k, None))
-                cases.append(("d3", t, vertices, part.a3, k, DEFAULT_BUDGET))
+                cases.append(("d1", t, vertices, d1.arcs, k, None))
+                cases.append(("d2", t, vertices, d2.arcs, k, None))
+                cases.append(("d3", t, vertices, d3.arcs, k, DEFAULT_BUDGET))
     if d.n <= 60:
         padded = range(d.n + 3)
         forward = [(u, v) for u, v in d.arcs if u < v]
