@@ -20,6 +20,7 @@ verified subdivision witness, or an explicit inconclusive outcome.
 
 from __future__ import annotations
 
+from collections import Counter
 from dataclasses import dataclass
 from heapq import heapify, heappop, heappush
 from itertools import chain
@@ -46,29 +47,28 @@ class SubDigraph:
     the host's vertex ids. ``arc_partition`` builds the pipeline's three per
     class; tests and callers build their own the same way.
 
-    ``touched`` holds the vertices that lie on an arc. ``out_adj`` (read by
-    ``color_d2``) and ``und_adj`` (every stage) are keyed by every vertex,
-    but only touched vertices get their own list and set: the others share
-    ``()`` and ``frozenset()``. Neither has a meaningful order.
+    ``touched`` holds the vertices that lie on an arc. ``und_adj``, the one
+    adjacency every stage reads, is keyed by every vertex, but only touched
+    vertices get their own set: the others share ``frozenset()``. Arc
+    directions are read from ``arcs``.
     """
 
-    __slots__ = ("vertices", "arcs", "touched", "out_adj", "und_adj")
+    __slots__ = ("vertices", "arcs", "touched", "und_adj")
 
     def __init__(self, vertices, arcs):
         self.vertices = tuple(sorted(vertices))
         self.arcs = frozenset(arcs)
         self.touched = touched = frozenset(chain.from_iterable(self.arcs))
-        self.out_adj = out_adj = dict.fromkeys(self.vertices, ())
         self.und_adj = und_adj = dict.fromkeys(self.vertices, frozenset())
-        if not out_adj.keys() >= touched:
+        if not und_adj.keys() >= touched:
             for u, v in self.arcs:
-                if u not in out_adj or v not in out_adj:
+                if u not in und_adj or v not in und_adj:
                     raise ValueError(f"arc ({u},{v}) leaves the vertex set")
         for v in touched:
-            out_adj[v] = []
             und_adj[v] = set()
         for u, v in self.arcs:
-            out_adj[u].append(v)
+            if u == v:
+                raise ValueError(f"loop arc ({u},{v}) not allowed")
             und_adj[u].add(v)
             und_adj[v].add(u)
 
@@ -221,29 +221,29 @@ def split_by_out_degree(d2: SubDigraph):
     """(low, high, max out-degree inside high, worst) split at out-degree
     <= 1; worst is (vertex, sorted out-neighbors inside high) for the
     smallest vertex of that max out-degree, or None when high has no arc
-    inside it."""
-    high = frozenset(v for v in d2.touched if len(d2.out_adj[v]) > 1)
+    inside it. Out-degrees come from one pass over ``d2.arcs``."""
+    high = frozenset(v for v, c in Counter(u for u, _ in d2.arcs).items() if c > 1)
     low = frozenset(d2.vertices) - high
-    max_out = 0
-    worst = None
-    for v in sorted(high):
-        outs = [w for w in d2.out_adj[v] if w in high]
-        if len(outs) > max_out:
-            max_out = len(outs)
-            worst = (v, tuple(sorted(outs)))
-    return low, high, max_out, worst
+    inside = Counter(u for u, w in d2.arcs if u in high and w in high)
+    max_out = max(inside.values(), default=0)
+    if not max_out:
+        return low, high, 0, None
+    v = min(u for u, c in inside.items() if c == max_out)
+    return low, high, max_out, (v, tuple(sorted(w for u, w in d2.arcs if u == v and w in high)))
 
 
 def _acyclic_peel_order(d2: SubDigraph, vertices) -> list[int]:
     """Repeatedly remove an in-degree-0 vertex (smallest id first) from the
     induced subdigraph: the peel at threshold 0 on in-degrees inside the
-    vertex set. Raises NotAcyclic when vertices are left stuck."""
+    vertex set, counted from ``d2.arcs``. Raises NotAcyclic when vertices
+    are left stuck."""
     indeg = dict.fromkeys(vertices, 0)
-    for u in indeg:
-        for w in d2.out_adj[u]:
-            if w in indeg:
-                indeg[w] += 1
-    order, stuck = _peel(indeg, d2.out_adj, 0)
+    for u, w in d2.arcs:
+        if u in indeg and w in indeg:
+            indeg[w] += 1
+    # A vertex taken at in-degree 0 has no in-neighbor left, so the neighbors
+    # whose counts it lowers are exactly its remaining out-neighbors.
+    order, stuck = _peel(indeg, d2.und_adj, 0)
     if stuck:
         raise NotAcyclic(
             "directed cycle found in a descendant-to-ancestor arc group"
@@ -259,19 +259,21 @@ def color_d2(d2: SubDigraph) -> Union[D2Coloring, OutDegreeFailure]:
     reverse uses at most (max out-degree + 1) colors. Vertices of out-degree
     <= 1 take ids 0, 1, the rest ids 2..5 if their induced max out-degree is
     at most 3, which holds unless the host has a four-blocks cycle subdivision.
-    The in-degree-0 peels and both greedies run on the touched vertices only;
-    an untouched vertex is in the low part and takes 0, as the greedy gave it.
+    One in-degree-0 peel of the touched vertices is the cycle check, and each
+    part's greedy reads that order's sub-order on the part: in reverse
+    topological order a vertex takes the least color missing among its
+    out-neighbors, which no topological order changes. An untouched vertex
+    is in the low part and takes 0, as the greedy gave it.
     """
-    touched = d2.touched
-    _acyclic_peel_order(d2, touched)
-    low, high, max_out, worst = split_by_out_degree(d2)
+    order = _acyclic_peel_order(d2, d2.touched)
+    _, high, max_out, worst = split_by_out_degree(d2)
     if max_out > 3:
         assert worst is not None
         return OutDegreeFailure(worst[0], worst[1])
 
     colors = dict.fromkeys(d2.vertices, 0)
-    colors.update(greedy_reverse(d2.und_adj, _acyclic_peel_order(d2, low & touched)))
-    for v, c in greedy_reverse(d2.und_adj, _acyclic_peel_order(d2, high)).items():
+    colors.update(greedy_reverse(d2.und_adj, [v for v in order if v not in high]))
+    for v, c in greedy_reverse(d2.und_adj, [v for v in order if v in high]).items():
         colors[v] = 2 + c
     assert len(set(colors.values())) <= 6
     return D2Coloring(colors, max_out)

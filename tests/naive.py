@@ -28,7 +28,10 @@ per-class stages as they were when every class vertex entered each peel
 and DSATUR; they call the package's peels, greedy and DSATUR, which the
 reference loops above check. The package's stages skip the vertices that
 no arc of the group touches and must return exactly the same colorings and
-failures.
+failures. The reference ``color_d2`` keeps its three in-degree peels (the
+cycle check, then one per part), where the package's peels once and colors
+each part in a sub-order of that order. ``SubDigraph`` here keeps an
+``out_adj``, which ``acyclic_peel_order`` reads.
 The last section keeps the subdivision kernel's search, the two-block path
 search and the exact coloring as they were when each recursed once per
 vertex entered or colored. The package's versions run each search on an

@@ -164,6 +164,11 @@ class TestSubDigraph:
         with pytest.raises(ValueError, match=rf"arc \({arc[0]},{arc[1]}\) leaves"):
             SubDigraph({0, 1}, [arc])
 
+    def test_loop_arc_raises(self):
+        # a loop would leave color_d3 a group that no coloring makes proper
+        with pytest.raises(ValueError, match=r"loop arc \(0,0\) not allowed"):
+            SubDigraph({0, 1}, [(0, 0)])
+
 
 class TestColorD1:
     def test_edgeless(self):
@@ -435,6 +440,27 @@ class TestPipeline:
         assert isinstance(cert, ColoringWithinBound)
         assert len(seen) == len(cert.per_class) > 1
         assert [r.b2_max_out_degree for r in cert.per_class] == [split(d2)[2] for d2 in seen]
+
+    def test_each_d2_coloring_peels_once(self, monkeypatch):
+        from fourblocks import decomposition as dec
+
+        peel = dec._acyclic_peel_order
+        seen = []
+
+        def counted(d2, vertices):
+            seen.append((d2, vertices))
+            return peel(d2, vertices)
+
+        monkeypatch.setattr(dec, "_acyclic_peel_order", counted)
+        d = generate(GenSpec(Family.RANDOM_STRONG, 600, 1200, 1))
+        t = finalize(d, spanning_out_tree(d, 0))
+        classes = level_classes(t, 1)
+        assert len(classes) > 1
+        for cls in classes:
+            _, d2, _ = arc_partition(d, t, cls)
+            seen.clear()
+            assert isinstance(color_d2(d2), Coloring)
+            assert seen == [(d2, d2.touched)]
 
     # perfbench's tracer times a layer by replacing the module attribute
     # that the pipeline calls; a call through a local alias would leave

@@ -2,7 +2,9 @@
 
 networkx is an independent oracle for strong connectivity and for the core
 that the degree peel leaves, ``underlying_graph`` for ``neighbor_sets``,
-and ``naive.check_chord_neighbor_bound`` for the chord check.
+and ``naive.check_chord_neighbor_bound`` for the chord check. On random
+acyclic arc sets the greedy colors a vertex subset alike in its own peel
+order and in a sub-order of a larger one, which lets ``color_d2`` peel once.
 Mutated certificates and mutated digraph files check the error contracts:
 the verifier raises nothing but ValueError, and the command line exits
 within 0-5 without a traceback.
@@ -12,6 +14,7 @@ import copy
 import io
 import json
 from contextlib import redirect_stderr, redirect_stdout
+from itertools import combinations, compress
 
 import pytest
 
@@ -31,7 +34,12 @@ from fourblocks import (
     witness_to_json,
 )
 from fourblocks.cli import main
-from fourblocks.decomposition import peel_low_degree
+from fourblocks.decomposition import (
+    SubDigraph,
+    _acyclic_peel_order,
+    greedy_reverse,
+    peel_low_degree,
+)
 
 import naive
 
@@ -123,6 +131,36 @@ def test_chord_check_matches_the_naive_oracle():
         d, c, k = case
         want = naive.check_chord_neighbor_bound(d, c, k)
         assert check_chord_neighbor_bound(d, c, k) == want
+
+    check()
+
+
+@st.composite
+def acyclic_parts(draw):
+    """Arcs on 1..12 vertices that all go forward in a drawn vertex order,
+    and a vertex subset, each arc and each vertex kept by a drawn flag."""
+    n = draw(st.integers(1, 12))
+    pairs = list(combinations(draw(st.permutations(range(n))), 2))
+    arcs = compress(pairs, draw(st.lists(st.booleans(), min_size=len(pairs), max_size=len(pairs))))
+    subset = compress(range(n), draw(st.lists(st.booleans(), min_size=n, max_size=n)))
+    return SubDigraph(range(n), arcs), set(subset)
+
+
+def test_greedy_colors_a_part_alike_in_any_topological_order():
+    """``color_d2`` colors each part in the sub-order of one peel of the
+    touched vertices: in reverse topological order every colored neighbor
+    is an out-neighbor, so the greedy gives each vertex its Grundy number,
+    whichever topological order it reads."""
+
+    @hyp.settings(max_examples=300, **SETTINGS)
+    @hyp.given(acyclic_parts())
+    def check(case):
+        sub, subset = case
+        part = subset & sub.touched
+        whole = _acyclic_peel_order(sub, sub.touched)
+        own = _acyclic_peel_order(sub, part)
+        sub_order = [v for v in whole if v in part]
+        assert greedy_reverse(sub.und_adj, own) == greedy_reverse(sub.und_adj, sub_order)
 
     check()
 
