@@ -29,6 +29,7 @@ from .errors import (
 )
 from .outtree import (
     OutTree,
+    depth_first_out_tree,
     finalize,
     is_ancestor,
     is_final,

@@ -29,7 +29,9 @@ from typing import Union
 from . import exactcolor
 from .digraph import Coloring, Digraph, is_strongly_connected, product_coloring
 from .errors import BudgetExceeded, NotAcyclic, NotFinalTree, NotStronglyConnected
-from .outtree import OutTree, _check_vertex_count, finalize, spanning_out_tree
+from .outtree import OutTree, _check_vertex_count, finalize
+# the pipeline's start tree keeps the name that perfbench/tracing.py wraps
+from .outtree import depth_first_out_tree as spanning_out_tree
 from .witness import (
     DEFAULT_BUDGET,
     CyclePattern,
@@ -397,6 +399,9 @@ def color_strong_digraph(
     (k = max(k1,k3)), or a verified subdivision witness for the pattern
     (k1,1,k3,1), or an explicit inconclusive outcome naming the stage that
     could not be decided under the budget.
+
+    The final tree grows from the depth-first out-tree at vertex 0: the
+    stages read only finality, ancestry and levels, so any start would do.
     """
     bound = coloring_bound(k1, k3)
     if not is_strongly_connected(d):

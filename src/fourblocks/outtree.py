@@ -1,5 +1,9 @@
 """Spanning out-trees: levels, ancestry, and the final-tree rotation.
 
+The pipeline finalizes ``depth_first_out_tree``; ``spanning_out_tree`` is
+breadth-first. A final tree is deep whatever the start, so a deep start
+leaves ``finalize`` fewer rotations.
+
 Levels count vertices on the root path, so the root has level 1 and a child
 has its parent's level plus one. An arc (x,y) of the host digraph is forward
 when level(x) < level(y) and backward otherwise (equal levels included).
@@ -102,6 +106,32 @@ def spanning_out_tree(d: Digraph, r: int) -> OutTree:
     for v in range(d.n):
         if level[v] == 0:
             raise UnreachableVertex(v)
+    return OutTree(r, tuple(parent), tuple(level))
+
+
+def depth_first_out_tree(d: Digraph, r: int) -> OutTree:
+    """Depth-first spanning out-tree rooted at r, out-neighbors ascending,
+    each vertex taken on first sight; level = DFS depth + 1. The stack holds
+    each open vertex with an iterator into its out-list, so no depth recurses."""
+    if not (0 <= r < d.n):
+        raise ValueError(f"root {r} out of range")
+    out = d.out_lists()
+    parent: list[Optional[int]] = [None] * d.n
+    level = [0] * d.n
+    level[r] = 1
+    stack = [(r, iter(out[r]))]
+    while stack:
+        u, heads = stack[-1]
+        for v in heads:
+            if level[v] == 0:
+                parent[v] = u
+                level[v] = len(stack) + 1
+                stack.append((v, iter(out[v])))
+                break
+        else:
+            stack.pop()
+    if 0 in level:
+        raise UnreachableVertex(level.index(0))
     return OutTree(r, tuple(parent), tuple(level))
 
 

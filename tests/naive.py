@@ -17,6 +17,9 @@ never take more search nodes than ``search_cycle_subdivision`` here.
 for each ancestor test; the package's version scans each queued tail's arcs
 from a cursor and tests ancestry against one marked root path, and must
 rotate the same arcs in the same order.
+``depth_first_out_tree`` here recurses once per vertex it takes, over
+out-lists it rebuilds from the sorted arcs; the package's version keeps an
+explicit stack of out-list iterators and must return the same tree.
 ``parse_digraph`` here is the line-by-line parser alone; the package's
 version reads plain text in bulk and must return the same digraph and raise
 the same ``ParseError`` (line and message) on every text.
@@ -196,6 +199,26 @@ def finalize(d: Digraph, t: OutTree) -> OutTree:
                 break
         if not rotated:
             return OutTree(t.root, tuple(parent), tuple(level))
+
+
+def depth_first_out_tree(d: Digraph, r: int) -> OutTree:
+    """Recursive DFS from r, out-neighbors ascending, each vertex taken on
+    first sight; level = depth + 1. Only for trees shallow enough to recurse."""
+    out = [[] for _ in range(d.n)]
+    for u, v in sorted(d.arcs):
+        out[u].append(v)
+    parent: list[Optional[int]] = [None] * d.n
+    level = [0] * d.n
+
+    def visit(u: int, lu: int) -> None:
+        level[u] = lu
+        for v in out[u]:
+            if not level[v]:
+                parent[v] = u
+                visit(v, lu + 1)
+
+    visit(r, 1)
+    return OutTree(r, tuple(parent), tuple(level))
 
 
 def peel_low_degree(vertices, adj, threshold: int):

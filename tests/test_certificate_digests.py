@@ -51,19 +51,19 @@ def peel(seed, n=60):
 # (path, seed) -> (outcome, digest)
 PINNED = {
     ("pipeline-coloring", 1): (
-        "coloring", "ebd5d26f36898b1a434f793e4fe33b7ad50958899b00b71d323b8bdd45a55591"),
+        "coloring", "b7b0762022f10457deee3ef8239c813e43195dde184c74d232fd46ef133e6bd6"),
     ("pipeline-coloring", 2): (
-        "coloring", "c3a8b78ff70006e2948099bd4be61f79d6861ab4904e26f75d5de599475e80b3"),
+        "coloring", "c9e2843e2e625051baa48273e07efa3a9b04713136fe37221ca1c93182c6718c"),
     ("pipeline-coloring", 3): (
-        "coloring", "197e05055953331abdb9234ccd449a0362e67f13d279b12d1e48053df261776b"),
+        "coloring", "2ee97ac3e2458287409d08071553a7bc78edf6474705e8aaa8d12d9bab5f6e95"),
     ("pipeline-coloring-k2,2", 1): (
-        "coloring", "26f17c45870579ad85cae415b249a5b1f472db043cf807f6e47a8074d6f5b047"),
+        "coloring", "093ee21d25eaa459341db6d1cd0ac6a96c5555270757a3abf7dfdfad27346216"),
     ("pipeline-coloring-k2,2", 2): (
-        "coloring", "4454edf04eb6fc74a3c55e6c0a44e7dd9af66952120fe65e62d7c523f04cb5f7"),
+        "coloring", "1331ba11f314f94ae8a693449a5dc4d445ae387141e5f7007138d8af1d5517f0"),
     ("pipeline-coloring-k2,2", 3): (
-        "coloring", "eadab2d537b6d43a88becf580a50279be47d1d28543592a2511b2ad08e6f6827"),
+        "coloring", "bad65170c6540f681eb1494baea4cc2ef7c8d5a10e7a02f52beac1bb6d280426"),
     ("pipeline-coloring-k1,2", 1): (
-        "coloring", "b347ea2e3e3f358e5306da62c28c860b34b2d394a5d3ccd9cf819db08b2a86e2"),
+        "coloring", "f7488ec98a827c7789100ff14f1859884236c501bdb466fe91de2b6ce7f76984"),
     ("pipeline-subdivision", 1): (
         "subdivision", "ecb0305cb100bbd5a8f16b306779199e203a9435979800c56cbf1b7ca420df23"),
     ("pipeline-subdivision", 2): (

@@ -27,6 +27,7 @@ from fourblocks import (
     color_d2,
     color_d3,
     color_strong_digraph,
+    depth_first_out_tree,
     finalize,
     find_cycle_subdivision,
     find_two_block_path,
@@ -553,6 +554,34 @@ class TestPipeline:
         assert isinstance(cert, Inconclusive)
         assert cert.stage == "color_d2"
         assert "unexpected" in cert.reason
+
+
+class TestStageBoundsFromAnyStart:
+    """The stages read only the final tree's finality, ancestry and levels,
+    so on a digraph with no (k,1,k,1) subdivision every level class colors
+    within 6, 6 and 4k+2 whether ``finalize`` starts from the breadth-first
+    or the depth-first tree, even where the two final trees differ. Sparse
+    digraphs are mostly free, and about one in ten gives two final trees."""
+
+    @pytest.mark.parametrize("k", [1, 2])
+    def test_free_instances_color_within_the_stage_bounds(self, k):
+        free = differ = 0
+        for seed in range(500):
+            n = 8 + seed % 25
+            d = generate(GenSpec(Family.RANDOM_STRONG, n, n + 1 + seed % 6, seed))
+            if find_cycle_subdivision(d, CyclePattern((k, 1, k, 1))) is not None:
+                continue
+            free += 1
+            trees = {finalize(d, t0) for t0 in (spanning_out_tree(d, 0), depth_first_out_tree(d, 0))}
+            differ += len(trees) == 2
+            for t in trees:
+                for cls in level_classes(t, k):
+                    d1, d2, d3 = arc_partition(d, t, cls)
+                    r1, r2, r3 = color_d1(d1, t), color_d2(d2), color_d3(d3, k)
+                    assert isinstance(r1, Coloring) and r1.palette_size <= 6
+                    assert isinstance(r2, Coloring) and r2.palette_size <= 6
+                    assert isinstance(r3, Coloring) and r3.palette_size <= 4 * k + 2
+        assert free >= 100 and differ >= 10
 
 
 class TestFallbackExits:

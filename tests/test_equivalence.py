@@ -24,6 +24,7 @@ from fourblocks import (
     OutTree,
     Rng,
     check_chord_neighbor_bound,
+    depth_first_out_tree,
     finalize,
     find_hamiltonian_cycle,
     find_two_block_path,
@@ -156,6 +157,7 @@ def test_finalize_matches_rescan(family):
         starts = [spanning_out_tree(d, root)]
         if d.n <= 200:
             starts.append(random_tree(rng, d.n, root))
+        starts.append(depth_first_out_tree(d, root))
         for t0 in starts:
             t1 = finalize(d, t0)
             assert t1 == naive.finalize(d, t0)

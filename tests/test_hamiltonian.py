@@ -160,6 +160,19 @@ class TestChordNeighborBound:
             assert check_chord_neighbor_bound(d, c, 1) == []
             checked += 1
         assert checked > 3
+        # k = 2 and 3 need cycles of more than 4k vertices for a chord zone
+        for k in (2, 3):
+            checked = 0
+            for seed in range(40):
+                n = 4 * k + 2 + seed % 5
+                d = generate(GenSpec(Family.RANDOM_HAMILTONIAN, n, n + 2 + seed % 8, seed))
+                if find_cycle_subdivision(d, CyclePattern((k, 1, k, 1))) is not None:
+                    continue
+                c = find_hamiltonian_cycle(d)
+                assert c is not None
+                assert check_chord_neighbor_bound(d, c, k) == []
+                checked += 1
+            assert checked > 3
 
     def test_hand_built_violation_implies_subdivision(self):
         # cycle 0..7 plus the return arc (3,0) and three out-arcs from w=1

@@ -11,6 +11,7 @@ from fourblocks import (
     Rng,
     UnreachableVertex,
     arc_partition,
+    depth_first_out_tree,
     finalize,
     generate,
     is_ancestor,
@@ -64,6 +65,28 @@ class TestSpanningOutTree:
             for v in range(d.n):
                 if v != t.root:
                     assert t.level[v] == t.level[t.parent[v]] + 1
+
+
+class TestDepthFirstOutTree:
+    def test_matches_recursive_reference(self):
+        for seed in range(20):
+            d = generate(GenSpec(Family.RANDOM_STRONG, 5 + seed % 10, 20, seed))
+            t = depth_first_out_tree(d, 0)
+            assert t == naive.depth_first_out_tree(d, 0)
+            assert {(p, v) for v, p in enumerate(t.parent) if p is not None} <= d.arcs
+
+    def test_root_errors_match_breadth_first(self):
+        with pytest.raises(UnreachableVertex):
+            depth_first_out_tree(tt(4), 3)
+        for r in (-1, 4):
+            with pytest.raises(ValueError, match="out of range"):
+                depth_first_out_tree(tt(4), r)
+
+    def test_long_cycle_gives_path_tree_without_recursion(self):
+        n = 100_000
+        t = depth_first_out_tree(cycle(n), 0)
+        assert t.parent == (None,) + tuple(range(n - 1))
+        assert t.level == tuple(range(1, n + 1))
 
 
 class TestAncestry:
@@ -218,16 +241,16 @@ class TestFinalize:
         for seed in range(120):
             n = 4 + seed % 27
             d = generate(GenSpec(Family.RANDOM_STRONG, n, n + seed % (2 * n), seed))
-            t0 = spanning_out_tree(d, 0)
-            t1 = finalize(d, t0)
-            assert is_final(d, t1)
-            assert t1.root == t0.root
-            assert {(p, v) for v, p in enumerate(t1.parent) if p is not None} <= d.arcs
-            assert all(a >= b for a, b in zip(t1.level, t0.level))
-            # in-degree at most 1 and spanning hold by construction
-            assert sum(1 for p in t1.parent if p is None) == 1
-            # no arc joins equal levels once final
-            assert all(t1.level[u] != t1.level[v] for u, v in d.arcs)
+            for t0 in (spanning_out_tree(d, 0), depth_first_out_tree(d, 0)):
+                t1 = finalize(d, t0)
+                assert is_final(d, t1)
+                assert t1.root == t0.root
+                assert {(p, v) for v, p in enumerate(t1.parent) if p is not None} <= d.arcs
+                assert all(a >= b for a, b in zip(t1.level, t0.level))
+                # in-degree at most 1 and spanning hold by construction
+                assert sum(1 for p in t1.parent if p is None) == 1
+                # no arc joins equal levels once final
+                assert all(t1.level[u] != t1.level[v] for u, v in d.arcs)
 
     # SHA-256 of repr((parent, level)), as the earlier arc-heap finalize gave
     # them; the rescan oracle in tests/naive.py is too slow at these sizes.
@@ -254,3 +277,13 @@ class TestFinalize:
             trees.append((t.parent, t.level))
         digest = hashlib.sha256(repr(trees).encode()).hexdigest()
         assert digest == "f8de09e4300397de14b36649f3213380d5030294faf75a9a84abb818a1b4b977"
+
+    # The same shape from the depth-first start, which the pipeline uses.
+    def test_pinned_at_sparse_color_shape_from_depth_first_start(self):
+        trees = []
+        for seed in range(1, 41):
+            d = generate(GenSpec(Family.RANDOM_STRONG, 600, 1200, seed))
+            t = finalize(d, depth_first_out_tree(d, 0))
+            trees.append((t.parent, t.level))
+        digest = hashlib.sha256(repr(trees).encode()).hexdigest()
+        assert digest == "44aa08cba862f792080dff75ecf8fb28ceabbe2f15c59a7c1fb786165837c271"

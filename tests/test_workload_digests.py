@@ -20,8 +20,8 @@ SEED = 101
 SLOTS = 20
 
 PINNED = {
-    "sparse-color": "88ebf23eb4ad66aebe5d0c6cf6fe1bbc59646c88e2764926073f3e41930a795d",
-    "dense-fallback": "6e0fe35ffa2c6d2184f94bd9deae69b9a4b4b5509b9758a22cf9ef2461d16f9b",
+    "sparse-color": "97be01cda467f2d219ccf6e19bb3c3da796965f0b97092f63e5c45c82e1053dd",
+    "dense-fallback": "d159ae657c5cc1425d1bc25852199415777d2573b792814b5bfb07dc96db5a69",
     "ham-peel": "5c0cbd32b28792c72f96a623a5e8dcb7df4099a6cfa60f178f47ad2266dcf9c7",
 }
 
