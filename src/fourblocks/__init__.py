@@ -39,12 +39,9 @@ from .witness import (
     DEFAULT_BUDGET,
     CyclePattern,
     SubdivisionWitness,
-    TwoBlockPathWitness,
     VerifyResult,
     find_cycle_subdivision,
-    find_two_block_path,
     verify_subdivision,
-    verify_two_block_path,
     witness_from_json,
     witness_to_json,
 )
@@ -53,6 +50,7 @@ from .decomposition import (
     ColoringWithinBound,
     Inconclusive,
     OutDegreeFailure,
+    PaletteFailure,
     SubDigraph,
     SubdivisionFound,
     WheelCoreFailure,

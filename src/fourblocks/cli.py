@@ -15,8 +15,11 @@ Exit codes are a stable contract:
 
 JSON output (--json) is the machine contract; the default text output is
 for humans and carries no stability promise. All randomness flows from
---seed. --budget sets the search node budget; it defaults to
-witness.DEFAULT_BUDGET, and no environment variable changes it.
+--seed. --budget B sets the search node budget; it defaults to
+witness.DEFAULT_BUDGET, and no environment variable changes it. B caps
+each search call, not the run: `color` gives B to each level class's exact
+d3 coloring and again to the fallback subdivision search, and `color-ham`
+without --cycle gives B to the cycle search and again to the stall search.
 """
 
 from __future__ import annotations

@@ -36,9 +36,7 @@ from .witness import (
     DEFAULT_BUDGET,
     CyclePattern,
     SubdivisionWitness,
-    TwoBlockPathWitness,
     find_cycle_subdivision,
-    find_two_block_path,
     verify_subdivision,
     witness_to_json,
 )
@@ -138,6 +136,18 @@ class OutDegreeFailure:
 
     vertex: int
     out_neighbors: tuple[int, ...]
+
+
+@dataclass(frozen=True)
+class PaletteFailure:
+    """The exact coloring proved that the d3 group needs more than
+    ``bound`` colors."""
+
+    bound: int
+
+
+# perfbench/tracing.py still counts d3 failures under the old name
+TwoBlockPathWitness = PaletteFailure
 
 
 @dataclass(frozen=True)
@@ -283,7 +293,7 @@ def color_d2(d2: SubDigraph) -> Union[D2Coloring, OutDegreeFailure]:
 
 def color_d3(
     d3: SubDigraph, k: int, budget: int = DEFAULT_BUDGET
-) -> Union[Coloring, TwoBlockPathWitness]:
+) -> Union[Coloring, PaletteFailure]:
     """Color the remaining arc group with color ids 0..4k+1, as the search
     assigns them; ``product_coloring`` renumbers them.
 
@@ -291,27 +301,18 @@ def color_d3(
     takes 0, as it would have last in the saturation order. When the greedy
     overshoots, an exact branch and bound on every class vertex decides
     colorability, so its node count and budget cut stay those of the whole
-    class. A proven impossibility forces a two-block path P(2k+1, 2k+1) to
-    exist in the group, which is found and returned as the failure witness.
+    class. A proven impossibility is the failure. Such a group contains a
+    two-block path P(2k+1, 2k+1), as every digraph of chromatic number
+    a+b+1 contains P(a,b); the pipeline needs only the failure.
     """
     q = 4 * k + 2
     heuristic = exactcolor.dsatur(d3.touched, d3.und_adj)
     if len(set(heuristic.values())) <= q:
         return Coloring(dict.fromkeys(d3.vertices, 0) | heuristic)
     exact = exactcolor.color_within(d3.vertices, d3.und_adj, q, budget)
-    if exact is not None:
-        return Coloring(exact)
-    # Search on host ids: vertices outside the class have no out-arcs, so
-    # the search skips them before counting a node.
-    host = Digraph(max(d3.vertices) + 1, d3.arcs)
-    witness = find_two_block_path(host, 2 * k + 1, 2 * k + 1, budget)
-    if witness is None:
-        raise RuntimeError(
-            "chromatic number exceeds 4k+2 but no P(2k+1,2k+1) exists; "
-            "a digraph of chromatic number a+b+1 always contains P(a,b), "
-            "so one of the two searches is buggy"
-        )
-    return witness
+    if exact is None:
+        return PaletteFailure(q)
+    return Coloring(exact)
 
 
 # --- pipeline ----------------------------------------------------------------
@@ -400,6 +401,9 @@ def color_strong_digraph(
     (k1,1,k3,1), or an explicit inconclusive outcome naming the stage that
     could not be decided under the budget.
 
+    ``budget`` caps each search call, not the run: every class's exact d3
+    coloring gets all of it, and so does the fallback's subdivision search.
+
     The final tree grows from the depth-first out-tree at vertex 0: the
     stages read only finality, ancestry and levels, so any start would do.
     """
@@ -431,10 +435,10 @@ def color_strong_digraph(
             r3 = color_d3(d3, k, budget)
         except BudgetExceeded as exc:
             return Inconclusive("color_d3", f"class {i}: {exc}")
-        if isinstance(r3, TwoBlockPathWitness):
+        if isinstance(r3, PaletteFailure):
             return _fallback(
                 d, k1, k3, budget, "color_d3",
-                f"class {i}: found P({r3.a},{r3.b}), chromatic bound fails",
+                f"class {i}: the d3 group needs more than {r3.bound} colors",
             )
 
         c123 = product_coloring((r1, cls), (r2, cls), (r3, cls))

@@ -1,11 +1,7 @@
-"""Exact desk-scale searchers and verifiers for structural witnesses.
+"""Exact desk-scale search and verifier for subdivisions of the
+four-blocks cycle C(k1,k2,k3,k4).
 
-Two witness shapes are handled:
-
-* subdivisions of the four-blocks cycle C(k1,k2,k3,k4),
-* two-block paths P(a,b) (two dipaths sharing only their origin).
-
-Every finder is exhaustive under a search-node budget, an argument that
+The search is exhaustive under a search-node budget, an argument that
 defaults to DEFAULT_BUDGET, and raises BudgetExceeded rather than silently
 claiming absence. Every witness can be re-checked by a verifier that
 trusts nothing from the search bookkeeping.
@@ -96,16 +92,6 @@ class SubdivisionWitness:
 
     junctions: tuple[int, int, int, int]
     paths: tuple[tuple[int, ...], ...]
-
-
-@dataclass(frozen=True)
-class TwoBlockPathWitness:
-    """Two dipaths from a shared origin, disjoint elsewhere."""
-
-    q1: tuple[int, ...]
-    q2: tuple[int, ...]
-    a: int
-    b: int
 
 
 @dataclass(frozen=True)
@@ -212,68 +198,3 @@ def witness_from_json(obj: dict) -> tuple[SubdivisionWitness, CyclePattern]:
         raise ValueError("malformed witness JSON: need 4 junctions and 4 paths")
     return SubdivisionWitness(junctions, paths), pattern
 
-
-def find_two_block_path(
-    d: Digraph, a: int, b: int, budget: int = DEFAULT_BUDGET
-) -> Optional[TwoBlockPathWitness]:
-    """Exhaustive search for P(a,b): dipaths of lengths >= a and >= b from a
-    common origin, vertex-disjoint elsewhere.
-
-    Any longer pair truncates to an exact (a,b) pair, so the search looks
-    for exact lengths only. It runs depth-first over out-neighbors in
-    ascending order on an explicit stack, one iterator per vertex entered,
-    and each vertex entered (the origin once per path) costs one node.
-    """
-    if a < 1 or b < 1:
-        raise ValueError("block lengths must be positive")
-    if 1 + a + b > d.n:
-        return None
-    used = bytearray(d.n)
-    nodes = 0
-    for origin in range(d.n):
-        if d.out_degree(origin) < 2:
-            continue
-        nodes += 1
-        if nodes > budget:
-            raise BudgetExceeded(nodes)
-        used[origin] = 1
-        # walk holds q1 and then q2; the iterator of q1's last vertex
-        # yields the origin alone, where q2 starts
-        walk = [origin]
-        stack = [iter(d.out_neighbors(origin))]
-        while stack:
-            for v in stack[-1]:
-                if not used[v] or len(walk) == a + 1:
-                    break
-            else:
-                stack.pop()
-                v = walk.pop()
-                if v != origin:
-                    used[v] = 0
-                continue
-            nodes += 1
-            if nodes > budget:
-                raise BudgetExceeded(nodes)
-            walk.append(v)
-            if len(walk) == a + b + 2:
-                return TwoBlockPathWitness(tuple(walk[:a + 1]), tuple(walk[a + 1:]), a, b)
-            used[v] = 1
-            stack.append(iter((origin,) if len(walk) == a + 1 else d.out_neighbors(v)))
-        used[origin] = 0
-    return None
-
-
-def verify_two_block_path(d: Digraph, w: TwoBlockPathWitness) -> VerifyResult:
-    if not w.q1 or not w.q2 or w.q1[0] != w.q2[0]:
-        return VerifyResult(False, "BadOrigin")
-    if len(w.q1) - 1 < w.a or len(w.q2) - 1 < w.b:
-        return VerifyResult(False, "TooShort")
-    for path in (w.q1, w.q2):
-        if len(set(path)) != len(path):
-            return VerifyResult(False, "NotSimplePath")
-        for u, v in zip(path, path[1:]):
-            if not d.has_arc(u, v):
-                return VerifyResult(False, "MissingArc")
-    if set(w.q1[1:]) & set(w.q2[1:]):
-        return VerifyResult(False, "NotInternallyDisjoint")
-    return VerifyResult(True)

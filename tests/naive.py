@@ -35,12 +35,15 @@ failures. The reference ``color_d2`` keeps its three in-degree peels (the
 cycle check, then one per part), where the package's peels once and colors
 each part in a sub-order of that order. ``SubDigraph`` here keeps an
 ``out_adj``, which ``acyclic_peel_order`` reads.
-The last section keeps the subdivision kernel's search, the two-block path
-search and the exact coloring as they were when each recursed once per
-vertex entered or colored. The package's versions run each search on an
-explicit stack, so long blocks need no recursion, and must return the same
-results and charge the same nodes: ``(status, payload, nodes)``, the
-witness, the coloring, or ``BudgetExceeded.nodes`` at the same budget cut.
+The last section keeps the subdivision kernel's search and the exact
+coloring as they were when each recursed once per vertex entered or
+colored. The package's versions run each search on an explicit stack, so
+long blocks need no recursion, and must return the same results and charge
+the same nodes: ``(status, payload, nodes)``, the witness, the coloring, or
+``BudgetExceeded.nodes`` at the same budget cut. That section also keeps
+the recursive two-block path search, which has no package twin: the stage
+tests use it to check that every d3 group the exact coloring rejects
+contains P(2k+1, 2k+1), as the theorem behind the d3 bound says it must.
 """
 
 from itertools import permutations
@@ -55,11 +58,14 @@ from fourblocks import (
     OutTree,
     UGraph,
     WheelCoreFailure,
-    find_two_block_path,
 )
 from fourblocks import decomposition, exactcolor
-from fourblocks.witness import TwoBlockPathWitness
-from fourblocks.decomposition import D2Coloring, _acyclic_peel_order, greedy_reverse
+from fourblocks.decomposition import (
+    D2Coloring,
+    PaletteFailure,
+    _acyclic_peel_order,
+    greedy_reverse,
+)
 from fourblocks.errors import NotAcyclic, ParseError
 from fourblocks._subdiv_py import ABSENT, BUDGET, FOUND
 
@@ -134,6 +140,23 @@ def has_two_block_path(d: Digraph, a: int, b: int) -> bool:
                 if len(p2) - 1 >= b:
                     return True
     return False
+
+
+def two_block_path_fault(d: Digraph, q1, q2, a: int, b: int) -> Optional[str]:
+    """Why (q1, q2) is not a P(a,b) in d, dipaths of lengths >= a and >= b
+    from a common origin and vertex-disjoint elsewhere; None when it is."""
+    if not q1 or not q2 or q1[0] != q2[0]:
+        return "BadOrigin"
+    if len(q1) - 1 < a or len(q2) - 1 < b:
+        return "TooShort"
+    for path in (q1, q2):
+        if len(set(path)) != len(path):
+            return "NotSimplePath"
+        if not all(d.has_arc(u, v) for u, v in zip(path, path[1:])):
+            return "MissingArc"
+    if set(q1[1:]) & set(q2[1:]):
+        return "NotInternallyDisjoint"
+    return None
 
 
 def is_colorable(g: UGraph, q: int) -> bool:
@@ -625,26 +648,15 @@ def color_d2(d2):
 
 
 def color_d3(d3, k: int, budget: int = DEFAULT_BUDGET):
-    """DSATUR over every class vertex, then the exact fallback and the
-    two-block path search."""
+    """DSATUR over every class vertex, then the exact fallback."""
     q = 4 * k + 2
     heuristic = exactcolor.dsatur(d3.vertices, d3.und_adj)
     if len(set(heuristic.values())) <= q:
         return Coloring(heuristic)
     exact = exactcolor.color_within(d3.vertices, d3.und_adj, q, budget)
-    if exact is not None:
-        return Coloring(exact)
-    # Search on host ids: vertices outside the class have no out-arcs, so
-    # the search skips them before counting a node.
-    host = Digraph(max(d3.vertices) + 1, d3.arcs)
-    witness = find_two_block_path(host, 2 * k + 1, 2 * k + 1, budget)
-    if witness is None:
-        raise RuntimeError(
-            "chromatic number exceeds 4k+2 but no P(2k+1,2k+1) exists; "
-            "a digraph of chromatic number a+b+1 always contains P(a,b), "
-            "so one of the two searches is buggy"
-        )
-    return witness
+    if exact is None:
+        return PaletteFailure(q)
+    return Coloring(exact)
 
 
 # --- the recursive searchers ------------------------------------------------
@@ -837,9 +849,9 @@ def recursive_search_cycle_subdivision(n, indptr, indices, k1, k2, k3, k4, budge
 
 def recursive_find_two_block_path(
     d: Digraph, a: int, b: int, budget: int = DEFAULT_BUDGET
-) -> Optional[TwoBlockPathWitness]:
+) -> Optional[tuple[tuple[int, ...], tuple[int, ...]]]:
     """Exhaustive search for P(a,b): dipaths of lengths >= a and >= b from a
-    common origin, vertex-disjoint elsewhere.
+    common origin, vertex-disjoint elsewhere. Returns the two paths (q1, q2).
 
     Any longer pair truncates to an exact (a,b) pair, so the search looks
     for exact lengths only.
@@ -888,7 +900,7 @@ def recursive_find_two_block_path(
         r = grow(1, origin, a)
         used[origin] = 0
         if r == 1:
-            return TwoBlockPathWitness(tuple(q1), tuple(q2), a, b)
+            return tuple(q1), tuple(q2)
         if r == -1:
             raise BudgetExceeded(nodes)
     return None

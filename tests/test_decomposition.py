@@ -17,9 +17,9 @@ from fourblocks import (
     NotStronglyConnected,
     OutDegreeFailure,
     OutTree,
+    PaletteFailure,
     SubDigraph,
     SubdivisionFound,
-    TwoBlockPathWitness,
     VerifyResult,
     WheelCoreFailure,
     arc_partition,
@@ -30,14 +30,12 @@ from fourblocks import (
     depth_first_out_tree,
     finalize,
     find_cycle_subdivision,
-    find_two_block_path,
     generate,
     is_proper,
     level_classes,
     spanning_out_tree,
     underlying_graph,
     verify_subdivision,
-    verify_two_block_path,
 )
 from fourblocks.decomposition import SubDigraph, split_by_out_degree
 
@@ -306,29 +304,11 @@ class TestColorD3:
         # complete tournament on 7 vertices: chromatic number 7 > 4*1+2
         arcs = [(i, j) for i in range(7) for j in range(i + 1, 7)]
         d3 = SubDigraph(set(range(7)), arcs)
-        out = color_d3(d3, 1)
-        assert isinstance(out, TwoBlockPathWitness)
-        assert out.a == 3 and out.b == 3
-        assert verify_two_block_path(Digraph(7, arcs), out).ok
-
-    def test_two_block_path_on_non_contiguous_host_ids(self):
-        # a 7-tournament on scattered ids inside a 40-vertex host; the
-        # witness and the node count are those of the search on compacted ids
-        arcs = [
-            (2, 5), (2, 9), (2, 14), (9, 5), (9, 14), (9, 20), (9, 27),
-            (9, 35), (14, 5), (20, 2), (20, 5), (20, 14), (20, 27), (27, 2),
-            (27, 5), (27, 14), (35, 2), (35, 5), (35, 14), (35, 20), (35, 27),
-        ]
-        d3 = SubDigraph({2, 5, 9, 14, 20, 27, 35}, arcs)
-        out = color_d3(d3, 1)
-        expected = TwoBlockPathWitness((9, 20, 2, 5), (9, 35, 27, 14), 3, 3)
-        assert out == expected
-        host = Digraph(40, arcs)
-        assert verify_two_block_path(host, out).ok
-        with pytest.raises(BudgetExceeded) as exc:
-            find_two_block_path(host, 3, 3, 59)
-        assert exc.value.nodes == 60
-        assert find_two_block_path(host, 3, 3, 60) == expected
+        assert color_d3(d3, 1) == PaletteFailure(6)
+        # the theorem behind the bound: a 7-chromatic digraph contains P(3,3)
+        d = Digraph(7, arcs)
+        paths = naive.recursive_find_two_block_path(d, 3, 3)
+        assert paths is not None and naive.two_block_path_fault(d, *paths, 3, 3) is None
 
     def test_exact_fallback_runs_on_every_class_vertex(self, monkeypatch):
         # the path 0 -> 1 -> ... -> 9 padded with the isolated vertices
@@ -604,8 +584,8 @@ class TestFallbackExits:
             "class 2: vertex 1 keeps out-degree 4 in the high part",
         ),
         "color_d3": (
-            lambda sub: TwoBlockPathWitness((1,), (1,), 5, 5),
-            "class 2: found P(5,5), chromatic bound fails",
+            lambda sub: PaletteFailure(10),
+            "class 2: the d3 group needs more than 10 colors",
         ),
     }
     SEARCH_ENDINGS = {

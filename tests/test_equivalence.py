@@ -27,7 +27,6 @@ from fourblocks import (
     depth_first_out_tree,
     finalize,
     find_hamiltonian_cycle,
-    find_two_block_path,
     generate,
     spanning_out_tree,
 )
@@ -287,8 +286,11 @@ def outcome_kind(outcome) -> str:
 @pytest.mark.parametrize("family", sorted(FAMILIES))
 def test_stages_match_the_all_vertex_stages(family):
     """Same colorings (type, colors, d2's high max out-degree) and the same
-    failures (d1 core, d2 vertex and out-neighbors, NotAcyclic, d3 witness,
-    BudgetExceeded node count) as stages that peel every class vertex."""
+    failures (d1 core, d2 vertex and out-neighbors, NotAcyclic, d3 palette
+    bound, BudgetExceeded node count) as stages that peel every class vertex.
+
+    Every d3 group that the exact coloring rejects must contain
+    P(2k+1, 2k+1): a digraph of chromatic number a+b+1 contains P(a,b)."""
     rng = Rng(19)
     seen = set()
     for d, root in FAMILIES[family]:
@@ -298,6 +300,13 @@ def test_stages_match_the_all_vertex_stages(family):
             assert type(new) is type(old)
             assert new == old
             seen.add((case[0], outcome_kind(new)))
+            if isinstance(new, decomposition.PaletteFailure):
+                _, _, vertices, arcs, k, _ = case
+                assert new.bound == 4 * k + 2
+                host, a = Digraph(max(vertices) + 1, arcs), 2 * k + 1
+                paths = naive.recursive_find_two_block_path(host, a, a)
+                assert paths is not None
+                assert naive.two_block_path_fault(host, *paths, a, a) is None
     assert {("d1", "Coloring"), ("d2", "D2Coloring"), ("d3", "Coloring")} <= seen
     if family in ("dense", "tournament"):
         assert {
@@ -305,7 +314,7 @@ def test_stages_match_the_all_vertex_stages(family):
             ("d2", "NotAcyclic"),
             ("d2", "OutDegreeFailure"),
             ("d3", "BudgetExceeded"),
-            ("d3", "TwoBlockPathWitness"),
+            ("d3", "PaletteFailure"),
         } <= seen
 
 
@@ -580,25 +589,6 @@ def outcome(search, *args):
     except BudgetExceeded as exc:
         return "budget", exc.nodes
     return list(got.items()) if isinstance(got, dict) else got
-
-
-def test_two_block_path_search_matches_recursion():
-    """Same witness, None or BudgetExceeded.nodes at every budget."""
-    cases = [
-        (d, ab)
-        for d in KERNEL_CASES[:90:3]
-        for ab in ((1, 1), (2, 1), (1, 3), (3, 2), (4, 4))
-    ]
-    # one long path from vertex 0, the other a single arc
-    path = Digraph(60, [(i, i + 1) for i in range(59)] + [(0, 59), (59, 0)])
-    cases += [(path, (45, 1)), (path, (45, 2)), (path, (1, 45))]
-    seen = Counter()
-    for d, (a, b) in cases:
-        for budget in STACK_BUDGETS:
-            want = outcome(naive.recursive_find_two_block_path, d, a, b, budget)
-            assert outcome(find_two_block_path, d, a, b, budget) == want
-            seen["none" if want is None else want[0] if type(want) is tuple else "path"] += 1
-    assert seen["none"] and seen["budget"] and seen["path"]
 
 
 def undirected(n, edges):

@@ -13,10 +13,7 @@ from fourblocks import (
     Rng,
     SubdivisionWitness,
     find_cycle_subdivision,
-    find_two_block_path,
-    TwoBlockPathWitness,
     verify_subdivision,
-    verify_two_block_path,
     parse_digraph,
     witness_from_json,
     witness_to_json,
@@ -238,15 +235,18 @@ class TestVerifySubdivision:
 
 
 class TestTwoBlockPath:
+    """The reference P(a,b) search and check in ``naive``, which the d3
+    stage tests use to confirm the theorem behind the d3 bound."""
+
     def test_out_star_with_branches(self):
         # two branches of lengths 3 and 2 from vertex 0
         d = Digraph(6, [(0, 1), (1, 2), (2, 3), (0, 4), (4, 5)])
-        w = find_two_block_path(d, 3, 2)
-        assert w is not None and verify_two_block_path(d, w).ok
+        paths = naive.recursive_find_two_block_path(d, 3, 2)
+        assert paths is not None and naive.two_block_path_fault(d, *paths, 3, 2) is None
 
     def test_single_path_has_no_branching(self):
         d = Digraph(11, [(i, i + 1) for i in range(10)])
-        assert find_two_block_path(d, 1, 1) is None
+        assert naive.recursive_find_two_block_path(d, 1, 1) is None
 
     def test_agrees_with_naive(self):
         rng = Rng(13)
@@ -255,31 +255,22 @@ class TestTwoBlockPath:
             n = 4 + seed % 5
             d = random_digraph(rng, n, 2 + rng.randrange(2 * n))
             a, b = 1 + seed % 3, 1 + (seed // 3) % 2
-            w = find_two_block_path(d, a, b)
-            assert (w is not None) == naive.has_two_block_path(d, a, b)
-            if w is not None:
+            paths = naive.recursive_find_two_block_path(d, a, b)
+            assert (paths is not None) == naive.has_two_block_path(d, a, b)
+            if paths is not None:
                 hits += 1
-                assert verify_two_block_path(d, w).ok
+                assert naive.two_block_path_fault(d, *paths, a, b) is None
         assert hits > 10
 
     def test_verify_rejects_shared_interior(self):
         d = Digraph(4, [(0, 1), (1, 2), (1, 3)])
-        from fourblocks import TwoBlockPathWitness
-
-        w = TwoBlockPathWitness((0, 1, 2), (0, 1, 3), 2, 2)
-        res = verify_two_block_path(d, w)
-        assert not res.ok and res.reason == "NotInternallyDisjoint"
+        fault = naive.two_block_path_fault(d, (0, 1, 2), (0, 1, 3), 2, 2)
+        assert fault == "NotInternallyDisjoint"
 
 
 class TestLongBlocks:
     """Searches far deeper than the interpreter's recursion limit (1000).
     The subdivision kernels' long-block cases are in test_kernel_parity.py."""
-
-    def test_two_block_path_with_a_long_block(self):
-        d = Digraph(2000, [(i, i + 1) for i in range(1999)] + [(0, 1999), (1999, 0)])
-        w = find_two_block_path(d, 1500, 1)
-        assert w == TwoBlockPathWitness(tuple(range(1501)), (0, 1999), 1500, 1)
-        assert verify_two_block_path(d, w).ok
 
     @pytest.mark.parametrize("n", [3000, 30000])
     def test_exact_coloring_of_a_long_path(self, n):

@@ -3,9 +3,10 @@
 The first 20 slots of each workload at seed 101 are built with the
 benchmark's own generator and certified through its own ``certify``; the
 per-instance ``digest`` values are hashed in slot order, as the benchmark's
-``certificates_sha256`` hashes its first pass. Both benchmark modules are
+``certificates_sha256`` hashes its first pass. The benchmark's modules are
 loaded from ``perfbench/`` by path, so this runs in tier-1 on either kernel
-without importing the benchmark's runner as a package.
+without importing the benchmark's runner as a package. The traced run's
+stage-failure counters are checked here too.
 """
 
 import hashlib
@@ -46,3 +47,17 @@ def test_workload_certificates_are_pinned(name):
         cert, violations = run.certify(w, workloads.make_instance(w, SEED, slot))
         h.update(bytes.fromhex(run.digest(cert, violations)))
     assert h.hexdigest() == PINNED[name]
+
+
+def test_tracer_counts_a_d3_failure():
+    """The traced ``color_d3`` reads the d3 failure type by a name that the
+    tracer resolves on every call; a missing name fails every operation."""
+    from fourblocks import SubDigraph, decomposition
+
+    tracing = load("tracing")
+    tracer = tracing.Tracer()
+    arcs = [(i, j) for i in range(7) for j in range(i + 1, 7)]
+    with tracing.patched(tracing.patch_targets(tracer)):
+        out = decomposition.color_d3(SubDigraph(range(7), arcs), 1)
+    assert out == decomposition.PaletteFailure(6)
+    assert tracer.counts["decomposition.stage_failures.d3"] == 1
