@@ -10,12 +10,14 @@ arcs into three subdigraphs:
     d3: everything else.
 
 Each group has its own bounded coloring routine. When every class colors
-within its stage bounds (6, 6 and 4k+2), the three stage colorings combine
-multiplicatively and classes get disjoint palettes, for at most
-36 * (2k) * (4k+2) colors overall. The first stage failure ends the class
-loop and triggers the exact subdivision search on the whole digraph, so the
-pipeline always returns a checkable certificate: a bounded coloring, a
-verified subdivision witness, or an explicit inconclusive outcome.
+within its stage bounds (6, 6 and 4k+2), each vertex is keyed by (class,
+d1 color, d2 color, d3 color), and one renumbering of those keys gives the
+final colors: the stages combine multiplicatively and classes get disjoint
+palettes, for at most 36 * (2k) * (4k+2) colors overall. The first stage
+failure ends the class loop and triggers the exact subdivision search on
+the whole digraph, so the pipeline always returns a checkable certificate:
+a bounded coloring, a verified subdivision witness, or an explicit
+inconclusive outcome.
 """
 
 from __future__ import annotations
@@ -27,7 +29,9 @@ from itertools import chain
 from typing import Union
 
 from . import exactcolor
-from .digraph import Coloring, Digraph, is_strongly_connected, product_coloring
+from .digraph import Coloring, Digraph, is_strongly_connected
+# no pipeline call: perfbench/tracing.py wraps this name as digraph.product
+from .digraph import product_coloring
 from .errors import BudgetExceeded, NotAcyclic, NotFinalTree, NotStronglyConnected
 from .outtree import OutTree, _check_vertex_count, finalize
 # the pipeline's start tree keeps the name that perfbench/tracing.py wraps
@@ -206,7 +210,8 @@ def greedy_reverse(adj, order) -> dict[int, int]:
 
 def color_d1(d1: SubDigraph, t: OutTree) -> Union[Coloring, WheelCoreFailure]:
     """Color the ancestor-increasing arc group with color ids 0..5, as the
-    greedy assigns them; ``product_coloring`` renumbers them.
+    greedy assigns them; the pipeline's one renumbering of the (class, c1,
+    c2, c3) keys makes them final.
 
     Peel the touched vertices at underlying degree <= 5 and greedy-color in
     reverse; an untouched vertex takes 0 without entering the peel, as it
@@ -230,18 +235,18 @@ def color_d1(d1: SubDigraph, t: OutTree) -> Union[Coloring, WheelCoreFailure]:
 
 
 def split_by_out_degree(d2: SubDigraph):
-    """(low, high, max out-degree inside high, worst) split at out-degree
-    <= 1; worst is (vertex, sorted out-neighbors inside high) for the
-    smallest vertex of that max out-degree, or None when high has no arc
-    inside it. Out-degrees come from one pass over ``d2.arcs``."""
+    """(high, max out-degree inside high, worst): high holds the vertices
+    of out-degree > 1, and the low part is the rest; worst is (vertex,
+    sorted out-neighbors inside high) for the smallest vertex of that max
+    out-degree, or None when high has no arc inside it. Out-degrees come
+    from one pass over ``d2.arcs``."""
     high = frozenset(v for v, c in Counter(u for u, _ in d2.arcs).items() if c > 1)
-    low = frozenset(d2.vertices) - high
     inside = Counter(u for u, w in d2.arcs if u in high and w in high)
     max_out = max(inside.values(), default=0)
     if not max_out:
-        return low, high, 0, None
+        return high, 0, None
     v = min(u for u, c in inside.items() if c == max_out)
-    return low, high, max_out, (v, tuple(sorted(w for u, w in d2.arcs if u == v and w in high)))
+    return high, max_out, (v, tuple(sorted(w for u, w in d2.arcs if u == v and w in high)))
 
 
 def _acyclic_peel_order(d2: SubDigraph, vertices) -> list[int]:
@@ -265,7 +270,8 @@ def _acyclic_peel_order(d2: SubDigraph, vertices) -> list[int]:
 
 def color_d2(d2: SubDigraph) -> Union[D2Coloring, OutDegreeFailure]:
     """Color the descendant-to-ancestor arc group with color ids 0..5, as
-    the greedy assigns them; ``product_coloring`` renumbers them.
+    the greedy assigns them; the pipeline's one renumbering of the (class,
+    c1, c2, c3) keys makes them final.
 
     The group is acyclic, so peeling in-degree-0 vertices and coloring in
     reverse uses at most (max out-degree + 1) colors. Vertices of out-degree
@@ -278,7 +284,7 @@ def color_d2(d2: SubDigraph) -> Union[D2Coloring, OutDegreeFailure]:
     is in the low part and takes 0, as the greedy gave it.
     """
     order = _acyclic_peel_order(d2, d2.touched)
-    _, high, max_out, worst = split_by_out_degree(d2)
+    high, max_out, worst = split_by_out_degree(d2)
     if max_out > 3:
         assert worst is not None
         return OutDegreeFailure(worst[0], worst[1])
@@ -295,7 +301,8 @@ def color_d3(
     d3: SubDigraph, k: int, budget: int = DEFAULT_BUDGET
 ) -> Union[Coloring, PaletteFailure]:
     """Color the remaining arc group with color ids 0..4k+1, as the search
-    assigns them; ``product_coloring`` renumbers them.
+    assigns them; the pipeline's one renumbering of the (class, c1, c2, c3)
+    keys makes them final.
 
     Saturation greedy first, on the touched vertices; an untouched vertex
     takes 0, as it would have last in the saturation order. When the greedy
@@ -320,9 +327,12 @@ def color_d3(
 
 @dataclass(frozen=True)
 class ClassReport:
-    """Observed stage palettes and bounds for one level class. Library
-    only: no certificate carries it, since the verifier cannot recompute
-    it without the out-tree."""
+    """Observed stage palettes and bounds for one level class.
+    ``combined_colors`` counts the class's distinct (c1, c2, c3) triples,
+    which is its share of the final palette: the pipeline keys each vertex
+    by (class, c1, c2, c3) and renumbers those keys once. Library only: no
+    certificate carries it, since the verifier cannot recompute it without
+    the out-tree."""
 
     index: int
     size: int
@@ -413,7 +423,7 @@ def color_strong_digraph(
     k = max(k1, k3)
     t = finalize(d, spanning_out_tree(d, 0))
     reports: list[ClassReport] = []
-    keys: dict[int, tuple[int, int]] = {}  # vertex -> (class, product id)
+    keys: dict[int, tuple[int, int, int, int]] = {}  # vertex -> (class, c1, c2, c3)
 
     for i, cls in enumerate(level_classes(t, k), start=1):
         d1, d2, d3 = arc_partition(d, t, cls)
@@ -441,8 +451,9 @@ def color_strong_digraph(
                 f"class {i}: the d3 group needs more than {r3.bound} colors",
             )
 
-        c123 = product_coloring((r1, cls), (r2, cls), (r3, cls))
-        assert c123.palette_size <= 36 * (4 * k + 2)
+        c1, c2, c3 = r1.colors, r2.colors, r3.colors
+        for v in cls:
+            keys[v] = (i, c1[v], c2[v], c3[v])
         reports.append(
             ClassReport(
                 index=i,
@@ -451,11 +462,9 @@ def color_strong_digraph(
                 d2_colors=r2.palette_size,
                 d3_colors=r3.palette_size,
                 b2_max_out_degree=r2.high_max_out_degree,
-                combined_colors=c123.palette_size,
+                combined_colors=len({keys[v] for v in cls}),
             )
         )
-        for v, c in c123.colors.items():
-            keys[v] = (i, c)
 
     coloring = Coloring(keys).normalized()
     colors = coloring.colors

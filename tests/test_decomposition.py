@@ -33,6 +33,7 @@ from fourblocks import (
     generate,
     is_proper,
     level_classes,
+    product_coloring,
     spanning_out_tree,
     underlying_graph,
     verify_subdivision,
@@ -262,8 +263,8 @@ class TestColorD2:
 
     def test_split_by_out_degree(self):
         d2 = SubDigraph({0, 1, 2}, [(2, 0), (2, 1), (1, 0)])
-        low, high, max_out, worst = split_by_out_degree(d2)
-        assert low == frozenset({0, 1}) and high == frozenset({2})
+        high, max_out, _ = split_by_out_degree(d2)
+        assert high == frozenset({2})
         assert max_out == 0  # 2's out-neighbors are in the low part
 
     def test_reports_the_high_parts_max_out_degree(self):
@@ -271,7 +272,7 @@ class TestColorD2:
         d2 = SubDigraph(set(range(6)), arcs)
         out = color_d2(d2)
         assert isinstance(out, Coloring)
-        assert out.high_max_out_degree == split_by_out_degree(d2)[2] == 2
+        assert out.high_max_out_degree == split_by_out_degree(d2)[1] == 2
 
     def test_properness_campaign(self):
         for seed in range(30):
@@ -405,6 +406,29 @@ class TestPipeline:
                 total += rep.combined_colors
             assert cert.coloring.palette_size == total
 
+    def test_one_renumbering_matches_the_per_class_product(self):
+        # The pipeline keys each vertex by (class, c1, c2, c3) and renumbers
+        # once. Within a class the product id is a bijection of the triple,
+        # so the product per class, then a renumbering of (class, id), gives
+        # the same colors; rebuild that from the public stage functions.
+        for k in (1, 2, 3):
+            for seed in range(12):
+                n = 8 + 3 * seed
+                d = generate(GenSpec(Family.RANDOM_STRONG, n, n + n // 4, 100 * k + seed))
+                cert = color_strong_digraph(d, k, k)
+                assert isinstance(cert, ColoringWithinBound)
+                t = finalize(d, depth_first_out_tree(d, 0))
+                keys, palettes = {}, []
+                for i, cls in enumerate(level_classes(t, k), start=1):
+                    d1, d2, d3 = arc_partition(d, t, cls)
+                    r1, r2, r3 = color_d1(d1, t), color_d2(d2), color_d3(d3, k)
+                    c123 = product_coloring((r1, cls), (r2, cls), (r3, cls))
+                    palettes.append(c123.palette_size)
+                    keys.update((v, (i, c)) for v, c in c123.colors.items())
+                assert len(palettes) > 1
+                assert cert.coloring == Coloring(keys).normalized()
+                assert [r.combined_colors for r in cert.per_class] == palettes
+
     def test_each_class_is_split_once(self, monkeypatch):
         from fourblocks import decomposition as dec
 
@@ -420,7 +444,7 @@ class TestPipeline:
         cert = color_strong_digraph(d, 1, 1)
         assert isinstance(cert, ColoringWithinBound)
         assert len(seen) == len(cert.per_class) > 1
-        assert [r.b2_max_out_degree for r in cert.per_class] == [split(d2)[2] for d2 in seen]
+        assert [r.b2_max_out_degree for r in cert.per_class] == [split(d2)[1] for d2 in seen]
 
     def test_each_d2_coloring_peels_once(self, monkeypatch):
         from fourblocks import decomposition as dec
@@ -450,7 +474,7 @@ class TestPipeline:
         from fourblocks import decomposition as dec
 
         once = ("is_strongly_connected", "spanning_out_tree", "finalize", "level_classes")
-        per_class = ("arc_partition", "color_d1", "color_d2", "color_d3", "product_coloring")
+        per_class = ("arc_partition", "color_d1", "color_d2", "color_d3")
         fallback = ("find_cycle_subdivision", "verify_subdivision")
         calls = Counter()
 
