@@ -33,7 +33,6 @@ from .outtree import (
     finalize,
     is_ancestor,
     is_final,
-    spanning_out_tree,
 )
 from .witness import (
     DEFAULT_BUDGET,

@@ -10,8 +10,12 @@ class ParseError(ValueError):
         super().__init__(f"line {line}: {message}")
 
 
-class UnreachableVertex(ValueError):
-    """A spanning out-tree was requested from a root that cannot reach some vertex."""
+class NotStronglyConnected(ValueError):
+    """The pipeline requires a strongly connected input digraph."""
+
+
+class UnreachableVertex(NotStronglyConnected):
+    """The root of a requested spanning out-tree cannot reach some vertex."""
 
     def __init__(self, vertex: int):
         self.vertex = vertex
@@ -28,10 +32,6 @@ class BudgetExceeded(RuntimeError):
     def __init__(self, nodes: int):
         self.nodes = nodes
         super().__init__(f"search budget exhausted after {nodes} nodes")
-
-
-class NotStronglyConnected(ValueError):
-    """The pipeline requires a strongly connected input digraph."""
 
 
 class NotFinalTree(ValueError):

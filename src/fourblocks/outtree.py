@@ -1,8 +1,8 @@
 """Spanning out-trees: levels, ancestry, and the final-tree rotation.
 
-The pipeline finalizes ``depth_first_out_tree``; ``spanning_out_tree`` is
-breadth-first. A final tree is deep whatever the start, so a deep start
-leaves ``finalize`` fewer rotations.
+The pipeline finalizes ``depth_first_out_tree``, whose one pass also proves
+the digraph strong. A final tree is deep whatever the start, so a deep
+start leaves ``finalize`` fewer rotations.
 
 Levels count vertices on the root path, so the root has level 1 and a child
 has its parent's level plus one. An arc (x,y) of the host digraph is forward
@@ -25,14 +25,13 @@ pipeline itself checks finality arc by arc in
 
 from __future__ import annotations
 
-from collections import deque
 from dataclasses import dataclass
 from functools import cached_property
 from heapq import heappop, heappush
 from typing import Optional
 
 from .digraph import Digraph
-from .errors import UnreachableVertex
+from .errors import NotStronglyConnected, UnreachableVertex
 
 
 @dataclass(frozen=True)
@@ -88,49 +87,52 @@ class TreeNumbering:
         return pre[y] <= pre[x] < pre[y] + self.size[y]
 
 
-def spanning_out_tree(d: Digraph, r: int) -> OutTree:
-    """Breadth-first spanning out-tree rooted at r; level = BFS depth + 1."""
-    if not (0 <= r < d.n):
-        raise ValueError(f"root {r} out of range")
-    parent: list[Optional[int]] = [None] * d.n
-    level = [0] * d.n
-    level[r] = 1
-    queue = deque([r])
-    while queue:
-        u = queue.popleft()
-        for v in d.out_neighbors(u):
-            if v != r and level[v] == 0:
-                parent[v] = u
-                level[v] = level[u] + 1
-                queue.append(v)
-    for v in range(d.n):
-        if level[v] == 0:
-            raise UnreachableVertex(v)
-    return OutTree(r, tuple(parent), tuple(level))
-
-
 def depth_first_out_tree(d: Digraph, r: int) -> OutTree:
     """Depth-first spanning out-tree rooted at r, out-neighbors ascending,
     each vertex taken on first sight; level = DFS depth + 1. The stack holds
-    each open vertex with an iterator into its out-list, so no depth recurses."""
+    each open vertex with an iterator into its out-list, so no depth recurses.
+    The same pass raises ``NotStronglyConnected`` unless d is strong, before
+    any per-vertex work if n >= 2 exceeds the arc count. low[v], the least
+    entry number that an arc from v's subtree reaches, is below entry[v] for
+    every v != r iff every vertex reaches r: no arc leaves a depth-first
+    subtree for a vertex entered after its root."""
     if not (0 <= r < d.n):
         raise ValueError(f"root {r} out of range")
+    if d.n > 1 and len(d.arcs) < d.n:
+        raise NotStronglyConnected(f"{d.n} vertices but only {len(d.arcs)} arcs")
     out = d.out_lists()
     parent: list[Optional[int]] = [None] * d.n
     level = [0] * d.n
+    entry = [-1] * d.n
+    low = [0] * d.n
     level[r] = 1
+    entry[r] = 0
+    seen = 1
     stack = [(r, iter(out[r]))]
     while stack:
         u, heads = stack[-1]
+        lu = low[u]
         for v in heads:
-            if level[v] == 0:
+            ev = entry[v]
+            if ev < 0:
+                low[u] = lu
                 parent[v] = u
                 level[v] = len(stack) + 1
+                entry[v] = low[v] = seen
+                seen += 1
                 stack.append((v, iter(out[v])))
                 break
+            if ev < lu:
+                lu = ev
         else:
             stack.pop()
-    if 0 in level:
+            if stack:
+                if lu >= entry[u]:
+                    raise NotStronglyConnected(f"vertex {u} cannot reach the root {r}")
+                p = stack[-1][0]
+                if lu < low[p]:
+                    low[p] = lu
+    if seen < d.n:
         raise UnreachableVertex(level.index(0))
     return OutTree(r, tuple(parent), tuple(level))
 

@@ -20,6 +20,8 @@ rotate the same arcs in the same order.
 ``depth_first_out_tree`` here recurses once per vertex it takes, over
 out-lists it rebuilds from the sorted arcs; the package's version keeps an
 explicit stack of out-list iterators and must return the same tree.
+``spanning_out_tree`` is the breadth-first start tree, which the pipeline
+no longer uses; the ``finalize`` tree pins and campaigns still start from it.
 ``parse_digraph`` here is the line-by-line parser alone; the package's
 version reads plain text in bulk and must return the same digraph and raise
 the same ``ParseError`` (line and message) on every text.
@@ -46,6 +48,7 @@ tests use it to check that every d3 group the exact coloring rejects
 contains P(2k+1, 2k+1), as the theorem behind the d3 bound says it must.
 """
 
+from collections import deque
 from itertools import permutations
 from typing import Iterable, Optional
 
@@ -66,7 +69,7 @@ from fourblocks.decomposition import (
     _acyclic_peel_order,
     greedy_reverse,
 )
-from fourblocks.errors import NotAcyclic, ParseError
+from fourblocks.errors import NotAcyclic, ParseError, UnreachableVertex
 from fourblocks._subdiv_py import ABSENT, BUDGET, FOUND
 
 
@@ -241,6 +244,27 @@ def depth_first_out_tree(d: Digraph, r: int) -> OutTree:
                 visit(v, lu + 1)
 
     visit(r, 1)
+    return OutTree(r, tuple(parent), tuple(level))
+
+
+def spanning_out_tree(d: Digraph, r: int) -> OutTree:
+    """Breadth-first spanning out-tree rooted at r; level = BFS depth + 1."""
+    if not (0 <= r < d.n):
+        raise ValueError(f"root {r} out of range")
+    parent: list[Optional[int]] = [None] * d.n
+    level = [0] * d.n
+    level[r] = 1
+    queue = deque([r])
+    while queue:
+        u = queue.popleft()
+        for v in d.out_neighbors(u):
+            if v != r and level[v] == 0:
+                parent[v] = u
+                level[v] = level[u] + 1
+                queue.append(v)
+    for v in range(d.n):
+        if level[v] == 0:
+            raise UnreachableVertex(v)
     return OutTree(r, tuple(parent), tuple(level))
 
 

@@ -27,7 +27,6 @@ from fourblocks import (
     is_final,
     is_proper,
     product_coloring,
-    spanning_out_tree,
     underlying_graph,
     verify_subdivision,
 )
@@ -35,6 +34,7 @@ from fourblocks.cli import main
 from fourblocks.decomposition import greedy_reverse, peel_low_degree
 
 import naive
+from naive import spanning_out_tree
 
 
 def _report(num: int, name: str, failures: list, details: str = ""):

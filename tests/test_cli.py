@@ -58,9 +58,14 @@ class TestColor:
         assert out["outcome"] == "coloring"
         assert out["bound"] == 432
 
-    def test_non_strong_exits_2(self, tmp_path):
-        path = write_graph(tmp_path, tt(4))
-        assert main(["color", path]) == 2
+    def test_non_strong_exits_2(self, tmp_path, capsys):
+        # as many arcs as vertices, but vertex 0 is a sink
+        sink_root = Digraph(4, [(1, 0), (2, 0), (3, 0), (1, 2), (2, 3), (3, 1)])
+        for d in (tt(4), sink_root):
+            path = write_graph(tmp_path, d)
+            assert main(["color", path]) == 2
+            err = capsys.readouterr().err
+            assert "not strongly connected" in err and "Traceback" not in err
 
     def test_huge_header_without_arcs_exits_2(self, tmp_path, capsys):
         path = tmp_path / "huge.dg"

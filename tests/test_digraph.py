@@ -8,9 +8,11 @@ from fourblocks import (
     Digraph,
     Family,
     GenSpec,
+    NotStronglyConnected,
     ParseError,
     Rng,
     UGraph,
+    color_strong_digraph,
     format_digraph,
     generate,
     is_proper,
@@ -135,10 +137,13 @@ class TestStrongConnectivity:
 
     def test_reading_cost_follows_the_arcs(self):
         """A 10-byte text declaring 10^6 vertices and no arcs is read and
-        refused in a few bytes per declared vertex."""
+        refused in a few bytes per declared vertex, by the strong
+        connectivity check and by the pipeline's start tree alike."""
         tracemalloc.start()
         try:
             strong = is_strongly_connected(parse_digraph("1000000 0\n"))
+            with pytest.raises(NotStronglyConnected):
+                color_strong_digraph(parse_digraph("1000000 0\n"), 1, 1)
             _, peak = tracemalloc.get_traced_memory()
         finally:
             tracemalloc.stop()

@@ -130,7 +130,8 @@ class TestFamilies:
             d = generate(GenSpec(Family.ANCESTOR_DIGRAPH, 9, 14, seed))
             # rebuild parent pointers from the unique in-arc of tree shape:
             # every non-tree arc must close back onto the walk to the root
-            from fourblocks import spanning_out_tree, is_ancestor
+            from fourblocks import is_ancestor
+            from naive import spanning_out_tree
 
             t = spanning_out_tree(d, 0)
             for u, v in d.arcs:

@@ -17,10 +17,10 @@ from fourblocks import (
     is_ancestor,
     is_final,
     level_classes,
-    spanning_out_tree,
 )
 
 import naive
+from naive import spanning_out_tree
 
 
 def cycle(n):

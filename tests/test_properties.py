@@ -1,7 +1,8 @@
 """Property tests on small random inputs.
 
-networkx is an independent oracle for strong connectivity and for the core
-that the degree peel leaves, ``underlying_graph`` for ``neighbor_sets``,
+networkx is an independent oracle for strong connectivity, as both
+``is_strongly_connected`` and the depth-first start tree decide it, and for
+the core that the degree peel leaves, ``underlying_graph`` for ``neighbor_sets``,
 and ``naive.check_chord_neighbor_bound`` for the chord check. On random
 acyclic arc sets the greedy colors a vertex subset alike in its own peel
 order and in a sub-order of a larger one, which lets ``color_d2`` peel once.
@@ -23,9 +24,11 @@ from fourblocks import (
     Digraph,
     Family,
     HamiltonianCycle,
+    NotStronglyConnected,
     check_chord_neighbor_bound,
     color_hamiltonian,
     color_strong_digraph,
+    depth_first_out_tree,
     find_cycle_subdivision,
     format_digraph,
     is_strongly_connected,
@@ -74,7 +77,13 @@ class TestNetworkxOracle:
         @hyp.settings(max_examples=150, **SETTINGS)
         @hyp.given(digraphs())
         def check(d):
-            assert is_strongly_connected(d) == nx.is_strongly_connected(nx_digraph(nx, d))
+            strong = nx.is_strongly_connected(nx_digraph(nx, d))
+            assert is_strongly_connected(d) == strong
+            if strong:
+                assert depth_first_out_tree(d, 0) == naive.depth_first_out_tree(d, 0)
+            else:
+                with pytest.raises(NotStronglyConnected):
+                    depth_first_out_tree(d, 0)
 
         check()
 
