@@ -34,7 +34,7 @@ from pathlib import Path
 from typing import Optional
 
 from . import decomposition, generators, hamiltonian, witness
-from .digraph import Digraph, format_digraph, is_strongly_connected, parse_digraph
+from .digraph import Digraph, format_digraph, parse_digraph
 from .errors import (
     BudgetExceeded,
     InfeasibleSpec,
@@ -311,11 +311,12 @@ def _stress_one(args, seed: int) -> tuple[str, str]:
                 return "fail", "chord neighbor bound violated on a free instance"
         return "pass", ""
 
-    if not is_strongly_connected(d):
+    try:
+        cert = decomposition.color_strong_digraph(d, k1, k3, budget)
+    except NotStronglyConnected:
         if family is generators.Family.RANDOM_STRONG:
             return "fail", "generator emitted a non-strong digraph"
         return "skip", "instance not strongly connected"
-    cert = decomposition.color_strong_digraph(d, k1, k3, budget)
     check = verify_certificate(d, cert.to_json_dict())
     if not check:
         return "fail", f"pipeline certificate rejected: {check.reason}"

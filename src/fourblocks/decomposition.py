@@ -9,15 +9,16 @@ arcs into three subdigraphs:
     d2: level decreases along an ancestor chain (descendant to ancestor),
     d3: everything else.
 
-Each group has its own bounded coloring routine. When every class colors
-within its stage bounds (6, 6 and 4k+2), each vertex is keyed by (class,
-d1 color, d2 color, d3 color), and one renumbering of those keys gives the
-final colors: the stages combine multiplicatively and classes get disjoint
-palettes, for at most 36 * (2k) * (4k+2) colors overall. The first stage
-failure ends the class loop and triggers the exact subdivision search on
-the whole digraph, so the pipeline always returns a checkable certificate:
-a bounded coloring, a verified subdivision witness, or an explicit
-inconclusive outcome.
+Each group has its own bounded coloring routine, which colors only the
+vertices on the group's arcs. When every class colors within its stage
+bounds (6, 6 and 4k+2), each vertex is keyed by (class, d1 color, d2
+color, d3 color), a vertex on no arc of a group taking 0 there, and one
+renumbering of those keys gives the final colors: the stages combine
+multiplicatively and classes get disjoint palettes, for at most
+36 * (2k) * (4k+2) colors overall. The first stage failure ends the class
+loop and triggers the exact subdivision search on the whole digraph, so
+the pipeline always returns a checkable certificate: a bounded coloring, a
+verified subdivision witness, or an explicit inconclusive outcome.
 """
 
 from __future__ import annotations
@@ -51,25 +52,22 @@ class SubDigraph:
     the host's vertex ids. ``arc_partition`` builds the pipeline's three per
     class; tests and callers build their own the same way.
 
-    ``touched`` holds the vertices that lie on an arc. ``und_adj``, the one
-    adjacency every stage reads, is keyed by every vertex, but only touched
-    vertices get their own set: the others share ``frozenset()``. Arc
-    directions are read from ``arcs``.
+    ``touched`` holds the vertices that lie on an arc; a stage colors
+    exactly these. ``und_adj``, the one adjacency every stage reads, is
+    keyed by ``touched``. Arc directions are read from ``arcs``.
     """
 
     __slots__ = ("vertices", "arcs", "touched", "und_adj")
 
     def __init__(self, vertices, arcs):
-        self.vertices = tuple(sorted(vertices))
+        self.vertices = vertices = frozenset(vertices)
         self.arcs = frozenset(arcs)
         self.touched = touched = frozenset(chain.from_iterable(self.arcs))
-        self.und_adj = und_adj = dict.fromkeys(self.vertices, frozenset())
-        if not und_adj.keys() >= touched:
+        if not touched <= vertices:
             for u, v in self.arcs:
-                if u not in und_adj or v not in und_adj:
+                if u not in vertices or v not in vertices:
                     raise ValueError(f"arc ({u},{v}) leaves the vertex set")
-        for v in touched:
-            und_adj[v] = set()
+        self.und_adj = und_adj = {v: set() for v in touched}
         for u, v in self.arcs:
             if u == v:
                 raise ValueError(f"loop arc ({u},{v}) not allowed")
@@ -109,7 +107,7 @@ def arc_partition(d: Digraph, t: OutTree, cls) -> tuple[SubDigraph, SubDigraph, 
     """
     _check_vertex_count(d, t)
     level, num = t.level, t.numbering
-    vset = set(cls)
+    vset = frozenset(cls)
     a1, a2, a3 = [], [], []
     for u in vset:
         for v in d.out_neighbors(u):
@@ -214,11 +212,10 @@ def color_d1(d1: SubDigraph, t: OutTree) -> Union[Coloring, WheelCoreFailure]:
     c2, c3) keys makes them final.
 
     Peel the touched vertices at underlying degree <= 5 and greedy-color in
-    reverse; an untouched vertex takes 0 without entering the peel, as it
-    would have from the greedy. A stall means the remaining core has minimum
-    degree >= 6, which cannot happen for this arc group unless the host
-    contains a four-blocks cycle subdivision; the core's vertex set is
-    returned as the failure evidence.
+    reverse. A stall means the remaining core has minimum degree >= 6,
+    which cannot happen for this arc group unless the host contains a
+    four-blocks cycle subdivision; the core's vertex set is returned as the
+    failure evidence.
     """
     level, num = t.level, t.numbering
     for u, v in d1.arcs:
@@ -227,9 +224,7 @@ def color_d1(d1: SubDigraph, t: OutTree) -> Union[Coloring, WheelCoreFailure]:
     order, core = peel_low_degree(d1.touched, d1.und_adj, 5)
     if core:
         return WheelCoreFailure(frozenset(core))
-    colors = dict.fromkeys(d1.vertices, 0)
-    colors.update(greedy_reverse(d1.und_adj, order))
-    coloring = Coloring(colors)
+    coloring = Coloring(greedy_reverse(d1.und_adj, order))
     assert coloring.palette_size <= 6
     return coloring
 
@@ -280,8 +275,7 @@ def color_d2(d2: SubDigraph) -> Union[D2Coloring, OutDegreeFailure]:
     One in-degree-0 peel of the touched vertices is the cycle check, and each
     part's greedy reads that order's sub-order on the part: in reverse
     topological order a vertex takes the least color missing among its
-    out-neighbors, which no topological order changes. An untouched vertex
-    is in the low part and takes 0, as the greedy gave it.
+    out-neighbors, which no topological order changes.
     """
     order = _acyclic_peel_order(d2, d2.touched)
     high, max_out, worst = split_by_out_degree(d2)
@@ -289,8 +283,7 @@ def color_d2(d2: SubDigraph) -> Union[D2Coloring, OutDegreeFailure]:
         assert worst is not None
         return OutDegreeFailure(worst[0], worst[1])
 
-    colors = dict.fromkeys(d2.vertices, 0)
-    colors.update(greedy_reverse(d2.und_adj, [v for v in order if v not in high]))
+    colors = greedy_reverse(d2.und_adj, [v for v in order if v not in high])
     for v, c in greedy_reverse(d2.und_adj, [v for v in order if v in high]).items():
         colors[v] = 2 + c
     assert len(set(colors.values())) <= 6
@@ -304,19 +297,17 @@ def color_d3(
     assigns them; the pipeline's one renumbering of the (class, c1, c2, c3)
     keys makes them final.
 
-    Saturation greedy first, on the touched vertices; an untouched vertex
-    takes 0, as it would have last in the saturation order. When the greedy
-    overshoots, an exact branch and bound on every class vertex decides
-    colorability, so its node count and budget cut stay those of the whole
-    class. A proven impossibility is the failure. Such a group contains a
-    two-block path P(2k+1, 2k+1), as every digraph of chromatic number
-    a+b+1 contains P(a,b); the pipeline needs only the failure.
+    Saturation greedy first; when it overshoots, an exact branch and bound
+    decides colorability. A proven impossibility is the failure. Such a
+    group contains a two-block path P(2k+1, 2k+1), as every digraph of
+    chromatic number a+b+1 contains P(a,b); the pipeline needs only the
+    failure.
     """
     q = 4 * k + 2
     heuristic = exactcolor.dsatur(d3.touched, d3.und_adj)
     if len(set(heuristic.values())) <= q:
-        return Coloring(dict.fromkeys(d3.vertices, 0) | heuristic)
-    exact = exactcolor.color_within(d3.vertices, d3.und_adj, q, budget)
+        return Coloring(heuristic)
+    exact = exactcolor.color_within(d3.touched, d3.und_adj, q, budget)
     if exact is None:
         return PaletteFailure(q)
     return Coloring(exact)
@@ -327,7 +318,8 @@ def color_d3(
 
 @dataclass(frozen=True)
 class ClassReport:
-    """Observed stage palettes and bounds for one level class.
+    """Observed stage palettes (0 for a group without arcs) and bounds for
+    one level class.
     ``combined_colors`` counts the class's distinct (c1, c2, c3) triples,
     which is its share of the final palette: the pipeline keys each vertex
     by (class, c1, c2, c3) and renumbers those keys once. Library only: no
@@ -416,6 +408,9 @@ def color_strong_digraph(
 
     The final tree grows from the depth-first out-tree at vertex 0: the
     stages read only finality, ancestry and levels, so any start would do.
+
+    A class vertex on no arc of a group has no constraint there, so it
+    takes 0 in that entry of its key.
     """
     bound = coloring_bound(k1, k3)
     k = max(k1, k3)
@@ -451,7 +446,7 @@ def color_strong_digraph(
 
         c1, c2, c3 = r1.colors, r2.colors, r3.colors
         for v in cls:
-            keys[v] = (i, c1[v], c2[v], c3[v])
+            keys[v] = (i, c1.get(v, 0), c2.get(v, 0), c3.get(v, 0))
         reports.append(
             ClassReport(
                 index=i,

@@ -31,9 +31,12 @@ out-lists and must return the same ids, numbered in completion order.
 ``SubDigraph`` and ``color_d1``/``color_d2``/``color_d3`` here are the
 per-class stages as they were when every class vertex entered each peel
 and DSATUR; they call the package's peels, greedy and DSATUR, which the
-reference loops above check. The package's stages skip the vertices that
-no arc of the group touches and must return exactly the same colorings and
-failures. The reference ``color_d2`` keeps its three in-degree peels (the
+reference loops above check. They give 0 to every vertex that no arc of
+the group touches. The package's stages color only the touched vertices
+and must return the same failures, and the same colors on the touched
+vertices; only where the reference d3 runs out of budget among the
+untouched vertices it colors last may the package's d3 return a coloring
+instead. The reference ``color_d2`` keeps its three in-degree peels (the
 cycle check, then one per part), where the package's peels once and colors
 each part in a sub-order of that order. ``SubDigraph`` here keeps an
 ``out_adj``, which ``acyclic_peel_order`` reads.

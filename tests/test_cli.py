@@ -529,6 +529,37 @@ class TestStress:
         main(["stress", "--count", "5", "--n", "7", "--seed", "3"])
         assert capsys.readouterr().out == first
 
+    @pytest.mark.parametrize(
+        "family, verdict",
+        [("strong", ("fail", "generator emitted a non-strong digraph")),
+         ("planted", ("skip", "instance not strongly connected"))],
+    )
+    def test_non_strong_instance(self, monkeypatch, family, verdict):
+        # C(1,1,1,1) on the junctions 0..3 (0->1, 2->1, 2->3, 0->3) and
+        # nothing else: the oracle and the planted check pass, and the
+        # pipeline refuses the digraph
+        import fourblocks.cli as cli
+
+        d = Digraph(4, [(0, 1), (2, 1), (2, 3), (0, 3)])
+        monkeypatch.setattr(cli.generators, "generate", lambda spec: d)
+        args = SimpleNamespace(family=family, k1=1, k3=1, n=8,
+                               budget=fourblocks.DEFAULT_BUDGET)
+        assert cli._stress_one(args, 3) == verdict
+
+    def test_strong_campaign_reads_each_instance_once(
+        self, capsys, tmp_path, monkeypatch
+    ):
+        # the pipeline's start tree decides strong connectivity, so the
+        # campaign never runs Tarjan's algorithm; the generator holds its
+        # own reference to it
+        def tarjan(d):
+            raise AssertionError("strong_components called")
+
+        monkeypatch.chdir(tmp_path)
+        monkeypatch.setattr(fourblocks.digraph, "strong_components", tarjan)
+        assert main(["stress", "--count", "12", "--n", "8"]) == 0
+        assert "fail=0" in capsys.readouterr().out
+
     def test_failure_dumps_counterexample_and_exits_1(
         self, capsys, tmp_path, monkeypatch
     ):

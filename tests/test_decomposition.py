@@ -172,9 +172,11 @@ class TestSubDigraph:
 
 class TestColorD1:
     def test_edgeless(self):
+        # no vertex lies on an arc, so none is colored: the pipeline keys
+        # every class vertex with 0 for this group
         t = path_tree(4)
         out = color_d1(SubDigraph({0, 1, 2, 3}, []), t)
-        assert isinstance(out, Coloring) and out.palette_size == 1
+        assert out == Coloring({}) and out.palette_size == 0
 
     def test_tree_shaped_two_colors(self):
         # ancestor-increasing chain 0->2->4 on the path tree
@@ -294,7 +296,7 @@ class TestColorD2:
 class TestColorD3:
     def test_edgeless(self):
         out = color_d3(SubDigraph({0, 1}, []), 1)
-        assert isinstance(out, Coloring) and out.palette_size == 1
+        assert out == Coloring({}) and out.palette_size == 0
 
     def test_directed_path(self):
         d3 = SubDigraph({0, 1, 2, 3}, [(0, 1), (1, 2), (2, 3)])
@@ -311,27 +313,26 @@ class TestColorD3:
         paths = naive.recursive_find_two_block_path(d, 3, 3)
         assert paths is not None and naive.two_block_path_fault(d, *paths, 3, 3) is None
 
-    def test_exact_fallback_runs_on_every_class_vertex(self, monkeypatch):
+    def test_exact_fallback_runs_on_the_touched_vertices(self, monkeypatch):
         # the path 0 -> 1 -> ... -> 9 padded with the isolated vertices
         # 10..19, with DSATUR made to overshoot 4k+2 = 6: the exact search
-        # colors all 20 vertices, one search node each, so it returns or
-        # runs out of budget exactly where color_within on every vertex does
+        # colors the 10 touched vertices, one search node each after the
+        # root, so every budget below 11 runs out and every other returns
         from fourblocks import exactcolor
 
         d3 = SubDigraph(range(20), [(i, i + 1) for i in range(9)])
         monkeypatch.setattr(
             exactcolor, "dsatur", lambda vs, adj: {v: i for i, v in enumerate(sorted(vs))}
         )
+        # the search starts at 1, the lowest id of degree 2, and alternates
+        want = Coloring({v: (v + 1) % 2 for v in range(10)})
         for budget in range(1, 25):
-            try:
-                want = Coloring(exactcolor.color_within(range(20), d3.und_adj, 6, budget))
-            except BudgetExceeded as exc:
+            if budget < 11:
                 with pytest.raises(BudgetExceeded) as got:
                     color_d3(d3, 1, budget)
-                assert got.value.nodes == exc.nodes == budget + 1
-                continue
-            assert budget >= 21
-            assert color_d3(d3, 1, budget) == want
+                assert got.value.nodes == budget + 1
+            else:
+                assert color_d3(d3, 1, budget) == want
 
     def test_exact_cross_check_with_naive_chromatic(self):
         for seed in range(25):
@@ -414,6 +415,9 @@ class TestPipeline:
         # once. Within a class the product id is a bijection of the triple,
         # so the product per class, then a renumbering of (class, id), gives
         # the same colors; rebuild that from the public stage functions.
+        # Each group's coloring is total on its touched vertices, and the
+        # product keys a vertex outside a part's host as it keys color 0;
+        # the one-color part on the class brings in the vertices on no arc.
         for k in (1, 2, 3):
             for seed in range(12):
                 n = 8 + 3 * seed
@@ -425,7 +429,12 @@ class TestPipeline:
                 for i, cls in enumerate(level_classes(t, k), start=1):
                     d1, d2, d3 = arc_partition(d, t, cls)
                     r1, r2, r3 = color_d1(d1, t), color_d2(d2), color_d3(d3, k)
-                    c123 = product_coloring((r1, cls), (r2, cls), (r3, cls))
+                    for sub, r in ((d1, r1), (d2, r2), (d3, r3)):
+                        assert r.colors.keys() == sub.touched
+                    c123 = product_coloring(
+                        (Coloring(dict.fromkeys(cls, 0)), cls),
+                        (r1, d1.touched), (r2, d2.touched), (r3, d3.touched),
+                    )
                     palettes.append(c123.palette_size)
                     keys.update((v, (i, c)) for v, c in c123.colors.items())
                 assert len(palettes) > 1

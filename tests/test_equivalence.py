@@ -10,6 +10,8 @@ NotAcyclic cases and full orders alike.
 
 import tracemalloc
 from collections import Counter
+from dataclasses import replace
+from itertools import chain
 
 import pytest
 
@@ -17,6 +19,7 @@ from fourblocks import (
     DEFAULT_BUDGET,
     BudgetExceeded,
     ChordViolation,
+    Coloring,
     Digraph,
     Family,
     GenSpec,
@@ -196,12 +199,12 @@ def test_acyclic_peel_matches(family):
     for d, root in FAMILIES[family]:
         whole = SubDigraph(range(d.n), d.arcs)
         forward = SubDigraph(range(d.n), ((u, v) for u, v in d.arcs if u < v))
-        cases = [(whole, whole.vertices), (forward, forward.vertices)]
+        cases = [(whole, whole.touched), (forward, forward.touched)]
         if d.n <= 200:
             t = finalize(d, spanning_out_tree(d, root))
             for cls in level_classes(t, 1):
                 _, a2, _ = arc_partition(d, t, cls)
-                cases.append((a2, a2.vertices))
+                cases.append((a2, a2.touched))
             for _ in range(4):
                 subset = [v for v in range(d.n) if rng.randrange(3)]
                 cases.append((whole, subset))
@@ -222,6 +225,65 @@ def test_dsatur_matches(family):
             subsets += [[v for v in range(d.n) if rng.randrange(2)] for _ in range(3)]
         for vs in subsets:
             assert dsatur(vs, adj) == naive.dsatur(vs, adj)
+
+
+def test_isolated_vertices_come_last_in_the_exact_coloring():
+    """Why color_d3 may run its exact coloring on the touched vertices
+    alone: the search ranks vertices by (-saturation, -degree, id), so an
+    isolated vertex is picked only after every touched one, and then takes
+    0 at one node. On random groups padded with isolated vertices, at every
+    budget from 1 until both runs return, and at 10**6:
+
+    - where both return a coloring, the whole run gives the touched
+      vertices the same colors, picked first and in the same order, and
+      every isolated vertex 0; where one proves "no coloring", so does the
+      other;
+    - where both run out of budget, they charge the same nodes;
+    - where only the whole run runs out, the touched run has a coloring,
+      and the whole run needs exactly one more node per isolated vertex
+      for it; a search that proves "no coloring" needs the same nodes."""
+    rng = Rng(23)
+    seen = Counter()
+    for _ in range(600):
+        n = 8 + rng.randrange(14)
+        ids = list(range(n))
+        rng.shuffle(ids)
+        group = ids[: n - 1 - rng.randrange(4)]
+        share = 2 + rng.randrange(4)
+        adj = {v: set() for v in range(n)}
+        for i, u in enumerate(group):
+            for v in group[i + 1:]:
+                if rng.randrange(share) == 0:
+                    adj[u].add(v)
+                    adj[v].add(u)
+        touched = [v for v in range(n) if adj[v]]
+        isolated = [v for v in range(n) if not adj[v]]
+        q = 2 + rng.randrange(4)
+        first_return = {}  # run -> (least budget it returns at, its result)
+        budget = 0
+        while budget < 10**6:
+            budget = budget + 1 if len(first_return) < 2 else 10**6
+            part = stage_outcome(color_within, touched, adj, q, budget)
+            whole = stage_outcome(color_within, range(n), adj, q, budget)
+            if isinstance(part, tuple):
+                assert whole == part == ("BudgetExceeded", budget + 1)
+                seen["both run out"] += 1
+            elif isinstance(whole, tuple):
+                assert part is not None
+                seen["only the whole run runs out"] += 1
+            elif part is None:
+                assert whole is None
+                seen["no coloring"] += 1
+            else:
+                assert whole == part | dict.fromkeys(isolated, 0)
+                assert list(whole)[: len(part)] == list(part)
+                seen["coloring"] += 1
+            for run, result in (("part", part), ("whole", whole)):
+                if not isinstance(result, tuple):
+                    first_return.setdefault(run, (budget, result))
+        (part_nodes, part), (whole_nodes, _) = first_return["part"], first_return["whole"]
+        assert whole_nodes == part_nodes + (len(isolated) if part is not None else 0)
+    assert min(seen.values()) > 100 and len(seen) == 4
 
 
 def stage_outcome(stage, *args):
@@ -289,9 +351,13 @@ def outcome_kind(outcome) -> str:
 
 @pytest.mark.parametrize("family", sorted(FAMILIES))
 def test_stages_match_the_all_vertex_stages(family):
-    """Same colorings (type, colors, d2's high max out-degree) and the same
-    failures (d1 core, d2 vertex and out-neighbors, NotAcyclic, d3 palette
-    bound, BudgetExceeded node count) as stages that peel every class vertex.
+    """The same failures (d1 core, d2 vertex and out-neighbors, NotAcyclic,
+    d3 palette bound, BudgetExceeded node count) as stages that peel every
+    class vertex, and the same colorings on the touched vertices (type,
+    colors, d2's high max out-degree): the package's stages color exactly
+    the vertices on an arc, and the all-vertex stages give every other
+    vertex 0. Where only the all-vertex d3 runs out of budget, which it can
+    do in the isolated vertices it colors last, the package's d3 colors.
 
     Every d3 group that the exact coloring rejects must contain
     P(2k+1, 2k+1): a digraph of chromatic number a+b+1 contains P(a,b)."""
@@ -301,16 +367,27 @@ def test_stages_match_the_all_vertex_stages(family):
         for case in stage_cases(d, root, rng):
             new = run_stage(decomposition, case)
             old = run_stage(naive, case)
-            assert type(new) is type(old)
-            assert new == old
             seen.add((case[0], outcome_kind(new)))
-            if isinstance(new, decomposition.PaletteFailure):
-                _, _, vertices, arcs, k, _ = case
-                assert new.bound == 4 * k + 2
-                host, a = Digraph(max(vertices) + 1, arcs), 2 * k + 1
-                paths = naive.recursive_find_two_block_path(host, a, a)
-                assert paths is not None
-                assert naive.two_block_path_fault(host, *paths, a, a) is None
+            if not isinstance(new, Coloring):
+                assert type(new) is type(old)
+                assert new == old
+                if isinstance(new, decomposition.PaletteFailure):
+                    _, _, vertices, arcs, k, _ = case
+                    assert new.bound == 4 * k + 2
+                    host, a = Digraph(max(vertices) + 1, arcs), 2 * k + 1
+                    paths = naive.recursive_find_two_block_path(host, a, a)
+                    assert paths is not None
+                    assert naive.two_block_path_fault(host, *paths, a, a) is None
+                continue
+            touched = frozenset(chain.from_iterable(case[3]))
+            assert new.colors.keys() == touched
+            if isinstance(old, tuple):
+                assert case[0] == "d3" and old[0] == "BudgetExceeded"
+                assert new.palette_size <= 4 * case[4] + 2
+                assert all(new.colors[u] != new.colors[v] for u, v in case[3])
+                continue
+            assert old.colors == dict.fromkeys(case[2], 0) | new.colors
+            assert replace(new, colors=old.colors) == old
     assert {("d1", "Coloring"), ("d2", "D2Coloring"), ("d3", "Coloring")} <= seen
     if family in ("dense", "tournament"):
         assert {
