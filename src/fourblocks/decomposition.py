@@ -100,21 +100,26 @@ def arc_partition(d: Digraph, t: OutTree, cls) -> tuple[SubDigraph, SubDigraph, 
     (level[u] >= level[v]) must point at an ancestor of u, or the tree is
     not final and ``NotFinalTree`` is raised; inside the class it goes to
     d2. A forward arc inside the class goes to d1 when u is an ancestor of
-    v and to d3 otherwise. Only the out-arcs of class vertices are read, so
+    v and to d3 otherwise. Ancestry is read off the tree's pre-order
+    numbers and subtree sizes. Only the out-arcs of class vertices are read, so
     a call raises exactly when one of them offends. The classes of
     ``level_classes`` partition the vertices, so calls on all of them read
     every arc once, and some call raises iff the tree is not final.
     """
     _check_vertex_count(d, t)
-    level, num = t.level, t.numbering
+    level, out = t.level, d.out_lists()
+    num = t.numbering
+    pre, size = num.pre, num.size
     vset = frozenset(cls)
     a1, a2, a3 = [], [], []
     for u in vset:
-        for v in d.out_neighbors(u):
-            if level[u] < level[v]:
+        lu, pu = level[u], pre[u]
+        below = pu + size[u]
+        for v in out[u]:
+            if lu < level[v]:
                 if v in vset:
-                    (a1 if num.is_ancestor(u, v) else a3).append((u, v))
-            elif not num.is_ancestor(v, u):
+                    (a1 if pu < pre[v] < below else a3).append((u, v))
+            elif not pre[v] <= pu < pre[v] + size[v]:
                 raise NotFinalTree(f"backward arc ({u},{v}) points off the root path of {u}")
             elif v in vset:
                 a2.append((u, v))
@@ -218,8 +223,9 @@ def color_d1(d1: SubDigraph, t: OutTree) -> Union[Coloring, WheelCoreFailure]:
     failure evidence.
     """
     level, num = t.level, t.numbering
+    pre, size = num.pre, num.size
     for u, v in d1.arcs:
-        if not (level[u] < level[v] and num.is_ancestor(u, v)):
+        if not (level[u] < level[v] and pre[u] <= pre[v] < pre[u] + size[u]):
             raise ValueError(f"arc ({u},{v}) is not ancestor-increasing")
     order, core = peel_low_degree(d1.touched, d1.und_adj, 5)
     if core:

@@ -10,17 +10,22 @@ when level(x) < level(y) and backward otherwise (equal levels included).
 A tree is final when every backward arc points into its tail's ancestor
 chain; rotating offending arcs into the tree always terminates because each
 rotation strictly raises some vertex's level. ``finalize`` queues tail
-vertices, each with a cursor into its out-list. It marks a tail's root
-path, indexed by level, only once the tail shows a backward arc, and tests
-ancestry against that one marked path. After a rotation it keeps scanning
-the same tail while that tail is still the smallest queued, and it queues
-a vertex of the moved subtree only when one of its arcs leaving that
-subtree now offends, or resets its cursor if it is queued already.
+vertices, each with a cursor into its out-list. It reads ancestry off the
+start tree's pre-order numbers and subtree sizes: each vertex keeps a head,
+an ancestor up to which its current root path is the start tree's path, so
+a test hops once per rotated arc between the two vertices and then compares
+numbers. A rotation resets the heads of the moved subtree only. After a
+rotation it keeps scanning the same tail while that tail is still the
+smallest queued, and it queues a vertex of the moved subtree only when one
+of its arcs leaving that subtree now offends, or resets its cursor if it is
+queued already.
 Ancestor tests on a built tree use its pre-order numbers and subtree
-sizes and take O(1). A tree and its numbering are never written after
-construction; ``is_final`` rescans the arcs on every call, and the
-pipeline itself checks finality arc by arc in
-``decomposition.arc_partition``, where each arc is read anyway.
+sizes and take O(1). ``depth_first_out_tree`` and ``finalize`` hand over
+the numbering their trees already imply; any other tree builds it on first
+use. A tree and its numbering are never written after construction;
+``is_final`` rescans the arcs on every call, and the pipeline itself checks
+finality arc by arc in ``decomposition.arc_partition``, where each arc is
+read anyway.
 """
 
 from __future__ import annotations
@@ -48,8 +53,14 @@ class OutTree:
 
     @cached_property
     def numbering(self) -> "TreeNumbering":
-        """Pre-order numbers and subtree sizes, built on first use in O(n)."""
-        return TreeNumbering(self)
+        """Pre-order numbers and subtree sizes. ``depth_first_out_tree`` and
+        ``finalize`` hand theirs over; any other tree builds its own on
+        first use, in O(n)."""
+        children: list[list[int]] = [[] for _ in range(self.n)]
+        for v, p in enumerate(self.parent):
+            if p is not None:
+                children[p].append(v)
+        return _preorder(self.root, self.parent, children)
 
 
 class TreeNumbering:
@@ -61,30 +72,40 @@ class TreeNumbering:
 
     __slots__ = ("pre", "size")
 
-    def __init__(self, t: OutTree):
-        children: list[list[int]] = [[] for _ in range(t.n)]
-        for v, p in enumerate(t.parent):
-            if p is not None:
-                children[p].append(v)
-        pre = [-1] * t.n
-        order: list[int] = []
-        stack = [t.root]
-        while stack:
-            v = stack.pop()
-            pre[v] = len(order)
-            order.append(v)
-            stack.extend(children[v])
-        parent, size = t.parent, [1] * t.n
-        for v in reversed(order):  # a subtree's sizes are summed before its root's
-            p = parent[v]
-            if p is not None:
-                size[p] += size[v]
+    def __init__(self, pre: list[int], size: list[int]):
         self.pre = pre
         self.size = size
 
     def is_ancestor(self, y: int, x: int) -> bool:
         pre = self.pre
         return pre[y] <= pre[x] < pre[y] + self.size[y]
+
+
+def _preorder(root: int, parent, children) -> TreeNumbering:
+    """Number the tree given by its parent links and child collections in
+    pre-order from ``root``, and sum subtree sizes in reverse of it."""
+    n = len(parent)
+    pre = [-1] * n
+    order: list[int] = []
+    stack = [root]
+    while stack:
+        v = stack.pop()
+        pre[v] = len(order)
+        order.append(v)
+        stack.extend(children[v])
+    size = [1] * n
+    for v in reversed(order):  # a subtree's sizes are summed before its root's
+        p = parent[v]
+        if p is not None:
+            size[p] += size[v]
+    return TreeNumbering(pre, size)
+
+
+def _numbered(t: OutTree, numbering: TreeNumbering) -> OutTree:
+    """t, carrying ``numbering`` where its cached property would store it;
+    equality, hashing and repr read only the fields."""
+    t.__dict__["numbering"] = numbering
+    return t
 
 
 def depth_first_out_tree(d: Digraph, r: int) -> OutTree:
@@ -95,7 +116,11 @@ def depth_first_out_tree(d: Digraph, r: int) -> OutTree:
     any per-vertex work if n >= 2 exceeds the arc count. low[v], the least
     entry number that an arc from v's subtree reaches, is below entry[v] for
     every v != r iff every vertex reaches r: no arc leaves a depth-first
-    subtree for a vertex entered after its root."""
+    subtree for a vertex entered after its root.
+
+    Entry numbers are pre-order numbers, and a vertex's subtree is entered
+    before the vertex leaves the stack, so the tree carries its numbering:
+    size[u] is the count of vertices entered since u when u is popped."""
     if not (0 <= r < d.n):
         raise ValueError(f"root {r} out of range")
     if d.n > 1 and len(d.arcs) < d.n:
@@ -105,6 +130,7 @@ def depth_first_out_tree(d: Digraph, r: int) -> OutTree:
     level = [0] * d.n
     entry = [-1] * d.n
     low = [0] * d.n
+    size = [0] * d.n
     level[r] = 1
     entry[r] = 0
     seen = 1
@@ -126,6 +152,7 @@ def depth_first_out_tree(d: Digraph, r: int) -> OutTree:
                 lu = ev
         else:
             stack.pop()
+            size[u] = seen - entry[u]
             if stack:
                 if lu >= entry[u]:
                     raise NotStronglyConnected(f"vertex {u} cannot reach the root {r}")
@@ -134,7 +161,7 @@ def depth_first_out_tree(d: Digraph, r: int) -> OutTree:
                     low[p] = lu
     if seen < d.n:
         raise UnreachableVertex(level.index(0))
-    return OutTree(r, tuple(parent), tuple(level))
+    return _numbered(OutTree(r, tuple(parent), tuple(level)), TreeNumbering(entry, size))
 
 
 def is_ancestor(t: OutTree, y: int, x: int) -> bool:
@@ -181,19 +208,27 @@ def finalize(d: Digraph, t: OutTree) -> OutTree:
     (x,y), x stays queued, and the heap picks the smaller tail. Going on
     with x would rotate in another order and could end in another tree.
 
-    path[l] is the ancestor at level l of ``marked``, the last tail whose
-    root path was marked, and depth is that tail's level; entries above
-    depth are stale. A forward arc needs no ancestry test, so x is marked
-    only when its scan meets an arc with level[y] <= level[x] while x is
-    not ``marked`` already. Marking x walks up only until it meets a vertex
-    u with level[u] <= depth and path[level[u]] == u, where the two root
-    paths join. A rotation under x leaves x's root path alone, and any
-    other rotation marks its own tail first, so the marks hold until the
-    next marking. With x marked, a backward arc (x,y) offends iff
-    path[level[y]] != y.
+    Ancestry is read from the start tree t: its pre-order numbers pre and
+    subtree sizes size, and head[v], a vertex on v's current root path.
+    Invariant: the current tree path from head[v] to v is the path between
+    them in t. At the start every head[v] is the root. To test whether y is
+    an ancestor of x when level[y] <= level[x], z starts at x and moves to
+    parent[head[z]] while level[head[z]] > level[y]. The current ancestor
+    of x at level[y] then lies on the path from head[z] to z, which is a
+    path of t, so y is that ancestor iff y lies on it in t:
+    pre[head[z]] <= pre[y] <= pre[z] < pre[y] + size[y]. A query hops once
+    per rotated arc on x's root path below level[y]: rarely from a deep
+    start such as the depth-first tree, whose final tree keeps most of its
+    arcs, but along most of a root path from a shallow one such as a
+    breadth-first tree, whose final tree is nearly all rotated arcs.
 
-    A rotation changes the levels and root paths of S only, and x is not
-    in S. A non-offending arc whose tail is outside S is forward, and stays
+    A rotation changes the root paths of S only, and x is not in S. The
+    walk of S sets head[y] = y; for every other c in S with head[c] != c,
+    the arc from parent[c] to c lies on a path of t and so is an arc of t,
+    and the walk, which reaches parent[c] first, sets head[c] =
+    head[parent[c]]. Outside S no root path changes, so no head does.
+
+    A non-offending arc whose tail is outside S is forward, and stays
     forward because levels only rise, or points at an ancestor of its
     tail, which is outside S too. An arc with both ends in S keeps its
     level order and its ancestry, since all of S moves by the same shift
@@ -202,14 +237,16 @@ def finalize(d: Digraph, t: OutTree) -> OutTree:
     rotation's number, and a second pass over S then looks at each u. If u
     is not queued, none of its arcs offended before the rotation, so only
     its arcs to unstamped heads are tested, and u is queued, with its
-    cursor on the first of them that offends, only if one does. The test
-    reads x's marked path: x is ``marked`` and depth is level[x], so
-    path[1..level[x]] is x's root path, which the rotation leaves alone,
-    and b outside S is an ancestor of u iff it lies on that path. (u,b)
-    thus offends iff level[b] <= level[u] and either level[b] > level[x]
-    (path is stale there) or path[level[b]] != b. If u is already queued,
-    its cursor goes back to its first arc: an arc before the cursor may
-    leave S and offend now, and a kept cursor would skip it.
+    cursor on the first of them that offends, only if one does. The root
+    path of u runs through x, so b outside S is an ancestor of u iff it is
+    one of x: (u,b) offends iff level[b] <= level[u] and either level[b] >
+    level[x] or b is not an ancestor of x. If u is already queued, its
+    cursor goes back to its first arc: an arc before the cursor may leave
+    S and offend now, and a kept cursor would skip it.
+
+    The input comes back as it is when no arc offends. Otherwise the final
+    tree carries its numbering, taken from the child sets the rotations
+    keep.
     """
     _check_vertex_count(d, t)
     n = t.n
@@ -223,9 +260,19 @@ def finalize(d: Digraph, t: OutTree) -> OutTree:
     cursor = [0] * n
     queued = [True] * n
     heap = list(range(n))  # ascending, so already a heap
-    path = [t.root] * (n + 1)  # the root is the one vertex at level 1
-    depth = 1
-    marked = -1
+    num = t.numbering
+    pre, size = num.pre, num.size
+    head = [t.root] * n
+
+    def is_ancestor_now(y: int, x: int) -> bool:
+        ly = level[y]
+        h = head[x]
+        while level[h] > ly:
+            x = parent[h]  # type: ignore[assignment]
+            h = head[x]
+        py = pre[y]
+        return pre[h] <= py <= pre[x] < py + size[y]
+
     stamp = [0] * n  # stamp[u] == rotation: u is in the subtree just moved
     rotation = 0
     while heap:
@@ -237,24 +284,25 @@ def finalize(d: Digraph, t: OutTree) -> OutTree:
             ly = level[y]
             if ly > lx:
                 continue
-            if marked != x:
-                u = x
-                while level[u] > depth or path[level[u]] != u:
-                    path[level[u]] = u
-                    u = parent[u]  # type: ignore[assignment]
-                marked = x
-                depth = lx
-            if path[ly] == y:
+            h = head[x]
+            if level[h] <= ly:  # the common case, no hop: the test's last step, inline
+                py = pre[y]
+                if pre[h] <= py <= pre[x] < py + size[y]:
+                    continue
+            elif is_ancestor_now(y, x):
                 continue
             children[parent[y]].discard(y)  # type: ignore[index]
             parent[y] = x
             children[x].add(y)
             shift = lx + 1 - ly
             rotation += 1
+            head[y] = y
             subtree = [y]
-            for u in subtree:  # grows while it is walked
+            for u in subtree:  # grows while it is walked, parents first
                 level[u] += shift
                 stamp[u] = rotation
+                if head[u] != u:
+                    head[u] = head[parent[u]]  # type: ignore[index]
                 subtree.extend(children[u])
             for u in subtree:
                 if queued[u]:
@@ -264,7 +312,7 @@ def finalize(d: Digraph, t: OutTree) -> OutTree:
                 for f, b in enumerate(out[u]):
                     lb = level[b]
                     if (lb <= lu and stamp[b] != rotation
-                            and (lb > lx or path[lb] != b)):
+                            and (lb > lx or not is_ancestor_now(b, x))):
                         cursor[u] = f
                         queued[u] = True
                         heappush(heap, u)
@@ -275,4 +323,8 @@ def finalize(d: Digraph, t: OutTree) -> OutTree:
         else:
             heappop(heap)
             queued[x] = False
-    return OutTree(t.root, tuple(parent), tuple(level))
+    if not rotation:
+        return t
+    return _numbered(
+        OutTree(t.root, tuple(parent), tuple(level)), _preorder(t.root, parent, children)
+    )

@@ -106,6 +106,54 @@ class TestAncestry:
             assert t.level[x] == 1 + strict
 
 
+def root_path_ancestor(t, y, x):
+    """y lies on the root path of x, found by walking parent links."""
+    while x is not None:
+        if x == y:
+            return True
+        x = t.parent[x]
+    return False
+
+
+def assert_numbering_answers_like_root_paths(t):
+    num = t.numbering
+    assert sorted(num.pre) == list(range(t.n))
+    for x in range(t.n):
+        for y in range(t.n):
+            assert num.is_ancestor(y, x) == root_path_ancestor(t, y, x)
+
+
+class TestHandedOverNumbering:
+    """The depth-first start and ``finalize`` hand their trees over with a
+    numbering already built; it must answer ancestry like the root paths,
+    whether ``finalize`` started from a breadth-first, a depth-first or a
+    hand-built tree."""
+
+    def test_random_starts(self):
+        rng = Rng(53)
+        for seed in range(60):
+            n = 2 + seed % 19
+            m = min(n * (n - 1), n + seed % (2 * n))
+            d = generate(GenSpec(Family.RANDOM_STRONG, n, m, seed))
+            dfs = depth_first_out_tree(d, 0)
+            assert "numbering" in vars(dfs)
+            assert_numbering_answers_like_root_paths(dfs)
+            for t0 in (spanning_out_tree(d, 0), dfs, random_tree(rng, n)):
+                t1 = finalize(d, t0)
+                assert t1 == naive.finalize(d, t0)
+                # the input comes back, numbered or not, when nothing offends
+                assert t1 is t0 or "numbering" in vars(t1)
+                assert_numbering_answers_like_root_paths(t1)
+
+    def test_numbering_leaves_equality_alone(self):
+        d = cycle(4)
+        t = depth_first_out_tree(d, 0)
+        bare = OutTree(t.root, t.parent, t.level)
+        assert t == bare and hash(t) == hash(bare) and repr(t) == repr(bare)
+        assert bare.numbering.pre == t.numbering.pre
+        assert bare.numbering.size == t.numbering.size
+
+
 class TestClassify:
     """An arc (x,y) is forward when level(x) < level(y) and backward
     otherwise; only a backward arc must point into x's ancestor chain."""
@@ -236,6 +284,48 @@ class TestFinalize:
         assert t1.parent == (None, 6, 8, 0, 5, 2, 4, 3, 7)
         assert t1.level == (1, 9, 5, 2, 7, 6, 8, 3, 4)
         assert t1 == naive.finalize(d, t0)
+
+    # finalize reads ancestry off the start tree's numbering, through a
+    # head per vertex up to which its root path is the start tree's. From
+    # the depth-first start 0-3-2-1, 3-4-5, the rotations (5,1) and (5,2)
+    # are followed by (2,1), which puts 1 back under its start parent 2.
+    def test_rotation_back_under_the_start_parent(self):
+        d = Digraph(6, [(0, 3), (0, 5), (1, 0), (2, 1), (3, 2), (3, 4), (4, 1),
+                        (4, 5), (5, 1), (5, 2), (5, 3)])
+        t0 = depth_first_out_tree(d, 0)
+        assert t0.parent == (None, 2, 3, 0, 3, 4)
+        t1 = finalize(d, t0)
+        assert t1.parent == (None, 2, 5, 0, 3, 4)
+        assert t1.level == (1, 6, 5, 2, 3, 4)
+        assert t1 == naive.finalize(d, t0)
+        assert_numbering_answers_like_root_paths(t1)
+
+    # Start 0-3-1, 0-4-2. Rotating (2,1), then (1,3), nests two rotated
+    # arcs on the root path 0-4-2-1-3, so testing whether 0 is an ancestor
+    # of 3 hops from 3 to 1 and from 1 to 2 before it compares numbers.
+    def test_query_hops_over_nested_rotations(self):
+        d = Digraph(5, [(0, 3), (0, 4), (1, 3), (2, 1), (3, 0), (3, 1), (4, 1), (4, 2)])
+        t0 = depth_first_out_tree(d, 0)
+        assert t0.parent == (None, 3, 4, 0, 0)
+        t1 = finalize(d, t0)
+        assert t1.parent == (None, 2, 4, 1, 0)
+        assert t1.level == (1, 4, 3, 5, 2)
+        assert t1 == naive.finalize(d, t0)
+        assert_numbering_answers_like_root_paths(t1)
+
+    def test_final_tree_comes_back_as_it_is(self):
+        d = cycle(5)
+        t = depth_first_out_tree(d, 0)
+        assert finalize(d, t) is t
+        bare = OutTree(0, (None, 0, 1), (1, 2, 3))
+        assert finalize(Digraph(3, [(0, 1), (1, 2), (2, 0), (0, 2)]), bare) is bare
+
+    # The input where root-path marking walked 44 steps per vertex from the
+    # depth-first start; the rescan oracle takes about half a second here.
+    def test_matches_rescan_from_depth_first_start_at_n2000(self):
+        d = generate(GenSpec(Family.RANDOM_STRONG, 2000, 4000, 1))
+        t0 = depth_first_out_tree(d, 0)
+        assert finalize(d, t0) == naive.finalize(d, t0)
 
     def test_property_campaign(self):
         for seed in range(120):
