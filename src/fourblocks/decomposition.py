@@ -414,6 +414,9 @@ def color_strong_digraph(
 
     The final tree grows from the depth-first out-tree at vertex 0: the
     stages read only finality, ancestry and levels, so any start would do.
+    That pass reads every arc once and flags each tail with an offending
+    arc, and ``finalize`` starts its queue from those flags instead of
+    reading every arc again.
 
     A class vertex on no arc of a group has no constraint there, so it
     takes 0 in that entry of its key.

@@ -10,7 +10,11 @@ when level(x) < level(y) and backward otherwise (equal levels included).
 A tree is final when every backward arc points into its tail's ancestor
 chain; rotating offending arcs into the tree always terminates because each
 rotation strictly raises some vertex's level. ``finalize`` queues tail
-vertices, each with a cursor into its out-list. It reads ancestry off the
+vertices, each with a cursor into its out-list. It starts from every vertex,
+or, for a tree that ``depth_first_out_tree`` built from the same digraph
+object, from only the tails that pass saw with an offending arc: in a
+depth-first tree only a cross arc, one into a vertex finished before its
+tail was entered, can leave its tail's root path. It reads ancestry off the
 start tree's pre-order numbers and subtree sizes: each vertex keeps a head,
 an ancestor up to which its current root path is the start tree's path, so
 a test hops once per rotated arc between the two vertices and then compares
@@ -33,6 +37,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from functools import cached_property
 from heapq import heappop, heappush
+from itertools import compress
 from typing import Optional
 
 from .digraph import Digraph
@@ -120,7 +125,15 @@ def depth_first_out_tree(d: Digraph, r: int) -> OutTree:
 
     Entry numbers are pre-order numbers, and a vertex's subtree is entered
     before the vertex leaves the stack, so the tree carries its numbering:
-    size[u] is the count of vertices entered since u when u is popped."""
+    size[u] is the count of vertices entered since u when u is popped.
+
+    The tree also carries, with d itself, a flag per vertex u that has an
+    offending arc (u,v): backward, with v not an ancestor of u. An arc to a
+    vertex entered later goes to a descendant, and an arc to a vertex still
+    open goes to an ancestor, so (u,v) offends iff v was entered before u,
+    has finished (size[v] > 0), and level[v] <= level[u], which is the
+    stack's height while u is on top. ``finalize`` queues only these tails
+    when it is handed this tree and this same d."""
     if not (0 <= r < d.n):
         raise ValueError(f"root {r} out of range")
     if d.n > 1 and len(d.arcs) < d.n:
@@ -131,6 +144,7 @@ def depth_first_out_tree(d: Digraph, r: int) -> OutTree:
     entry = [-1] * d.n
     low = [0] * d.n
     size = [0] * d.n
+    offends = bytearray(d.n)
     level[r] = 1
     entry[r] = 0
     seen = 1
@@ -138,6 +152,7 @@ def depth_first_out_tree(d: Digraph, r: int) -> OutTree:
     while stack:
         u, heads = stack[-1]
         lu = low[u]
+        eu = entry[u]
         for v in heads:
             ev = entry[v]
             if ev < 0:
@@ -148,8 +163,11 @@ def depth_first_out_tree(d: Digraph, r: int) -> OutTree:
                 seen += 1
                 stack.append((v, iter(out[v])))
                 break
-            if ev < lu:
-                lu = ev
+            if ev < eu:  # v is open, so an ancestor of u, or finished
+                if ev < lu:
+                    lu = ev
+                if size[v] and level[v] <= len(stack):
+                    offends[u] = 1
         else:
             stack.pop()
             size[u] = seen - entry[u]
@@ -161,7 +179,9 @@ def depth_first_out_tree(d: Digraph, r: int) -> OutTree:
                     low[p] = lu
     if seen < d.n:
         raise UnreachableVertex(level.index(0))
-    return _numbered(OutTree(r, tuple(parent), tuple(level)), TreeNumbering(entry, size))
+    t = _numbered(OutTree(r, tuple(parent), tuple(level)), TreeNumbering(entry, size))
+    t.__dict__["_offends"] = (d, offends)
+    return t
 
 
 def is_ancestor(t: OutTree, y: int, x: int) -> bool:
@@ -195,10 +215,15 @@ def finalize(d: Digraph, t: OutTree) -> OutTree:
     The worklist is a min-heap of tail vertices. cursor[x] is the index, in
     x's ascending out-list, of the first out-arc of x not yet known not to
     offend. Invariant: every tail with an offending arc is queued, and no
-    arc of a queued x before cursor[x] offends. The smallest queued tail,
-    scanned from its cursor, thus yields the smallest offending arc:
-    exactly the arc a rescan of all arcs from the start would pick, so the
-    result is the same tree.
+    arc of a queued x before cursor[x] offends. Every cursor starts at 0,
+    so the invariant holds from the first queue: the tails that
+    ``depth_first_out_tree`` flagged when t is its tree of this same d
+    (the flags name exactly the tails with an offending arc; d is checked
+    by identity), and every vertex otherwise. With no tail queued, t is
+    final and comes back before the working lists are built. The smallest
+    queued tail, scanned from its cursor, thus yields the smallest
+    offending arc: exactly the arc a rescan of all arcs from the start
+    would pick, so the result is the same tree.
 
     After rotating (x,y), the scan of x goes on from the next arc while x
     is still the heap top. x is not in S, its arcs before (x,y) still do
@@ -250,6 +275,11 @@ def finalize(d: Digraph, t: OutTree) -> OutTree:
     """
     _check_vertex_count(d, t)
     n = t.n
+    read, offends = t.__dict__.get("_offends", (None, None))
+    queued = bytearray(offends) if read is d else bytearray(b"\x01") * n
+    heap = list(compress(range(n), queued))  # ascending, so already a heap
+    if not heap:
+        return t
     parent: list[Optional[int]] = list(t.parent)
     level: list[int] = list(t.level)
     children: list[set[int]] = [set() for _ in range(n)]
@@ -258,8 +288,6 @@ def finalize(d: Digraph, t: OutTree) -> OutTree:
             children[p].add(v)
     out = d.out_lists()
     cursor = [0] * n
-    queued = [True] * n
-    heap = list(range(n))  # ascending, so already a heap
     num = t.numbering
     pre, size = num.pre, num.size
     head = [t.root] * n

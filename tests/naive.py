@@ -15,8 +15,10 @@ versions must return exactly their output; the pruned kernels must also
 never take more search nodes than ``search_cycle_subdivision`` here.
 ``finalize`` here rescans every arc after each rotation and walks the tree
 for each ancestor test; the package's version scans each queued tail's arcs
-from a cursor and tests ancestry against one marked root path, and must
-rotate the same arcs in the same order.
+from a cursor and tests ancestry on the start tree's numbering, and must
+rotate the same arcs in the same order. ``offending_tails`` scans every arc
+and walks its tail's root path; the depth-first start tree's flags, which
+``finalize`` queues first, must name exactly these tails.
 ``depth_first_out_tree`` here recurses once per vertex it takes, over
 out-lists it rebuilds from the sorted arcs; the package's version keeps an
 explicit stack of out-list iterators and must return the same tree.
@@ -228,6 +230,20 @@ def finalize(d: Digraph, t: OutTree) -> OutTree:
                 break
         if not rotated:
             return OutTree(t.root, tuple(parent), tuple(level))
+
+
+def offending_tails(d: Digraph, t: OutTree) -> set[int]:
+    """Every x with an arc (x,y) where level[y] <= level[x] and y is not an
+    ancestor of x, found by walking x's root path for each such arc."""
+
+    def ancestor(y: int, x: Optional[int]) -> bool:
+        while x is not None:
+            if x == y:
+                return True
+            x = t.parent[x]
+        return False
+
+    return {x for x, y in d.arcs if t.level[y] <= t.level[x] and not ancestor(y, x)}
 
 
 def depth_first_out_tree(d: Digraph, r: int) -> OutTree:

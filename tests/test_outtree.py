@@ -152,6 +152,65 @@ class TestHandedOverNumbering:
         assert t == bare and hash(t) == hash(bare) and repr(t) == repr(bare)
         assert bare.numbering.pre == t.numbering.pre
         assert bare.numbering.size == t.numbering.size
+        # Nor do the handed-over flags: this pass flags tail 2, whose arc
+        # (2,1) goes into the finished branch of 1 at 2's own level.
+        d = Digraph(3, [(0, 1), (0, 2), (1, 0), (2, 0), (2, 1)])
+        t = depth_first_out_tree(d, 0)
+        assert handed_over_flags(t, d) == {2}
+        bare = OutTree(t.root, t.parent, t.level)
+        assert t == bare and hash(t) == hash(bare) and repr(t) == repr(bare)
+
+
+def handed_over_flags(t, d):
+    """The tails that the depth-first pass over d flagged in its tree t."""
+    read, flags = vars(t)["_offends"]
+    assert read is d
+    return {u for u, flag in enumerate(flags) if flag}
+
+
+class TestHandedOverFlags:
+    """The depth-first pass flags each tail with an offending arc, and
+    ``finalize`` queues only those when it is handed that tree and the same
+    digraph object, and every vertex otherwise."""
+
+    def test_flags_match_brute_force_scan(self):
+        rng = Rng(71)
+        for seed in range(400):
+            n = 2 + rng.randrange(29)
+            m = n + rng.randrange(min(5 * n, n * (n - 1)) - n + 1)
+            d = generate(GenSpec(Family.RANDOM_STRONG, n, m, seed))
+            t = depth_first_out_tree(d, rng.randrange(n))
+            assert handed_over_flags(t, d) == naive.offending_tails(d, t)
+            assert finalize(d, t) == naive.finalize(d, t)
+
+    # The identity key: an equal but distinct digraph, a hand-built copy of
+    # the tree and a digraph with one more arc, which offends in t from a
+    # tail the pass did not flag, all start from every vertex.
+    def test_flags_serve_only_the_digraph_they_were_read_from(self):
+        rng = Rng(73)
+        extended = 0
+        for seed in range(60):
+            n = 3 + seed % 12
+            d = generate(GenSpec(Family.RANDOM_STRONG, n, n + seed % (2 * n), seed))
+            t = depth_first_out_tree(d, 0)
+            flagged = handed_over_flags(t, d)
+            twin = Digraph(d.n, d.arcs)
+            assert finalize(twin, t) == naive.finalize(twin, t)
+            bare = OutTree(t.root, t.parent, t.level)
+            assert finalize(d, bare) == naive.finalize(d, bare)
+            extra = [
+                (x, y)
+                for x in range(n)
+                for y in range(n)
+                if x != y and (x, y) not in d.arcs and x not in flagged
+                and t.level[y] <= t.level[x] and not is_ancestor(t, y, x)
+            ]
+            if extra:
+                more = Digraph(n, d.arcs | {extra[rng.randrange(len(extra))]})
+                assert finalize(more, t) == naive.finalize(more, t)
+                assert is_final(more, finalize(more, t))
+                extended += 1
+        assert extended >= 30
 
 
 class TestClassify:
