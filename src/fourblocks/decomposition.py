@@ -15,9 +15,12 @@ bounds (6, 6 and 4k+2), each vertex is keyed by (class, d1 color, d2
 color, d3 color), a vertex on no arc of a group taking 0 there, and one
 renumbering of those keys gives the final colors: the stages combine
 multiplicatively and classes get disjoint palettes, for at most
-36 * (2k) * (4k+2) colors overall. The first stage failure ends the class
-loop and triggers the exact subdivision search on the whole digraph, so
-the pipeline always returns a checkable certificate: a bounded coloring, a
+36 * (2k) * (4k+2) colors overall. Each class runs d2, then d1, then d3:
+the stages are independent, so their order changes no color, and d2 is
+the one that fails on dense digraphs, where a d1 coloring built first
+would be thrown away. The first stage failure ends the class loop and
+triggers the exact subdivision search on the whole digraph, so the
+pipeline always returns a checkable certificate: a bounded coloring, a
 verified subdivision witness, or an explicit inconclusive outcome.
 """
 
@@ -418,6 +421,12 @@ def color_strong_digraph(
     arc, and ``finalize`` starts its queue from those flags instead of
     reading every arc again.
 
+    Each class runs d2 first, then d1, then d3. Any failure goes to the
+    same search, so only the first one matters, and on dense digraphs
+    that is d2: running it first spares the d1 coloring the fallback would
+    discard. Where d1 and d2 both fail in one class and the search finds
+    no witness, the inconclusive outcome names ``color_d2``.
+
     A class vertex on no arc of a group has no constraint there, so it
     takes 0 in that entry of its key.
     """
@@ -429,19 +438,19 @@ def color_strong_digraph(
 
     for i, cls in enumerate(level_classes(t, k), start=1):
         d1, d2, d3 = arc_partition(d, t, cls)
-        r1 = color_d1(d1, t)
-        if isinstance(r1, WheelCoreFailure):
-            return _fallback(
-                d, k1, k3, budget, "color_d1",
-                f"class {i}: degree-5 peel stalled on a core of "
-                f"{len(r1.core)} vertices",
-            )
         r2 = color_d2(d2)
         if isinstance(r2, OutDegreeFailure):
             return _fallback(
                 d, k1, k3, budget, "color_d2",
                 f"class {i}: vertex {r2.vertex} keeps out-degree "
                 f"{len(r2.out_neighbors)} in the high part",
+            )
+        r1 = color_d1(d1, t)
+        if isinstance(r1, WheelCoreFailure):
+            return _fallback(
+                d, k1, k3, budget, "color_d1",
+                f"class {i}: degree-5 peel stalled on a core of "
+                f"{len(r1.core)} vertices",
             )
         try:
             r3 = color_d3(d3, k, budget)
@@ -470,7 +479,10 @@ def color_strong_digraph(
 
     coloring = Coloring(keys).normalized()
     colors = coloring.colors
-    assert len(colors) == d.n and all(colors[u] != colors[v] for u, v in d.arcs)
+    col = [colors[v] for v in range(d.n)]
+    assert len(colors) == d.n and all(
+        col[v] != cu for cu, vs in zip(col, d.out_lists()) for v in vs
+    )
     assert coloring.palette_size <= bound
     return ColoringWithinBound(coloring, bound, tuple(reports), k1, k3)
 

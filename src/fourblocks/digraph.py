@@ -73,8 +73,9 @@ class Digraph:
         mutate it."""
         if self._und is None:
             und = [set(vs) for vs in self._out]
-            for u, v in self.arcs:
-                und[v].add(u)
+            for u, vs in enumerate(self._out):
+                for v in vs:
+                    und[v].add(u)
             self._und = und
         return self._und
 

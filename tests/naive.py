@@ -42,6 +42,11 @@ instead. The reference ``color_d2`` keeps its three in-degree peels (the
 cycle check, then one per part), where the package's peels once and colors
 each part in a sub-order of that order. ``SubDigraph`` here keeps an
 ``out_adj``, which ``acyclic_peel_order`` reads.
+``color_strong_digraph`` here is the pipeline with each class running d1,
+d2, d3 in that order. The package's runs d2 first, which changes no color,
+and must return the same certificate. The one exception: where d1 and d2
+both fail in one class and the search finds no witness, the package's
+inconclusive names ``color_d2`` and its reason instead of ``color_d1``.
 The last section keeps the subdivision kernel's search and the exact
 coloring as they were when each recursed once per vertex entered or
 colored. The package's versions run each search on an explicit stack, so
@@ -700,6 +705,56 @@ def color_d3(d3, k: int, budget: int = DEFAULT_BUDGET):
     if exact is None:
         return PaletteFailure(q)
     return Coloring(exact)
+
+
+# --- the pipeline with d1 first in each class --------------------------------
+
+
+def color_strong_digraph(d: Digraph, k1: int, k3: int, budget: int = DEFAULT_BUDGET):
+    """The pipeline as it was when each class ran d1, then d2, then d3. It
+    calls the package's tree, classes, partition, stages and fallback, so
+    only the stage order differs from ``decomposition.color_strong_digraph``."""
+    dec = decomposition
+    k = max(k1, k3)
+    t = dec.finalize(d, dec.spanning_out_tree(d, 0))
+    reports, keys = [], {}
+    for i, cls in enumerate(dec.level_classes(t, k), start=1):
+        d1, d2, d3 = dec.arc_partition(d, t, cls)
+        r1 = dec.color_d1(d1, t)
+        if isinstance(r1, WheelCoreFailure):
+            return dec._fallback(
+                d, k1, k3, budget, "color_d1",
+                f"class {i}: degree-5 peel stalled on a core of "
+                f"{len(r1.core)} vertices",
+            )
+        r2 = dec.color_d2(d2)
+        if isinstance(r2, OutDegreeFailure):
+            return dec._fallback(
+                d, k1, k3, budget, "color_d2",
+                f"class {i}: vertex {r2.vertex} keeps out-degree "
+                f"{len(r2.out_neighbors)} in the high part",
+            )
+        try:
+            r3 = dec.color_d3(d3, k, budget)
+        except BudgetExceeded as exc:
+            return dec.Inconclusive("color_d3", f"class {i}: {exc}")
+        if isinstance(r3, PaletteFailure):
+            return dec._fallback(
+                d, k1, k3, budget, "color_d3",
+                f"class {i}: the d3 group needs more than {r3.bound} colors",
+            )
+        c1, c2, c3 = r1.colors, r2.colors, r3.colors
+        for v in cls:
+            keys[v] = (i, c1.get(v, 0), c2.get(v, 0), c3.get(v, 0))
+        reports.append(
+            dec.ClassReport(
+                i, len(cls), r1.palette_size, r2.palette_size, r3.palette_size,
+                r2.high_max_out_degree, len({keys[v] for v in cls}),
+            )
+        )
+    return dec.ColoringWithinBound(
+        Coloring(keys).normalized(), dec.coloring_bound(k1, k3), tuple(reports), k1, k3
+    )
 
 
 # --- the recursive searchers ------------------------------------------------

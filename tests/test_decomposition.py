@@ -360,6 +360,12 @@ class TestPipeline:
             with pytest.raises(NotStronglyConnected):
                 color_strong_digraph(d, 1, 1)
 
+    def test_single_vertex(self):
+        # no arcs: the closing self-check reads one empty out-list
+        cert = color_strong_digraph(Digraph(1, []), 1, 1)
+        assert isinstance(cert, ColoringWithinBound)
+        assert cert.coloring.colors == {0: 0}
+
     def test_digon_instance(self):
         d = Digraph(2, [(0, 1), (1, 0)])
         for k1, k3 in ((1, 1), (2, 1), (2, 2)):
@@ -538,7 +544,9 @@ class TestPipeline:
 
     def test_complete_digraph_triggers_real_stage_failure(self):
         # K13's larger level class induces a complete digraph on 7 vertices,
-        # whose degree-5 peel stalls; the oracle then certifies the outcome
+        # whose d2 group keeps a high-part vertex of out-degree above 3 (and
+        # whose degree-5 peel would stall next); the oracle then certifies
+        # the outcome
         d = Digraph(13, ((i, j) for i in range(13) for j in range(13) if i != j))
         cert = color_strong_digraph(d, 1, 1)
         assert isinstance(cert, SubdivisionFound)
@@ -612,7 +620,7 @@ class TestFallbackExits:
     K1, K3, BUDGET = 1, 2, 1234
     SEARCHED = CyclePattern((2, 1, 2, 1))
     TARGET = CyclePattern((1, 1, 2, 1))
-    STAGES = ("color_d1", "color_d2", "color_d3")
+    STAGES = ("color_d2", "color_d1", "color_d3")
     FAILURES = {
         "color_d1": (
             lambda sub: WheelCoreFailure(frozenset(sub.vertices)),
@@ -708,3 +716,79 @@ class TestFallbackExits:
         assert calls == self._calls_up_to("color_d3")
         assert searched == []
         assert verified == []
+
+
+class TestStageOrder:
+    """Each class runs d2, then d1, then d3. The order changes no color and
+    no certificate; a class whose d2 fails goes to the fallback without
+    building a d1 coloring."""
+
+    @staticmethod
+    def _spy(monkeypatch):
+        """Record each d1 and d2 call as (stage, class, result type)."""
+        from fourblocks import decomposition as dec
+
+        calls = []
+        for name in ("color_d1", "color_d2"):
+            def call(sub, *args, _name=name, _real=getattr(dec, name)):
+                r = _real(sub, *args)
+                calls.append((_name, sub.vertices, type(r)))
+                return r
+
+            monkeypatch.setattr(dec, name, call)
+        return calls
+
+    @staticmethod
+    def _found(n, m, seed):
+        d = generate(GenSpec(Family.RANDOM_STRONG, n, m, seed))
+        cert = color_strong_digraph(d, 1, 1)
+        assert isinstance(cert, SubdivisionFound)
+        assert verify_subdivision(d, cert.witness, cert.pattern).ok
+        return d, cert, level_classes(finalize(d, depth_first_out_tree(d, 0)), 1)[0]
+
+    def test_a_failing_d2_skips_d1(self, monkeypatch):
+        calls = self._spy(monkeypatch)
+        d, cert, class1 = self._found(30, 300, 1)
+        assert calls == [("color_d2", class1, OutDegreeFailure)]
+
+        # the same class colors its d1 group: the old order built it for nothing
+        calls.clear()
+        assert naive.color_strong_digraph(d, 1, 1) == cert
+        assert calls == [
+            ("color_d1", class1, Coloring), ("color_d2", class1, OutDegreeFailure)
+        ]
+
+    def test_a_d1_stall_after_d2_colors_reaches_the_fallback(self, monkeypatch):
+        from fourblocks.decomposition import D2Coloring
+
+        calls = self._spy(monkeypatch)
+        _, _, class1 = self._found(17, 204, 1484)
+        assert calls == [
+            ("color_d2", class1, D2Coloring), ("color_d1", class1, WheelCoreFailure)
+        ]
+
+    def test_certificates_match_the_d1_first_reference(self):
+        from fourblocks.cli import _stress_instance
+
+        outcomes = Counter()
+
+        def check(d, k1, k3):
+            cert = color_strong_digraph(d, k1, k3)
+            assert cert == naive.color_strong_digraph(d, k1, k3)
+            outcomes[type(cert).__name__] += 1
+
+        blocks = ((1, 1), (2, 2), (1, 1), (2, 1), (1, 1), (1, 2))
+        for seed in range(300):
+            n = 24 + seed % 17
+            d = generate(GenSpec(Family.RANDOM_STRONG, n, n * (8 + seed % 5), seed))
+            check(d, *blocks[seed % 6])
+        assert outcomes["SubdivisionFound"] >= 75 and outcomes["ColoringWithinBound"] >= 75
+        # the members of CI's strong and planted stress campaigns
+        for family, k1, k3 in (
+            (Family.RANDOM_STRONG, 1, 1),
+            (Family.RANDOM_STRONG, 2, 1),
+            (Family.RANDOM_STRONG, 3, 3),
+            (Family.PLANTED_SUBDIVISION, 2, 1),
+        ):
+            for seed in range(100):
+                check(generate(_stress_instance(family, seed, 24, k1, k3)), k1, k3)
