@@ -50,7 +50,6 @@ from .decomposition import (
     Inconclusive,
     OutDegreeFailure,
     PaletteFailure,
-    SubDigraph,
     SubdivisionFound,
     WheelCoreFailure,
     arc_partition,

@@ -3,30 +3,33 @@
 Given a strong digraph and block lengths (k1, k3) with k = max(k1, k3), the
 pipeline builds a final spanning out-tree, splits vertices into at most 2k
 level classes (level residues mod 2k), and partitions each class's induced
-arcs into three subdigraphs:
+arcs into three groups:
 
     d1: level increases along an ancestor chain,
     d2: level decreases along an ancestor chain (descendant to ancestor),
     d3: everything else.
 
 Each group has its own bounded coloring routine, which colors only the
-vertices on the group's arcs. When every class colors within its stage
-bounds (6, 6 and 4k+2), each vertex is keyed by (class, d1 color, d2
-color, d3 color), a vertex on no arc of a group taking 0 there, and one
-renumbering of those keys gives the final colors: the stages combine
-multiplicatively and classes get disjoint palettes, for at most
-36 * (2k) * (4k+2) colors overall. Each class runs d2, then d1, then d3:
-the stages are independent, so their order changes no color, and d2 is
-the one that fails on dense digraphs, where a d1 coloring built first
-would be thrown away. The first stage failure ends the class loop and
-triggers the exact subdivision search on the whole digraph, so the
-pipeline always returns a checkable certificate: a bounded coloring, a
-verified subdivision witness, or an explicit inconclusive outcome.
+vertices on the group's arcs. A stage takes its group as the arc list that
+``arc_partition`` builds and, when it runs, builds the one adjacency it
+reads: undirected neighbor sets for d1 and d3, out-lists for d2. When
+every class colors within its stage bounds (6, 6 and 4k+2), each vertex
+is keyed by (class, d1 color, d2 color, d3 color), a vertex on no arc of
+a group taking 0 there, and one renumbering of those keys gives the final
+colors: the stages combine multiplicatively and classes get disjoint
+palettes, for at most 36 * (2k) * (4k+2) colors overall. Each class runs
+d2, then d1, then d3: the stages are independent, so their order changes
+no color, and d2 is the one that fails on dense digraphs, where a d1
+coloring built first would be thrown away. The first stage failure ends
+the class loop and triggers the exact subdivision search on the whole
+digraph, so the pipeline always returns a checkable certificate: a
+bounded coloring, a verified subdivision witness, or an explicit
+inconclusive outcome.
 """
 
 from __future__ import annotations
 
-from collections import Counter
+from collections import defaultdict
 from dataclasses import dataclass
 from heapq import heapify, heappop, heappush
 from itertools import chain
@@ -50,37 +53,6 @@ from .witness import (
 )
 
 
-class SubDigraph:
-    """A stage input: a vertex set and arcs between its vertices, keeping
-    the host's vertex ids. ``arc_partition`` builds the pipeline's three per
-    class; tests and callers build their own the same way.
-
-    ``touched`` holds the vertices that lie on an arc; a stage colors
-    exactly these. ``und_adj``, the one adjacency every stage reads, is
-    keyed by ``touched``. Arc directions are read from ``arcs``.
-    """
-
-    __slots__ = ("vertices", "arcs", "touched", "und_adj")
-
-    def __init__(self, vertices, arcs):
-        self.vertices = vertices = frozenset(vertices)
-        self.arcs = frozenset(arcs)
-        self.touched = touched = frozenset(chain.from_iterable(self.arcs))
-        if not touched <= vertices:
-            for u, v in self.arcs:
-                if u not in vertices or v not in vertices:
-                    raise ValueError(f"arc ({u},{v}) leaves the vertex set")
-        self.und_adj = und_adj = {v: set() for v in touched}
-        for u, v in self.arcs:
-            if u == v:
-                raise ValueError(f"loop arc ({u},{v}) not allowed")
-            und_adj[u].add(v)
-            und_adj[v].add(u)
-
-    def __repr__(self) -> str:
-        return f"SubDigraph(|V|={len(self.vertices)}, |A|={len(self.arcs)})"
-
-
 def level_classes(t: OutTree, k: int) -> tuple[frozenset[int], ...]:
     """The level classes V_1..V_m of ``t`` for block parameter k: level l
     goes to V_((l-1) mod 2k + 1), and m = min(2k, tree depth). Every class
@@ -95,19 +67,23 @@ def level_classes(t: OutTree, k: int) -> tuple[frozenset[int], ...]:
     return tuple(map(frozenset, classes))
 
 
-def arc_partition(d: Digraph, t: OutTree, cls) -> tuple[SubDigraph, SubDigraph, SubDigraph]:
-    """Split the arcs induced by one class into the stage inputs (d1, d2,
-    d3) on the class's vertices, checking finality as it reads.
+Arcs = list[tuple[int, int]]
+
+
+def arc_partition(d: Digraph, t: OutTree, cls) -> tuple[Arcs, Arcs, Arcs]:
+    """Split the arcs induced by one class into the arc lists (a1, a2, a3)
+    of groups d1, d2 and d3, checking finality as it reads.
 
     Each out-arc (u,v) of a class vertex u is read once. A backward arc
     (level[u] >= level[v]) must point at an ancestor of u, or the tree is
     not final and ``NotFinalTree`` is raised; inside the class it goes to
     d2. A forward arc inside the class goes to d1 when u is an ancestor of
-    v and to d3 otherwise. Ancestry is read off the tree's pre-order
-    numbers and subtree sizes. Only the out-arcs of class vertices are read, so
-    a call raises exactly when one of them offends. The classes of
-    ``level_classes`` partition the vertices, so calls on all of them read
-    every arc once, and some call raises iff the tree is not final.
+    v and to d3 otherwise, so each induced arc lands in one list, once.
+    Ancestry is read off the tree's pre-order numbers and subtree sizes.
+    Only the out-arcs of class vertices are read, so a call raises exactly
+    when one of them offends. The classes of ``level_classes`` partition
+    the vertices, so calls on all of them read every arc once, and some
+    call raises iff the tree is not final.
     """
     _check_vertex_count(d, t)
     level, out = t.level, d.out_lists()
@@ -126,7 +102,7 @@ def arc_partition(d: Digraph, t: OutTree, cls) -> tuple[SubDigraph, SubDigraph, 
                 raise NotFinalTree(f"backward arc ({u},{v}) points off the root path of {u}")
             elif v in vset:
                 a2.append((u, v))
-    return SubDigraph(vset, a1), SubDigraph(vset, a2), SubDigraph(vset, a3)
+    return a1, a2, a3
 
 
 # --- stage colorings ---------------------------------------------------------
@@ -203,7 +179,8 @@ def peel_low_degree(vertices, adj, threshold: int):
 
 
 def greedy_reverse(adj, order) -> dict[int, int]:
-    """Greedy color in reverse removal order on the undirected adjacency."""
+    """Greedy color in reverse removal order: each vertex takes the least
+    color missing among the vertices of adj[v] colored before it."""
     colors: dict[int, int] = {}
     for v in reversed(order):
         taken = {colors[w] for w in adj[v] if w in colors}
@@ -214,7 +191,19 @@ def greedy_reverse(adj, order) -> dict[int, int]:
     return colors
 
 
-def color_d1(d1: SubDigraph, t: OutTree) -> Union[Coloring, WheelCoreFailure]:
+def _neighbor_sets(arcs: Arcs) -> dict[int, set[int]]:
+    """The undirected neighbor sets of the vertices on an arc, which d1 and
+    d3 color; a loop arc, which no coloring makes proper, raises."""
+    adj: dict[int, set[int]] = defaultdict(set)
+    for u, v in arcs:
+        if u == v:
+            raise ValueError(f"loop arc ({u},{v}) not allowed")
+        adj[u].add(v)
+        adj[v].add(u)
+    return adj
+
+
+def color_d1(arcs: Arcs, t: OutTree) -> Union[Coloring, WheelCoreFailure]:
     """Color the ancestor-increasing arc group with color ids 0..5, as the
     greedy assigns them; the pipeline's one renumbering of the (class, c1,
     c2, c3) keys makes them final.
@@ -225,46 +214,47 @@ def color_d1(d1: SubDigraph, t: OutTree) -> Union[Coloring, WheelCoreFailure]:
     four-blocks cycle subdivision; the core's vertex set is returned as the
     failure evidence.
     """
+    adj = _neighbor_sets(arcs)
     level, num = t.level, t.numbering
     pre, size = num.pre, num.size
-    for u, v in d1.arcs:
+    for u, v in arcs:
         if not (level[u] < level[v] and pre[u] <= pre[v] < pre[u] + size[u]):
             raise ValueError(f"arc ({u},{v}) is not ancestor-increasing")
-    order, core = peel_low_degree(d1.touched, d1.und_adj, 5)
+    order, core = peel_low_degree(adj, adj, 5)
     if core:
         return WheelCoreFailure(frozenset(core))
-    coloring = Coloring(greedy_reverse(d1.und_adj, order))
+    coloring = Coloring(greedy_reverse(adj, order))
     assert coloring.palette_size <= 6
     return coloring
 
 
-def split_by_out_degree(d2: SubDigraph):
+def split_by_out_degree(out: dict[int, list[int]]):
     """(high, max out-degree inside high, worst): high holds the vertices
     of out-degree > 1, and the low part is the rest; worst is (vertex,
     sorted out-neighbors inside high) for the smallest vertex of that max
-    out-degree, or None when high has no arc inside it. Out-degrees come
-    from one pass over ``d2.arcs``."""
-    high = frozenset(v for v, c in Counter(u for u, _ in d2.arcs).items() if c > 1)
-    inside = Counter(u for u, w in d2.arcs if u in high and w in high)
-    max_out = max(inside.values(), default=0)
+    out-degree, or None when high has no arc inside it. ``out`` maps each
+    vertex to its out-list."""
+    high = frozenset(v for v, ws in out.items() if len(ws) > 1)
+    inside = {v: [w for w in out[v] if w in high] for v in high}
+    max_out = max(map(len, inside.values()), default=0)
     if not max_out:
         return high, 0, None
-    v = min(u for u, c in inside.items() if c == max_out)
-    return high, max_out, (v, tuple(sorted(w for u, w in d2.arcs if u == v and w in high)))
+    v = min(u for u, ws in inside.items() if len(ws) == max_out)
+    return high, max_out, (v, tuple(sorted(inside[v])))
 
 
-def _acyclic_peel_order(d2: SubDigraph, vertices) -> list[int]:
-    """Repeatedly remove an in-degree-0 vertex (smallest id first) from the
-    induced subdigraph: the peel at threshold 0 on in-degrees inside the
-    vertex set, counted from ``d2.arcs``. Raises NotAcyclic when vertices
-    are left stuck."""
-    indeg = dict.fromkeys(vertices, 0)
-    for u, w in d2.arcs:
-        if u in indeg and w in indeg:
+def _acyclic_peel_order(out: dict[int, list[int]]) -> list[int]:
+    """Repeatedly remove an in-degree-0 vertex (smallest id first): the peel
+    at threshold 0 on in-degrees, over the vertices that ``out`` maps to
+    their out-lists, each out-neighbor among them. Raises NotAcyclic when
+    vertices are left stuck."""
+    indeg = dict.fromkeys(out, 0)
+    for ws in out.values():
+        for w in ws:
             indeg[w] += 1
     # A vertex taken at in-degree 0 has no in-neighbor left, so the neighbors
     # whose counts it lowers are exactly its remaining out-neighbors.
-    order, stuck = _peel(indeg, d2.und_adj, 0)
+    order, stuck = _peel(indeg, out, 0)
     if stuck:
         raise NotAcyclic(
             "directed cycle found in a descendant-to-ancestor arc group"
@@ -272,7 +262,7 @@ def _acyclic_peel_order(d2: SubDigraph, vertices) -> list[int]:
     return order
 
 
-def color_d2(d2: SubDigraph) -> Union[D2Coloring, OutDegreeFailure]:
+def color_d2(arcs: Arcs) -> Union[D2Coloring, OutDegreeFailure]:
     """Color the descendant-to-ancestor arc group with color ids 0..5, as
     the greedy assigns them; the pipeline's one renumbering of the (class,
     c1, c2, c3) keys makes them final.
@@ -281,26 +271,32 @@ def color_d2(d2: SubDigraph) -> Union[D2Coloring, OutDegreeFailure]:
     reverse uses at most (max out-degree + 1) colors. Vertices of out-degree
     <= 1 take ids 0, 1, the rest ids 2..5 if their induced max out-degree is
     at most 3, which holds unless the host has a four-blocks cycle subdivision.
-    One in-degree-0 peel of the touched vertices is the cycle check, and each
-    part's greedy reads that order's sub-order on the part: in reverse
-    topological order a vertex takes the least color missing among its
-    out-neighbors, which no topological order changes.
+    One in-degree-0 peel of the touched vertices is the cycle check (a loop
+    arc is a cycle), and each part's greedy reads that order's sub-order on
+    the part. Both read the out-lists alone: a vertex taken at in-degree 0
+    lowers the counts of its out-neighbors only, and in reverse topological
+    order the only neighbors already colored are out-neighbors, so a vertex
+    takes the least color missing among them, which no topological order
+    changes.
     """
-    order = _acyclic_peel_order(d2, d2.touched)
-    high, max_out, worst = split_by_out_degree(d2)
+    out: dict[int, list[int]] = {v: [] for v in set(chain.from_iterable(arcs))}
+    for u, v in arcs:
+        out[u].append(v)
+    order = _acyclic_peel_order(out)
+    high, max_out, worst = split_by_out_degree(out)
     if max_out > 3:
         assert worst is not None
         return OutDegreeFailure(worst[0], worst[1])
 
-    colors = greedy_reverse(d2.und_adj, [v for v in order if v not in high])
-    for v, c in greedy_reverse(d2.und_adj, [v for v in order if v in high]).items():
+    colors = greedy_reverse(out, [v for v in order if v not in high])
+    for v, c in greedy_reverse(out, [v for v in order if v in high]).items():
         colors[v] = 2 + c
     assert len(set(colors.values())) <= 6
     return D2Coloring(colors, max_out)
 
 
 def color_d3(
-    d3: SubDigraph, k: int, budget: int = DEFAULT_BUDGET
+    arcs: Arcs, k: int, budget: int = DEFAULT_BUDGET
 ) -> Union[Coloring, PaletteFailure]:
     """Color the remaining arc group with color ids 0..4k+1, as the search
     assigns them; the pipeline's one renumbering of the (class, c1, c2, c3)
@@ -313,10 +309,11 @@ def color_d3(
     failure.
     """
     q = 4 * k + 2
-    heuristic = exactcolor.dsatur(d3.touched, d3.und_adj)
+    adj = _neighbor_sets(arcs)
+    heuristic = exactcolor.dsatur(adj, adj)
     if len(set(heuristic.values())) <= q:
         return Coloring(heuristic)
-    exact = exactcolor.color_within(d3.touched, d3.und_adj, q, budget)
+    exact = exactcolor.color_within(adj, adj, q, budget)
     if exact is None:
         return PaletteFailure(q)
     return Coloring(exact)
@@ -437,15 +434,15 @@ def color_strong_digraph(
     keys: dict[int, tuple[int, int, int, int]] = {}  # vertex -> (class, c1, c2, c3)
 
     for i, cls in enumerate(level_classes(t, k), start=1):
-        d1, d2, d3 = arc_partition(d, t, cls)
-        r2 = color_d2(d2)
+        a1, a2, a3 = arc_partition(d, t, cls)
+        r2 = color_d2(a2)
         if isinstance(r2, OutDegreeFailure):
             return _fallback(
                 d, k1, k3, budget, "color_d2",
                 f"class {i}: vertex {r2.vertex} keeps out-degree "
                 f"{len(r2.out_neighbors)} in the high part",
             )
-        r1 = color_d1(d1, t)
+        r1 = color_d1(a1, t)
         if isinstance(r1, WheelCoreFailure):
             return _fallback(
                 d, k1, k3, budget, "color_d1",
@@ -453,7 +450,7 @@ def color_strong_digraph(
                 f"{len(r1.core)} vertices",
             )
         try:
-            r3 = color_d3(d3, k, budget)
+            r3 = color_d3(a3, k, budget)
         except BudgetExceeded as exc:
             return Inconclusive("color_d3", f"class {i}: {exc}")
         if isinstance(r3, PaletteFailure):

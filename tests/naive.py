@@ -30,18 +30,21 @@ the same ``ParseError`` (line and message) on every text.
 ``scc_ids`` is the generator's Tarjan as it was, over out-lists it rebuilds
 from an arc set; ``digraph.strong_components`` reads the digraph's own
 out-lists and must return the same ids, numbered in completion order.
-``SubDigraph`` and ``color_d1``/``color_d2``/``color_d3`` here are the
-per-class stages as they were when every class vertex entered each peel
-and DSATUR; they call the package's peels, greedy and DSATUR, which the
-reference loops above check. They give 0 to every vertex that no arc of
-the group touches. The package's stages color only the touched vertices
-and must return the same failures, and the same colors on the touched
-vertices; only where the reference d3 runs out of budget among the
-untouched vertices it colors last may the package's d3 return a coloring
-instead. The reference ``color_d2`` keeps its three in-degree peels (the
-cycle check, then one per part), where the package's peels once and colors
-each part in a sub-order of that order. ``SubDigraph`` here keeps an
-``out_adj``, which ``acyclic_peel_order`` reads.
+``color_d1``/``color_d2``/``color_d3`` here are the per-class stages as
+they were when every class vertex entered each peel and DSATUR. They take
+a ``SubDigraph``, a class's vertex set with one group's arcs, which keeps
+an out-list and an undirected neighbor set for every vertex; the package's
+stages take the group's arc list alone. The reference stages call the
+package's degree peel, greedy and DSATUR, which the reference loops above
+check, and give 0 to every vertex that no arc of the group touches. The
+package's stages color only the touched vertices and must return the same
+failures, and the same colors on the touched vertices; only where the
+reference d3 runs out of budget among the untouched vertices it colors
+last may the package's d3 return a coloring instead. The reference
+``color_d2`` keeps its three in-degree peels (the cycle check, then one
+per part), each by ``acyclic_peel_order`` here, and greedy-colors on the
+undirected neighbor sets, where the package's peels once, colors each part
+in a sub-order of that order, and reads the out-lists alone.
 ``color_strong_digraph`` here is the pipeline with each class running d1,
 d2, d3 in that order. The package's runs d2 first, which changes no color,
 and must return the same certificate. The one exception: where d1 and d2
@@ -76,7 +79,6 @@ from fourblocks import decomposition, exactcolor
 from fourblocks.decomposition import (
     D2Coloring,
     PaletteFailure,
-    _acyclic_peel_order,
     greedy_reverse,
 )
 from fourblocks.errors import NotAcyclic, ParseError, UnreachableVertex
@@ -682,14 +684,14 @@ def split_by_out_degree(d2):
 
 def color_d2(d2):
     """The in-degree-0 peels and the two greedies over every class vertex."""
-    _acyclic_peel_order(d2, d2.vertices)
+    acyclic_peel_order(d2, d2.vertices)
     low, high, max_out, worst = split_by_out_degree(d2)
     if max_out > 3:
         assert worst is not None
         return OutDegreeFailure(worst[0], worst[1])
 
-    colors = greedy_reverse(d2.und_adj, _acyclic_peel_order(d2, low))
-    for v, c in greedy_reverse(d2.und_adj, _acyclic_peel_order(d2, high)).items():
+    colors = greedy_reverse(d2.und_adj, acyclic_peel_order(d2, low))
+    for v, c in greedy_reverse(d2.und_adj, acyclic_peel_order(d2, high)).items():
         colors[v] = 2 + c
     assert len(set(colors.values())) <= 6
     return D2Coloring(colors, max_out)
@@ -719,15 +721,15 @@ def color_strong_digraph(d: Digraph, k1: int, k3: int, budget: int = DEFAULT_BUD
     t = dec.finalize(d, dec.spanning_out_tree(d, 0))
     reports, keys = [], {}
     for i, cls in enumerate(dec.level_classes(t, k), start=1):
-        d1, d2, d3 = dec.arc_partition(d, t, cls)
-        r1 = dec.color_d1(d1, t)
+        a1, a2, a3 = dec.arc_partition(d, t, cls)
+        r1 = dec.color_d1(a1, t)
         if isinstance(r1, WheelCoreFailure):
             return dec._fallback(
                 d, k1, k3, budget, "color_d1",
                 f"class {i}: degree-5 peel stalled on a core of "
                 f"{len(r1.core)} vertices",
             )
-        r2 = dec.color_d2(d2)
+        r2 = dec.color_d2(a2)
         if isinstance(r2, OutDegreeFailure):
             return dec._fallback(
                 d, k1, k3, budget, "color_d2",
@@ -735,7 +737,7 @@ def color_strong_digraph(d: Digraph, k1: int, k3: int, budget: int = DEFAULT_BUD
                 f"{len(r2.out_neighbors)} in the high part",
             )
         try:
-            r3 = dec.color_d3(d3, k, budget)
+            r3 = dec.color_d3(a3, k, budget)
         except BudgetExceeded as exc:
             return dec.Inconclusive("color_d3", f"class {i}: {exc}")
         if isinstance(r3, PaletteFailure):

@@ -1,5 +1,6 @@
 import tracemalloc
 from collections import Counter
+from itertools import chain
 
 import pytest
 
@@ -18,7 +19,6 @@ from fourblocks import (
     OutDegreeFailure,
     OutTree,
     PaletteFailure,
-    SubDigraph,
     SubdivisionFound,
     VerifyResult,
     WheelCoreFailure,
@@ -37,7 +37,7 @@ from fourblocks import (
     underlying_graph,
     verify_subdivision,
 )
-from fourblocks.decomposition import SubDigraph, split_by_out_degree
+from fourblocks.decomposition import split_by_out_degree
 
 import naive
 from naive import spanning_out_tree
@@ -49,6 +49,35 @@ def path_tree(n) -> OutTree:
 
 def cycle(n):
     return Digraph(n, ((i, (i + 1) % n) for i in range(n)))
+
+
+def touched(arcs):
+    """The vertices on an arc of a group: the ones its stage colors."""
+    return frozenset(chain.from_iterable(arcs))
+
+
+def spy_classes(monkeypatch):
+    """A list that records each class the pipeline hands to
+    ``arc_partition``; its last entry is the class whose stages run."""
+    from fourblocks import decomposition as dec
+
+    classes, real = [], dec.arc_partition
+
+    def partition(d, t, cls):
+        classes.append(cls)
+        return real(d, t, cls)
+
+    monkeypatch.setattr(dec, "arc_partition", partition)
+    return classes
+
+
+def out_lists(arcs):
+    """Each touched vertex's out-list, in arc order: what ``color_d2``
+    builds from its arc list."""
+    out = {v: [] for v in touched(arcs)}
+    for u, v in arcs:
+        out[u].append(v)
+    return out
 
 
 class TestLevelClasses:
@@ -103,8 +132,8 @@ class TestArcPartition:
         d = Digraph(4, [(0, 1), (0, 2), (2, 3), (1, 2)])
         t = OutTree(0, (None, 0, 0, 2), (1, 2, 2, 3))
         assert level_classes(t, 1) == (frozenset({0, 3}), frozenset({1, 2}))
-        d1, d2, d3 = arc_partition(d, t, {0, 3})
-        assert not d1.arcs and not d2.arcs and not d3.arcs
+        a1, a2, a3 = arc_partition(d, t, {0, 3})
+        assert not a1 and not a2 and not a3
         with pytest.raises(NotFinalTree, match=r"backward arc \(1,2\)"):
             arc_partition(d, t, {1, 2})
 
@@ -115,19 +144,19 @@ class TestArcPartition:
         t = path_tree(6)
         assert_final = [(u, v) for u, v in d.arcs if t.level[u] >= t.level[v]]
         assert all(v == 0 for _, v in assert_final)
-        d1, d2, d3 = arc_partition(d, t, {0, 2, 4})
-        assert d1.arcs == frozenset({(0, 2)})
-        assert d2.arcs == frozenset({(4, 0)})
-        assert d3.arcs == frozenset()
+        a1, a2, a3 = arc_partition(d, t, {0, 2, 4})
+        assert a1 == [(0, 2)]
+        assert a2 == [(4, 0)]
+        assert a3 == []
 
     def test_incomparable_goes_to_a3(self):
         # branches 0->1->2 and 0->3->4->5; (1,5) joins incomparable vertices
         # of the same parity class (levels 2 and 4)
         d = Digraph(6, [(0, 1), (1, 2), (0, 3), (3, 4), (4, 5), (1, 5)])
         t = OutTree(0, (None, 0, 1, 0, 3, 4), (1, 2, 3, 2, 3, 4))
-        d1, d2, d3 = arc_partition(d, t, {1, 3, 5})
-        assert d3.arcs == frozenset({(1, 5)})
-        assert not d1.arcs and not d2.arcs
+        a1, a2, a3 = arc_partition(d, t, {1, 3, 5})
+        assert a3 == [(1, 5)]
+        assert not a1 and not a2
 
     def test_exhaustive_invariants(self):
         for seed in range(25):
@@ -139,35 +168,48 @@ class TestArcPartition:
             for k in (1, 2):
                 cls = level_classes(t, k)
                 for c in cls:
-                    d1, d2, d3 = arc_partition(d, t, c)
+                    a1, a2, a3 = arc_partition(d, t, c)
                     induced = {
                         (u, v) for u, v in d.arcs if u in c and v in c
                     }
-                    assert d1.arcs | d2.arcs | d3.arcs == induced
-                    assert not (d1.arcs & d2.arcs)
-                    assert not (d1.arcs & d3.arcs)
-                    assert not (d2.arcs & d3.arcs)
-                    for u, v in d1.arcs:
+                    # each induced arc lies in exactly one list, once
+                    assert len(a1) + len(a2) + len(a3) == len(induced)
+                    s1, s2, s3 = set(a1), set(a2), set(a3)
+                    assert s1 | s2 | s3 == induced
+                    assert not (s1 & s2)
+                    assert not (s1 & s3)
+                    assert not (s2 & s3)
+                    for u, v in a1:
                         assert t.level[u] < t.level[v] and is_ancestor(t, u, v)
                         assert (t.level[v] - t.level[u]) % (2 * k) == 0
-                    for u, v in d2.arcs:
+                    for u, v in a2:
                         assert t.level[u] > t.level[v] and is_ancestor(t, v, u)
-                    for u, v in d3.arcs:
+                    for u, v in a3:
                         a1_like = t.level[u] < t.level[v] and is_ancestor(t, u, v)
                         a2_like = t.level[u] > t.level[v] and is_ancestor(t, v, u)
                         assert not a1_like and not a2_like
 
 
-class TestSubDigraph:
-    @pytest.mark.parametrize("arc", [(0, 2), (2, 0)])
-    def test_arc_leaving_the_vertex_set_raises(self, arc):
-        with pytest.raises(ValueError, match=rf"arc \({arc[0]},{arc[1]}\) leaves"):
-            SubDigraph({0, 1}, [arc])
+class TestLoopArcs:
+    """A loop arc leaves a group that no coloring makes proper, so every
+    stage refuses it, also among other arcs: d1 and d3 as they build their
+    neighbor sets, d2 as the cycle it is."""
 
-    def test_loop_arc_raises(self):
-        # a loop would leave color_d3 a group that no coloring makes proper
-        with pytest.raises(ValueError, match=r"loop arc \(0,0\) not allowed"):
-            SubDigraph({0, 1}, [(0, 0)])
+    ARCS = [(0, 1), (1, 1)]
+
+    def test_d1_loop_arc_raises(self):
+        with pytest.raises(ValueError, match=r"loop arc \(1,1\) not allowed"):
+            color_d1(self.ARCS, path_tree(2))
+
+    def test_d2_loop_arc_raises(self):
+        with pytest.raises(NotAcyclic):
+            color_d2([(1, 0), (1, 1)])
+        with pytest.raises(NotAcyclic):
+            color_d2([(0, 0)])
+
+    def test_d3_loop_arc_raises(self):
+        with pytest.raises(ValueError, match=r"loop arc \(1,1\) not allowed"):
+            color_d3(self.ARCS, 1)
 
 
 class TestColorD1:
@@ -175,21 +217,20 @@ class TestColorD1:
         # no vertex lies on an arc, so none is colored: the pipeline keys
         # every class vertex with 0 for this group
         t = path_tree(4)
-        out = color_d1(SubDigraph({0, 1, 2, 3}, []), t)
+        out = color_d1([], t)
         assert out == Coloring({}) and out.palette_size == 0
 
     def test_tree_shaped_two_colors(self):
         # ancestor-increasing chain 0->2->4 on the path tree
         t = path_tree(6)
-        d1 = SubDigraph({0, 2, 4}, [(0, 2), (2, 4)])
-        out = color_d1(d1, t)
+        out = color_d1([(0, 2), (2, 4)], t)
         assert isinstance(out, Coloring)
         assert out.palette_size == 2
 
     def test_rejects_non_ancestor_arcs(self):
         t = OutTree(0, (None, 0, 0), (1, 2, 2))
         with pytest.raises(ValueError):
-            color_d1(SubDigraph({1, 2}, [(1, 2)]), t)
+            color_d1([(1, 2)], t)
 
     def test_stall_attaches_wheel(self):
         # all increasing pairs over a path tree: underlying K8, min degree 7.
@@ -197,8 +238,7 @@ class TestColorD1:
         # applies; no wheel is searched for.
         t = path_tree(8)
         arcs = [(i, j) for i in range(8) for j in range(i + 1, 8)]
-        d1 = SubDigraph(set(range(8)), arcs)
-        out = color_d1(d1, t)
+        out = color_d1(arcs, t)
         assert isinstance(out, WheelCoreFailure)
         assert out.core == frozenset(range(8))
 
@@ -209,11 +249,11 @@ class TestColorD1:
         t = path_tree(10)
         arcs = [(i, j) for i in range(8) for j in range(i + 1, 8)]
         arcs += [(0, 8), (8, 9)]
-        d1 = SubDigraph(set(range(10)), arcs)
-        out = color_d1(d1, t)
+        out = color_d1(arcs, t)
         assert isinstance(out, WheelCoreFailure)
         assert out.core == frozenset(range(8))
-        assert all(len(d1.und_adj[v] & out.core) >= 6 for v in out.core)
+        und = Digraph(10, arcs).neighbor_sets()
+        assert all(len(und[v] & out.core) >= 6 for v in out.core)
 
     def test_subdivision_free_instances_never_stall(self):
         checked = 0
@@ -225,8 +265,8 @@ class TestColorD1:
             t = finalize(d, spanning_out_tree(d, 0))
             cls = level_classes(t, 1)
             for c in cls:
-                d1, _, _ = arc_partition(d, t, c)
-                out = color_d1(d1, t)
+                a1, _, _ = arc_partition(d, t, c)
+                out = color_d1(a1, t)
                 assert isinstance(out, Coloring)
                 assert out.palette_size <= 6
                 assert set(out.colors.values()) <= set(range(6))
@@ -236,45 +276,40 @@ class TestColorD1:
 
 class TestColorD2:
     def test_low_out_degree_two_colors(self):
-        d2 = SubDigraph({0, 1, 2, 3}, [(3, 2), (2, 1), (1, 0)])
-        out = color_d2(d2)
+        out = color_d2([(3, 2), (2, 1), (1, 0)])
         assert isinstance(out, Coloring) and out.palette_size <= 2
 
     def test_three_out_neighbors_vertex(self):
-        d2 = SubDigraph({0, 1, 2, 3}, [(3, 0), (3, 1), (3, 2)])
-        out = color_d2(d2)
+        arcs = [(3, 0), (3, 1), (3, 2)]
+        out = color_d2(arcs)
         assert isinstance(out, Coloring)
         assert out.palette_size <= 3
-        und = {frozenset(a) for a in d2.arcs}
+        und = {frozenset(a) for a in arcs}
         for u, v in und:
             assert out.colors[u] != out.colors[v]
 
     def test_out_degree_failure(self):
         arcs = [(9, 5), (9, 6), (9, 7), (9, 8)]
         arcs += [(5, 0), (5, 1), (6, 0), (6, 1), (7, 1), (7, 2), (8, 2), (8, 3)]
-        d2 = SubDigraph(set(range(10)), arcs)
-        out = color_d2(d2)
+        out = color_d2(arcs)
         assert isinstance(out, OutDegreeFailure)
         assert out.vertex == 9
         assert out.out_neighbors == (5, 6, 7, 8)
 
     def test_not_acyclic(self):
-        d2 = SubDigraph({0, 1}, [(0, 1), (1, 0)])
         with pytest.raises(NotAcyclic):
-            color_d2(d2)
+            color_d2([(0, 1), (1, 0)])
 
     def test_split_by_out_degree(self):
-        d2 = SubDigraph({0, 1, 2}, [(2, 0), (2, 1), (1, 0)])
-        high, max_out, _ = split_by_out_degree(d2)
+        high, max_out, _ = split_by_out_degree(out_lists([(2, 0), (2, 1), (1, 0)]))
         assert high == frozenset({2})
         assert max_out == 0  # 2's out-neighbors are in the low part
 
     def test_reports_the_high_parts_max_out_degree(self):
         arcs = [(5, 3), (5, 4), (5, 0), (4, 3), (4, 2), (3, 1), (3, 0)]
-        d2 = SubDigraph(set(range(6)), arcs)
-        out = color_d2(d2)
+        out = color_d2(arcs)
         assert isinstance(out, Coloring)
-        assert out.high_max_out_degree == split_by_out_degree(d2)[1] == 2
+        assert out.high_max_out_degree == split_by_out_degree(out_lists(arcs))[1] == 2
 
     def test_properness_campaign(self):
         for seed in range(30):
@@ -284,10 +319,10 @@ class TestColorD2:
             t = finalize(d, t)
             cls = level_classes(t, 1)
             for c in cls:
-                _, d2, _ = arc_partition(d, t, c)
-                out = color_d2(d2)
+                _, a2, _ = arc_partition(d, t, c)
+                out = color_d2(a2)
                 if isinstance(out, Coloring):
-                    for u, v in d2.arcs:
+                    for u, v in a2:
                         assert out.colors[u] != out.colors[v]
                     assert out.palette_size <= 6
                     assert set(out.colors.values()) <= set(range(6))
@@ -295,32 +330,30 @@ class TestColorD2:
 
 class TestColorD3:
     def test_edgeless(self):
-        out = color_d3(SubDigraph({0, 1}, []), 1)
+        out = color_d3([], 1)
         assert out == Coloring({}) and out.palette_size == 0
 
     def test_directed_path(self):
-        d3 = SubDigraph({0, 1, 2, 3}, [(0, 1), (1, 2), (2, 3)])
-        out = color_d3(d3, 1)
+        out = color_d3([(0, 1), (1, 2), (2, 3)], 1)
         assert isinstance(out, Coloring) and out.palette_size == 2
 
     def test_high_chromatic_forces_two_block_path(self):
         # complete tournament on 7 vertices: chromatic number 7 > 4*1+2
         arcs = [(i, j) for i in range(7) for j in range(i + 1, 7)]
-        d3 = SubDigraph(set(range(7)), arcs)
-        assert color_d3(d3, 1) == PaletteFailure(6)
+        assert color_d3(arcs, 1) == PaletteFailure(6)
         # the theorem behind the bound: a 7-chromatic digraph contains P(3,3)
         d = Digraph(7, arcs)
         paths = naive.recursive_find_two_block_path(d, 3, 3)
         assert paths is not None and naive.two_block_path_fault(d, *paths, 3, 3) is None
 
     def test_exact_fallback_runs_on_the_touched_vertices(self, monkeypatch):
-        # the path 0 -> 1 -> ... -> 9 padded with the isolated vertices
-        # 10..19, with DSATUR made to overshoot 4k+2 = 6: the exact search
-        # colors the 10 touched vertices, one search node each after the
-        # root, so every budget below 11 runs out and every other returns
+        # the path 0 -> 1 -> ... -> 9, with DSATUR made to overshoot
+        # 4k+2 = 6: the exact search colors the 10 touched vertices, one
+        # search node each after the root, so every budget below 11 runs out
+        # and every other returns
         from fourblocks import exactcolor
 
-        d3 = SubDigraph(range(20), [(i, i + 1) for i in range(9)])
+        d3 = [(i, i + 1) for i in range(9)]
         monkeypatch.setattr(
             exactcolor, "dsatur", lambda vs, adj: {v: i for i, v in enumerate(sorted(vs))}
         )
@@ -338,9 +371,8 @@ class TestColorD3:
         for seed in range(25):
             n = 4 + seed % 7
             d = generate(GenSpec(Family.RANDOM_STRONG, n, n + seed % n, seed))
-            sub = SubDigraph(range(d.n), d.arcs)
             for k in (1, 2):
-                out = color_d3(sub, k)
+                out = color_d3(list(d.arcs), k)
                 g = underlying_graph(d)
                 chi = naive.chromatic_number(g)
                 if chi <= 4 * k + 2:
@@ -433,13 +465,13 @@ class TestPipeline:
                 t = finalize(d, depth_first_out_tree(d, 0))
                 keys, palettes = {}, []
                 for i, cls in enumerate(level_classes(t, k), start=1):
-                    d1, d2, d3 = arc_partition(d, t, cls)
-                    r1, r2, r3 = color_d1(d1, t), color_d2(d2), color_d3(d3, k)
-                    for sub, r in ((d1, r1), (d2, r2), (d3, r3)):
-                        assert r.colors.keys() == sub.touched
+                    a1, a2, a3 = arc_partition(d, t, cls)
+                    r1, r2, r3 = color_d1(a1, t), color_d2(a2), color_d3(a3, k)
+                    for arcs, r in ((a1, r1), (a2, r2), (a3, r3)):
+                        assert r.colors.keys() == touched(arcs)
                     c123 = product_coloring(
                         (Coloring(dict.fromkeys(cls, 0)), cls),
-                        (r1, d1.touched), (r2, d2.touched), (r3, d3.touched),
+                        (r1, touched(a1)), (r2, touched(a2)), (r3, touched(a3)),
                     )
                     palettes.append(c123.palette_size)
                     keys.update((v, (i, c)) for v, c in c123.colors.items())
@@ -453,16 +485,16 @@ class TestPipeline:
         split = dec.split_by_out_degree
         seen = []
 
-        def counted(d2):
-            seen.append(d2)
-            return split(d2)
+        def counted(out):
+            seen.append(out)
+            return split(out)
 
         monkeypatch.setattr(dec, "split_by_out_degree", counted)
         d = generate(GenSpec(Family.RANDOM_STRONG, 600, 1200, 1))
         cert = color_strong_digraph(d, 1, 1)
         assert isinstance(cert, ColoringWithinBound)
         assert len(seen) == len(cert.per_class) > 1
-        assert [r.b2_max_out_degree for r in cert.per_class] == [split(d2)[1] for d2 in seen]
+        assert [r.b2_max_out_degree for r in cert.per_class] == [split(out)[1] for out in seen]
 
     def test_each_d2_coloring_peels_once(self, monkeypatch):
         from fourblocks import decomposition as dec
@@ -470,9 +502,9 @@ class TestPipeline:
         peel = dec._acyclic_peel_order
         seen = []
 
-        def counted(d2, vertices):
-            seen.append((d2, vertices))
-            return peel(d2, vertices)
+        def counted(out):
+            seen.append(out)
+            return peel(out)
 
         monkeypatch.setattr(dec, "_acyclic_peel_order", counted)
         d = generate(GenSpec(Family.RANDOM_STRONG, 600, 1200, 1))
@@ -480,10 +512,10 @@ class TestPipeline:
         classes = level_classes(t, 1)
         assert len(classes) > 1
         for cls in classes:
-            _, d2, _ = arc_partition(d, t, cls)
+            _, a2, _ = arc_partition(d, t, cls)
             seen.clear()
-            assert isinstance(color_d2(d2), Coloring)
-            assert seen == [(d2, d2.touched)]
+            assert isinstance(color_d2(a2), Coloring)
+            assert seen == [out_lists(a2)]
 
     # perfbench's tracer times a layer by replacing the module attribute
     # that the pipeline calls; a call through a local alias would leave
@@ -555,8 +587,8 @@ class TestPipeline:
     def test_stage_failure_with_exhausted_oracle_is_inconclusive(self, monkeypatch):
         from fourblocks import decomposition as dec
 
-        def fake_d1(d1, t):
-            return WheelCoreFailure(frozenset(d1.vertices))
+        def fake_d1(arcs, t):
+            return WheelCoreFailure(touched(arcs))
 
         def exhausted(d, p, budget=None):
             raise BudgetExceeded(budget or 0)
@@ -572,7 +604,7 @@ class TestPipeline:
         from fourblocks import decomposition as dec
 
         monkeypatch.setattr(
-            dec, "color_d2", lambda d2: OutDegreeFailure(0, (1, 2, 3, 4))
+            dec, "color_d2", lambda arcs: OutDegreeFailure(0, (1, 2, 3, 4))
         )
         monkeypatch.setattr(
             dec, "find_cycle_subdivision", lambda d, p, budget=None: None
@@ -603,8 +635,8 @@ class TestStageBoundsFromAnyStart:
             differ += len(trees) == 2
             for t in trees:
                 for cls in level_classes(t, k):
-                    d1, d2, d3 = arc_partition(d, t, cls)
-                    r1, r2, r3 = color_d1(d1, t), color_d2(d2), color_d3(d3, k)
+                    a1, a2, a3 = arc_partition(d, t, cls)
+                    r1, r2, r3 = color_d1(a1, t), color_d2(a2), color_d3(a3, k)
                     assert isinstance(r1, Coloring) and r1.palette_size <= 6
                     assert isinstance(r2, Coloring) and r2.palette_size <= 6
                     assert isinstance(r3, Coloring) and r3.palette_size <= 4 * k + 2
@@ -615,7 +647,8 @@ class TestFallbackExits:
     """Every stage failure ends the class loop and reaches the one fallback:
     the whole-digraph search for (k,1,k,1), a witness re-verified against
     (k1,1,k3,1). A 7-cycle with k = 2 has four nonempty level classes; the
-    failure is planted in class 2 = {1, 5}."""
+    failure is planted in class 2 = {1, 5}. A stub stage reads its class off
+    a spy on ``arc_partition``, since a stage takes only its arc list."""
 
     K1, K3, BUDGET = 1, 2, 1234
     SEARCHED = CyclePattern((2, 1, 2, 1))
@@ -623,15 +656,15 @@ class TestFallbackExits:
     STAGES = ("color_d2", "color_d1", "color_d3")
     FAILURES = {
         "color_d1": (
-            lambda sub: WheelCoreFailure(frozenset(sub.vertices)),
+            lambda cls: WheelCoreFailure(frozenset(cls)),
             "class 2: degree-5 peel stalled on a core of 2 vertices",
         ),
         "color_d2": (
-            lambda sub: OutDegreeFailure(1, (2, 3, 4, 5)),
+            lambda cls: OutDegreeFailure(1, (2, 3, 4, 5)),
             "class 2: vertex 1 keeps out-degree 4 in the high part",
         ),
         "color_d3": (
-            lambda sub: PaletteFailure(10),
+            lambda cls: PaletteFailure(10),
             "class 2: the d3 group needs more than 10 colors",
         ),
     }
@@ -641,20 +674,21 @@ class TestFallbackExits:
     }
 
     def _run(self, monkeypatch, stage, fail, search):
-        """Run the pipeline with ``fail(sub)`` standing in for ``stage`` on
+        """Run the pipeline with ``fail(cls)`` standing in for ``stage`` on
         class 2, and ``search`` for the subdivision search. Returns the
         certificate, the (stage, class) calls in order, the searched
         (pattern, budget) pairs and the verified targets."""
         from fourblocks import decomposition as dec
 
         calls, searched, verified = [], [], []
+        classes = spy_classes(monkeypatch)
         for name in self.STAGES:
-            def staged(sub, *args, _name=name, _real=getattr(dec, name)):
-                i = min(sub.vertices) + 1
+            def staged(arcs, *args, _name=name, _real=getattr(dec, name)):
+                i = min(classes[-1]) + 1
                 calls.append((_name, i))
                 if _name == stage and i == 2:
-                    return fail(sub)
-                return _real(sub, *args)
+                    return fail(classes[-1])
+                return _real(arcs, *args)
 
             monkeypatch.setattr(dec, name, staged)
 
@@ -704,7 +738,7 @@ class TestFallbackExits:
         assert verified == []
 
     def test_d3_budget_skips_the_search(self, monkeypatch):
-        def exhausted(sub):
+        def exhausted(cls):
             raise BudgetExceeded(17)
 
         cert, calls, searched, verified = self._run(
@@ -728,11 +762,11 @@ class TestStageOrder:
         """Record each d1 and d2 call as (stage, class, result type)."""
         from fourblocks import decomposition as dec
 
-        calls = []
+        calls, classes = [], spy_classes(monkeypatch)
         for name in ("color_d1", "color_d2"):
-            def call(sub, *args, _name=name, _real=getattr(dec, name)):
-                r = _real(sub, *args)
-                calls.append((_name, sub.vertices, type(r)))
+            def call(arcs, *args, _name=name, _real=getattr(dec, name)):
+                r = _real(arcs, *args)
+                calls.append((_name, classes[-1], type(r)))
                 return r
 
             monkeypatch.setattr(dec, name, call)

@@ -5,7 +5,9 @@ networkx is an independent oracle for strong connectivity, as both
 the core that the degree peel leaves, ``underlying_graph`` for ``neighbor_sets``,
 and ``naive.check_chord_neighbor_bound`` for the chord check. On random
 acyclic arc sets the greedy colors a vertex subset alike in its own peel
-order and in a sub-order of a larger one, which lets ``color_d2`` peel once.
+order and in a sub-order of a larger one, which lets ``color_d2`` peel once,
+and alike on the out-lists and on the undirected adjacency, which lets it
+read the out-lists alone.
 Mutated certificates and mutated digraph files check the error contracts:
 the verifier raises nothing but ValueError, and the command line exits
 within 0-5 without a traceback.
@@ -38,7 +40,6 @@ from fourblocks import (
 )
 from fourblocks.cli import main
 from fourblocks.decomposition import (
-    SubDigraph,
     _acyclic_peel_order,
     greedy_reverse,
     peel_low_degree,
@@ -146,30 +147,40 @@ def test_chord_check_matches_the_naive_oracle():
 
 @st.composite
 def acyclic_parts(draw):
-    """Arcs on 1..12 vertices that all go forward in a drawn vertex order,
-    and a vertex subset, each arc and each vertex kept by a drawn flag."""
+    """Out-lists on 1..12 vertices whose arcs all go forward in a drawn
+    vertex order, and a vertex subset, each arc and each vertex kept by a
+    drawn flag."""
     n = draw(st.integers(1, 12))
     pairs = list(combinations(draw(st.permutations(range(n))), 2))
     arcs = compress(pairs, draw(st.lists(st.booleans(), min_size=len(pairs), max_size=len(pairs))))
     subset = compress(range(n), draw(st.lists(st.booleans(), min_size=n, max_size=n)))
-    return SubDigraph(range(n), arcs), set(subset)
+    out = {v: [] for v in range(n)}
+    for u, v in arcs:
+        out[u].append(v)
+    return out, set(subset)
 
 
 def test_greedy_colors_a_part_alike_in_any_topological_order():
     """``color_d2`` colors each part in the sub-order of one peel of the
     touched vertices: in reverse topological order every colored neighbor
     is an out-neighbor, so the greedy gives each vertex its Grundy number,
-    whichever topological order it reads."""
+    whichever topological order it reads, and reading the out-lists alone
+    gives the same colors."""
 
     @hyp.settings(max_examples=300, **SETTINGS)
     @hyp.given(acyclic_parts())
     def check(case):
-        sub, subset = case
-        part = subset & sub.touched
-        whole = _acyclic_peel_order(sub, sub.touched)
-        own = _acyclic_peel_order(sub, part)
+        out, subset = case
+        und = {v: set(ws) for v, ws in out.items()}
+        for u, ws in out.items():
+            for w in ws:
+                und[w].add(u)
+        part = {v for v in subset if und[v]}
+        whole = _acyclic_peel_order({v: out[v] for v in out if und[v]})
+        own = _acyclic_peel_order({v: [w for w in out[v] if w in part] for v in part})
         sub_order = [v for v in whole if v in part]
-        assert greedy_reverse(sub.und_adj, own) == greedy_reverse(sub.und_adj, sub_order)
+        assert greedy_reverse(und, own) == greedy_reverse(und, sub_order)
+        assert greedy_reverse(out, sub_order) == greedy_reverse(und, sub_order)
 
     check()
 

@@ -52,12 +52,12 @@ def test_workload_certificates_are_pinned(name):
 def test_tracer_counts_a_d3_failure():
     """The traced ``color_d3`` reads the d3 failure type by a name that the
     tracer resolves on every call; a missing name fails every operation."""
-    from fourblocks import SubDigraph, decomposition
+    from fourblocks import decomposition
 
     tracing = load("tracing")
     tracer = tracing.Tracer()
     arcs = [(i, j) for i in range(7) for j in range(i + 1, 7)]
     with tracing.patched(tracing.patch_targets(tracer)):
-        out = decomposition.color_d3(SubDigraph(range(7), arcs), 1)
+        out = decomposition.color_d3(arcs, 1)
     assert out == decomposition.PaletteFailure(6)
     assert tracer.counts["decomposition.stage_failures.d3"] == 1
