@@ -146,19 +146,22 @@ class D2Coloring(Coloring):
 def _peel(counts: dict[int, int], adj, threshold: int):
     """Repeatedly remove the vertex of lowest (count, id) while that count is
     at most threshold, lowering the count of each w in adj[v] still present.
-    ``counts`` holds the vertices still present and is consumed. Returns
-    (removal order, stuck vertex set).
+    ``counts`` holds the vertices still present, ids >= 0, and is consumed.
+    Returns (removal order, stuck vertex set).
 
-    The heap holds only entries at or below the threshold. Counts only
-    fall, and each fall to or below the threshold pushes a fresh entry, so a
-    present vertex's smallest entry is its current count; an entry popped
-    after its vertex is gone is skipped.
+    The heap holds only entries at or below the threshold, each the int
+    ``count << shift | id`` (shift: the largest id's bit length), ordered as
+    (count, id) is. Counts only fall, and each fall to or below the
+    threshold pushes a fresh entry, so a present vertex's smallest entry is
+    its current count; an entry popped after its vertex is gone is skipped.
     """
-    heap = [(c, v) for v, c in counts.items() if c <= threshold]
+    shift = max(counts, default=0).bit_length()
+    mask = (1 << shift) - 1
+    heap = [c << shift | v for v, c in counts.items() if c <= threshold]
     heapify(heap)
     order: list[int] = []
     while heap:
-        v = heappop(heap)[1]
+        v = heappop(heap) & mask
         if v not in counts:
             continue
         del counts[v]
@@ -167,7 +170,7 @@ def _peel(counts: dict[int, int], adj, threshold: int):
             if w in counts:
                 c = counts[w] = counts[w] - 1
                 if c <= threshold:
-                    heappush(heap, (c, w))
+                    heappush(heap, c << shift | w)
     return order, set(counts)
 
 

@@ -14,10 +14,9 @@ u along C[v,u]. Any violation pinpoints a subdivision. The checker walks
 the cycle once, O(n + m) interpreted steps, counting each vertex's
 neighbors so far in packed fields of one ``array``, and keeps that counter
 as one integer, a snapshot, only where some chord's zone starts or ends.
-A chord's zone counts are the difference of two snapshots, so one
-subtraction, shift and mask, run inside C, test its whole gap at once. It
-keeps one record per violating chord, and builds a ``ChordViolation`` row
-only when a reader asks for one.
+A chord's zone counts are the difference of two snapshots; one byte slice
+of it holds the whole gap, which ``bytes.translate`` tests inside C. It
+keeps one record per violating chord, and builds a row only on demand.
 """
 
 from __future__ import annotations
@@ -192,6 +191,10 @@ class ChordViolation(NamedTuple):
     count: int
 
 
+# the zone counts a gap vertex may have, and a table mapping larger bytes to 1
+_SMALL = bytes(range(3))
+_OVER = bytes(3) + bytes([1]) * 253
+
 # ChordViolation from one (u, v, w, count) tuple, skipping the interpreted
 # __new__ that NamedTuple generates
 _violation = partial(tuple.__new__, ChordViolation)
@@ -270,24 +273,24 @@ def check_chord_neighbor_bound(
     D stays below 2^(8W-1). After each x that a chord reads, and after
     x = n, it stores cnt as one integer snap[x]; snap[0] is 0. On the line
     0..2n-1, which lays the positions out twice, the zone of a chord (v,u)
-    is [a, b) = [pos(v) + k, pos(v) + L - k + 1) and its counts are
+    is [a, b), a = (pos(v) + k) mod n and b = a + L - 2k + 1, and its
+    counts are
 
     - snap[b] - snap[a] when the zone ends at or before n-1 (b <= n),
-    - snap[b-n] + snap[n] - snap[a] when it runs across n-1 (a < n < b),
-    - snap[b-n] - snap[a-n] when it starts past n-1 (a >= n).
+    - snap[b-n] + snap[n] - snap[a] when it runs across n-1 (b > n).
 
     Counters only grow and a zone count is at most D, so no field borrows
-    or carries. The counts, laid out twice, are shifted down to the gap
-    [lo, hi) = [pos(u) + 1, pos(u) + n - L), which then never wraps. Adding
-    2^(8W-1) - 3 to every gap field sets a field's top bit exactly when its
-    count exceeds 2, without a carry. A chord whose masked sum is zero is
-    done; otherwise the top byte of each field selects the gap vertices
-    with one ``compress``. With one-byte fields (D <= 127, every benchmark
-    instance) one ``bytes.translate`` that deletes the bytes 0, 1 and 2
-    keeps their counts in order; wider fields take a second ``compress``
-    over a ``memoryview``. Past the walk's O(n + m) interpreted steps, the
-    work, O(n) bytes per chord, runs inside C. The snapshots that chords
-    read are all that is kept: O(min(n, 2c) * n * W) bytes for c chords.
+    or carries. The gap [lo, hi) = [pos(u) + 1, pos(u) + n - L), mod n, is
+    one slice of the counts' bytes laid out twice. With one-byte fields
+    (D <= 127, every benchmark instance) a ``bytes.translate`` deleting the
+    bytes 0, 1 and 2 keeps the counts above 2 in order; if any are left, a
+    ``translate`` through ``_OVER`` selects the gap vertices with one
+    ``compress``. Wider fields OR ``_OVER`` of each field's low byte with
+    its higher bytes through ``int.from_bytes``, and select the counts with
+    a second ``compress`` over a ``memoryview``. Past the walk's O(n + m)
+    interpreted steps, the work, O(n) bytes per chord, runs inside C. The
+    snapshots that chords read are all that is kept: O(min(n, 2c) * n * W)
+    bytes for c chords.
     """
     if k < 1:
         raise ValueError("block parameter k must be positive")
@@ -312,28 +315,20 @@ def check_chord_neighbor_bound(
             # empty gap, so arcs whose underlying edge lies on C add no rows
             if L < 2 * k:
                 continue
-            a, b = pv + k, pv + L - k + 1
-            chords.append((u, v, pu + 1, pu + n - L, a, b))
-            marked[a - n if a > n else a] = marked[b - n if b > n else b] = 1
+            a, lo = (pv + k) % n, (pu + 1) % n
+            b = a + L - 2 * k + 1
+            chords.append((u, v, lo, lo + n - L - 1, a, b))
+            marked[a] = marked[b - n if b > n else b] = 1
 
     # the narrowest unsigned field whose top bit stays clear up to the
     # largest degree D; a zone count, at most D, fits in it too
     degree = max(map(len, adj))
     code = next(f for f in "BHILQ" if degree >> (8 * array(f).itemsize - 1) == 0)
     width = array(code).itemsize
-    bits = 8 * width
     endian = sys.byteorder
-    top_byte = width - 1 if endian == "little" else 0
-    # plus: 2^(bits-1) - (bound + 1) in each of n fields, high: 2^(bits-1)
-    # in each; a gap of g fields shifts both down to g fields
-    bound = 2
-    ones = int.from_bytes(array(code, [1]) * n, endian)
-    plus = ((1 << (bits - 1)) - bound - 1) * ones
-    high = (1 << (bits - 1)) * ones
-    # small: the counts 0..bound, the fields whose top bit plus leaves
-    # clear; a one-byte field is its count, so deleting these byte values
-    # from a gap's counts keeps exactly the counts that plus flags
-    small = bytes(range(bound + 1))
+    # a field's low byte, and its higher bytes, all 0 below a count of 256
+    low = 0 if endian == "little" else width - 1
+    high = [j for j in range(width) if j != low]
 
     snap = [0] * (n + 1)
     cnt = array(code, bytes(n * width))
@@ -346,22 +341,20 @@ def check_chord_neighbor_bound(
     line = order + order
     found = []
     for u, v, lo, hi, a, b in chords:
-        if b <= n:
-            zone = snap[b] - snap[a]
-        elif a < n:
-            zone = snap[b - n] + snap[n] - snap[a]
+        zone = snap[b] - snap[a] if b <= n else snap[b - n] + snap[n] - snap[a]
+        gb = (zone.to_bytes(n * width, endian) * 2)[lo * width:hi * width]
+        if width == 1:
+            counts = gb.translate(None, _SMALL)
+            if not counts:
+                continue
+            over = gb.translate(_OVER)
         else:
-            zone = snap[b - n] - snap[a - n]
-        gap = (zone | zone << bits * n) >> bits * lo
-        shift = bits * (n - hi + lo)
-        over = (gap + (plus >> shift)) & (high >> shift)
-        if over:
-            size = (hi - lo) * width
-            above = over.to_bytes(size, endian)[top_byte::width]
-            counts = (gap & ((1 << 8 * size) - 1)).to_bytes(size, endian)
-            if width == 1:
-                counts = counts.translate(None, small)
-            else:
-                counts = compress(memoryview(counts).cast(code), above)
-            found.append((u, v, tuple(compress(line[lo:hi], above)), tuple(counts)))
+            over = int.from_bytes(gb[low::width].translate(_OVER), "little")
+            for j in high:
+                over |= int.from_bytes(gb[j::width], "little")
+            if not over:
+                continue
+            over = over.to_bytes(hi - lo, "little")
+            counts = compress(memoryview(gb).cast(code), over)
+        found.append((u, v, tuple(compress(line[lo:hi], over)), tuple(counts)))
     return ChordViolations(tuple(found))

@@ -198,6 +198,45 @@ def test_degree_peels_match(family):
     assert seen["stall"] and seen["full"]
 
 
+def test_peels_on_edge_case_ids():
+    """The shared peel keys its heap with ``count << shift | id``, shift the
+    bit length of the largest id: ids spaced by 2^20, 0 among them, vertex 0
+    alone and no vertex at all peel as the reference peels do, at
+    thresholds 0 and 5, undirected and by in-degree."""
+    rng = Rng(23)
+    spaced = [i << 20 for i in range(40)]
+    edges = {
+        (spaced[i], spaced[j])
+        for i, j in ((rng.randrange(40), rng.randrange(40)) for _ in range(100))
+        if i < j
+    }
+    cases = [(spaced, edges), (spaced[::-1], set()), ([0], set()), ([], set())]
+    seen = Counter()
+    for vs, edges in cases:
+        adj = {v: set() for v in vs}
+        for u, w in edges:
+            adj[u].add(w)
+            adj[w].add(u)
+        for threshold in (0, 5):
+            got = peel_low_degree(vs, adj, threshold)
+            assert got == naive.peel_low_degree(vs, adj, threshold)
+            seen["stall" if got[1] else "full"] += 1
+        # forward arcs u < w are acyclic; one arc back makes a cycle
+        for arcs in (edges, edges | {(w, u) for u, w in sorted(edges)[:1]}):
+            out = {v: [w for u, w in arcs if u == v] for v in vs}
+            try:
+                got = _acyclic_peel_order(out)
+            except NotAcyclic:
+                got = NotAcyclic
+            try:
+                want = naive.acyclic_peel_order(naive.SubDigraph(vs, arcs), vs)
+            except NotAcyclic:
+                want = NotAcyclic
+            assert got == want
+            seen["cyclic" if got is NotAcyclic else "acyclic"] += 1
+    assert seen["stall"] and seen["full"] and seen["cyclic"] and seen["acyclic"]
+
+
 @pytest.mark.parametrize("family", sorted(FAMILIES))
 def test_acyclic_peel_matches(family):
     rng = Rng(11)
@@ -478,6 +517,10 @@ def chord_shapes(d, c, k):
                 shapes.add("zone past n-1")
             if pu + 1 < n < pu + n - L:
                 shapes.add("gap across n-1")
+            if pu + 1 < n == pu + n - L:
+                shapes.add("gap ends at n-1")
+            if pu == n - 1 and L < n - 1:
+                shapes.add("gap starts at n")
     return shapes
 
 
@@ -521,8 +564,9 @@ def test_chord_sweep_matches_set_intersections():
     assert seen["violations"] and seen["none"]
     assert seen["antiparallel"] and seen["short"]
     assert seen["zone across n-1"] and seen["zone past n-1"] and seen["gap across n-1"]
-    # with "zone across n-1" and "zone past n-1": all three snapshot
-    # differences the check takes
+    assert seen["gap ends at n-1"] and seen["gap starts at n"]
+    # with "zone across n-1" and "zone past n-1": zones that end before,
+    # run across and start past position n-1
     assert seen["zone before n-1"]
     assert seen["count 2 beside a row of count 3"]
 
@@ -583,6 +627,47 @@ def test_chord_check_with_wide_counter_fields(degree, shift):
         want = naive.check_chord_neighbor_bound(d, c, k)
         assert sum(w == hub and count > 100 for _, _, w, count in want) >= 5
         assert check_chord_neighbor_bound(d, c, k) == want
+
+
+def test_chord_check_counts_past_one_byte():
+    """Two-byte counter fields hold zone counts of 256 and more, whose low
+    byte alone reads 0, 1, 2 or 3: on a 600-cycle, the gap vertices of the
+    chord (0, 400) with 256 to 259 neighbors in its zone are rows, and the
+    one with 2 is not."""
+    n = 600
+    arcs = {(i, (i + 1) % n) for i in range(n)} | {(0, 400)}
+    counts = {450: 256, 460: 257, 470: 258, 480: 259, 490: 2}
+    for w, count in counts.items():
+        arcs |= {(w, 2 + j) for j in range(count)}
+    d, c = Digraph(n, arcs), HamiltonianCycle(tuple(range(n)))
+    got = check_chord_neighbor_bound(d, c, 1)
+    assert got == naive.check_chord_neighbor_bound(d, c, 1)
+    rows = {(w, count) for u, v, w, count in got if (u, v) == (400, 0)}
+    assert rows == {(w, count) for w, count in counts.items() if count > 2}
+
+
+@pytest.mark.parametrize("degree", [127, 200])
+def test_chord_gaps_sliced_at_the_wrap(degree):
+    """The check slices a chord's gap out of its zone counts' bytes, in two
+    pieces when the gap runs across position n-1. With the hub in the gap
+    of the chord (at(40), at(360)) of ``hub_cycle``, that gap ends exactly
+    at n-1 for shift 380, starts at position 0 (u at n-1) for shift 59,
+    and runs across n-1 with the hub before and after the wrap for shifts
+    400 and 0; degree 127 packs one-byte counter fields and 200 two-byte
+    ones."""
+    seen = set()
+    for shift in (380, 59, 400, 0):
+        d, c, hub = hub_cycle(degree, shift)
+        at = lambda p: c.order[(p + shift) % c.n]
+        for k in (1, 5):
+            want = naive.check_chord_neighbor_bound(d, c, k)
+            got = check_chord_neighbor_bound(d, c, k)
+            assert got == want
+            assert any(
+                (u, v) == (at(360), at(40)) and hub in ws for u, v, ws, _ in got.chords
+            )
+            seen.update(chord_shapes(d, c, k))
+    assert {"gap ends at n-1", "gap starts at n", "gap across n-1"} <= seen
 
 
 def kernel_cases():

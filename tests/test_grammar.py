@@ -10,6 +10,12 @@ that are listed in ``NEWER``: a module (``tomllib``), a module attribute
 AST walk finds them in imports, in attribute reads on a name bound by
 ``import``, and in plain name reads. It only reads the files, so a name
 reached another way (``getattr``, a re-export) still passes.
+
+Nor may they call ``.to_bytes`` or ``.from_bytes`` without the arguments
+that 3.10 requires: ``int.to_bytes`` takes ``length`` and ``byteorder``,
+and ``int.from_bytes`` takes ``byteorder``; their defaults are new in
+3.11. A call whose arguments are unpacked (``*args``, ``**kwargs``) is not
+judged.
 """
 
 import ast
@@ -38,6 +44,8 @@ NEWER = {
     "math": {"exp2", "cbrt"},
 }
 NEWER_BUILTINS = {"ExceptionGroup", "BaseExceptionGroup"}
+# method -> its parameters that are required before 3.11, in order
+REQUIRED_ARGS = {"to_bytes": ("length", "byteorder"), "from_bytes": ("bytes", "byteorder")}
 
 
 def newer_names(source: str) -> list[str]:
@@ -64,6 +72,25 @@ def newer_names(source: str) -> list[str]:
             found.append(f"{node.lineno}: {modules[node.value.id]}.{node.attr}")
         elif isinstance(node, ast.Name) and node.id in NEWER_BUILTINS:
             found.append(f"{node.lineno}: {node.id}")
+    return sorted(found)
+
+
+def short_byte_calls(source: str) -> list[str]:
+    """Each ``.to_bytes`` or ``.from_bytes`` call in source that leaves out
+    an argument 3.10 requires, as "line: method without name"."""
+    found = []
+    for node in ast.walk(ast.parse(source)):
+        if not (isinstance(node, ast.Call) and isinstance(node.func, ast.Attribute)
+                and node.func.attr in REQUIRED_ARGS):
+            continue
+        if any(isinstance(a, ast.Starred) for a in node.args) or any(
+                kw.arg is None for kw in node.keywords):
+            continue
+        required = REQUIRED_ARGS[node.func.attr]
+        given = {kw.arg for kw in node.keywords}
+        for name in required[len(node.args):]:
+            if name not in given:
+                found.append(f"{node.lineno}: {node.func.attr} without {name}")
     return sorted(found)
 
 
@@ -95,3 +122,41 @@ def test_every_listed_name_is_found():
     assert found == listed | NEWER_BUILTINS | {"tomllib", "tomllib.loads"}
     # a local name that merely shares an attribute's spelling is not flagged
     assert newer_names("import math\nclass C:\n    cbrt = 1\nC.cbrt\nmath.sqrt(4)") == []
+
+
+@pytest.mark.parametrize("path", FILES, ids=lambda p: str(p.relative_to(ROOT)))
+def test_byte_conversions_pass_the_arguments_3_10_requires(path):
+    assert short_byte_calls(path.read_text()) == []
+
+
+def test_every_short_byte_call_is_found():
+    source = "\n".join([
+        "x.to_bytes()",
+        "x.to_bytes(4)",
+        "x.to_bytes(length=4)",
+        "x.to_bytes(byteorder='big')",
+        "int.from_bytes(b)",
+        "int.from_bytes(bytes=b)",
+        "int.from_bytes(b, signed=True)",
+    ])
+    assert short_byte_calls(source) == [
+        "1: to_bytes without byteorder",
+        "1: to_bytes without length",
+        "2: to_bytes without byteorder",
+        "3: to_bytes without byteorder",
+        "4: to_bytes without length",
+        "5: from_bytes without byteorder",
+        "6: from_bytes without byteorder",
+        "7: from_bytes without byteorder",
+    ]
+    # full calls, positional or by keyword, and unpacked arguments pass
+    assert short_byte_calls("\n".join([
+        "x.to_bytes(4, 'big')",
+        "x.to_bytes(4, byteorder='little', signed=True)",
+        "x.to_bytes(byteorder='big', length=4)",
+        "int.from_bytes(b, 'little')",
+        "int.from_bytes(bytes=b, byteorder='big')",
+        "x.to_bytes(*args)",
+        "int.from_bytes(b, **kw)",
+        "to_bytes()",
+    ])) == []
