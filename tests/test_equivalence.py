@@ -648,24 +648,22 @@ def test_chord_check_counts_past_one_byte():
 
 @pytest.mark.parametrize("degree", [127, 200])
 def test_chord_gaps_sliced_at_the_wrap(degree):
-    """The check slices a chord's gap out of its zone counts' bytes, in two
-    pieces when the gap runs across position n-1. With the hub in the gap
-    of the chord (at(40), at(360)) of ``hub_cycle``, that gap ends exactly
-    at n-1 for shift 380, starts at position 0 (u at n-1) for shift 59,
-    and runs across n-1 with the hub before and after the wrap for shifts
-    400 and 0; degree 127 packs one-byte counter fields and 200 two-byte
-    ones."""
+    """The check slices a chord's gap, its start taken mod n, out of its
+    zone counts' bytes laid out twice. With the hub in the gap of the chord
+    (v, u) at cycle positions (40, 360) after the hub's 0 in ``hub_cycle``,
+    that gap ends exactly at n-1 for shift 380, starts at position 0 (u at
+    n-1) for shift 59, and runs across n-1 with the hub before and after
+    the wrap for shifts 400 and 0; degree 127 packs one-byte counter fields
+    and 200 two-byte ones."""
     seen = set()
     for shift in (380, 59, 400, 0):
         d, c, hub = hub_cycle(degree, shift)
-        at = lambda p: c.order[(p + shift) % c.n]
+        chord = (c.order[(360 + shift) % c.n], c.order[(40 + shift) % c.n])
         for k in (1, 5):
             want = naive.check_chord_neighbor_bound(d, c, k)
             got = check_chord_neighbor_bound(d, c, k)
             assert got == want
-            assert any(
-                (u, v) == (at(360), at(40)) and hub in ws for u, v, ws, _ in got.chords
-            )
+            assert any((u, v) == chord and hub in ws for u, v, ws, _ in got.chords)
             seen.update(chord_shapes(d, c, k))
     assert {"gap ends at n-1", "gap starts at n", "gap across n-1"} <= seen
 
