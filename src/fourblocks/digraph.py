@@ -1,59 +1,64 @@
 """Core digraph and coloring types.
 
 Vertices are always dense integer ids 0..n-1. A ``Digraph`` may contain
-digons (both (u,v) and (v,u)) but never loops or duplicate arcs. It keeps
-its arcs and one sorted out-list per vertex, built from the arcs, so a
-vertex without out-arcs costs one shared empty tuple. Every layer reads
-the digraph's adjacency from those out-lists, one at a time or all of them
-through ``out_lists()``, and every other view (the undirected neighbor
-sets, the strong components) is read off them and the arcs. Its ``UGraph``
-view forgets orientations and collapses each digon to a single edge.
-Colorings are plain vertex->color mappings; properness is always judged on
-an undirected graph.
+digons (both (u,v) and (v,u)) but never loops or duplicate arcs. It stores
+its arcs once, as one sorted out-list per vertex, so a vertex without
+out-arcs costs one shared empty tuple, and it keeps their count m. Every
+layer reads the digraph's adjacency from those out-lists, one at a time or
+all of them through ``out_lists()``, and every other view (the arc set, the
+undirected neighbor sets, the strong components) is read off them. Its
+``UGraph`` view forgets orientations and collapses each digon to a single
+edge. Colorings are plain vertex->color mappings; properness is always
+judged on an undirected graph.
 """
 
 from __future__ import annotations
 
 import re
+from bisect import bisect_left
 from collections import defaultdict
 from dataclasses import dataclass
 from operator import eq
-from typing import Hashable, Iterable, Optional, Sequence
+from typing import Hashable, Iterable, Mapping, Optional, Sequence
 
 from .errors import ParseError
 
 
 class Digraph:
-    """Loop-free directed graph on vertices 0..n-1, digons allowed."""
+    """Loop-free directed graph on vertices 0..n-1, digons allowed: n, the
+    arc count m, and the heads of each vertex's out-arcs in ascending order."""
 
-    __slots__ = ("n", "arcs", "_out", "_und")
+    __slots__ = ("n", "m", "_out", "_und")
 
     def __init__(self, n: int, arcs: Iterable[tuple[int, int]]):
         if n < 0:
             raise ValueError("vertex count must be nonnegative")
-        arc_set = frozenset((int(u), int(v)) for u, v in arcs)
-        for u, v in arc_set:
+        heads: defaultdict[int, set[int]] = defaultdict(set)
+        for u, v in arcs:
+            u, v = int(u), int(v)
             if u == v:
                 raise ValueError(f"loop arc ({u},{v}) not allowed")
             if not (0 <= u < n and 0 <= v < n):
                 raise ValueError(f"arc ({u},{v}) out of range for n={n}")
-        self._build(n, arc_set)
+            heads[u].add(v)
+        self._build(n, heads)
 
-    def _build(self, n: int, arcs: Iterable[tuple[int, int]]) -> "Digraph":
-        """Set every field from arcs already checked, kept in input order.
-        Work beyond one shared empty tuple per vertex follows the arcs."""
+    def _build(self, n: int, heads: Mapping[int, set[int]]) -> "Digraph":
+        """Set every field from the checked heads of each tail. Work beyond
+        one shared empty tuple per vertex follows the arcs."""
         self.n = n
-        self.arcs = frozenset(arcs)
-        heads: defaultdict[int, list[int]] = defaultdict(list)
-        for u, v in self.arcs:
-            heads[u].append(v)
-        out: list[tuple[int, ...]] = [()] * n
+        self.m = sum(map(len, heads.values()))
+        out = self._out = [()] * n
         for u, vs in heads.items():
-            vs.sort()
-            out[u] = tuple(vs)
-        self._out = out
+            out[u] = tuple(sorted(vs))
         self._und: Optional[list[set[int]]] = None
         return self
+
+    @property
+    def arcs(self) -> frozenset[tuple[int, int]]:
+        """Every arc (u,v), built anew from the out-lists on each read, in
+        O(m). No module of the library reads it."""
+        return frozenset((u, v) for u, vs in enumerate(self._out) for v in vs)
 
     def out_neighbors(self, u: int) -> tuple[int, ...]:
         return self._out[u]
@@ -80,16 +85,20 @@ class Digraph:
         return self._und
 
     def has_arc(self, u: int, v: int) -> bool:
-        return (u, v) in self.arcs
+        """Whether (u,v) is an arc, by bisecting u's out-list; False for
+        any u outside 0..n-1."""
+        vs = self._out[u] if 0 <= u < self.n else ()
+        i = bisect_left(vs, v)
+        return i < len(vs) and vs[i] == v
 
     def __eq__(self, other) -> bool:
-        return isinstance(other, Digraph) and self.n == other.n and self.arcs == other.arcs
+        return isinstance(other, Digraph) and self.n == other.n and self._out == other._out
 
     def __hash__(self) -> int:
-        return hash((self.n, self.arcs))
+        return hash((self.n, tuple(self._out)))
 
     def __repr__(self) -> str:
-        return f"Digraph(n={self.n}, m={len(self.arcs)})"
+        return f"Digraph(n={self.n}, m={self.m})"
 
 
 class UGraph:
@@ -159,7 +168,7 @@ class Coloring:
 
 def underlying_graph(d: Digraph) -> UGraph:
     """Forget orientations; a digon collapses to one edge."""
-    return UGraph(d.n, ((u, v) for u, v in d.arcs))
+    return UGraph(d.n, ((u, v) for u, vs in enumerate(d.out_lists()) for v in vs))
 
 
 def is_strongly_connected(d: Digraph) -> bool:
@@ -168,7 +177,7 @@ def is_strongly_connected(d: Digraph) -> bool:
         raise ValueError("empty digraph has no connectivity status")
     if d.n == 1:
         return True
-    return len(d.arcs) >= d.n and not any(strong_components(d))
+    return d.m >= d.n and not any(strong_components(d))
 
 
 def strong_components(d: Digraph) -> list[int]:
@@ -270,25 +279,29 @@ _PLAIN = re.compile(r"(?:[ \t]*[0-9]{1,18}[ \t]+[0-9]{1,18}[ \t]*(?:\r?\n|\Z))+"
 
 def parse_digraph(text: str) -> Digraph:
     plain = _PLAIN.match(text)
-    bulk = _parse_bulk(text) if plain and plain.end() == len(text) else None
-    return Digraph.__new__(Digraph)._build(*bulk) if bulk else _parse_lines(text)
+    d = _parse_bulk(text) if plain and plain.end() == len(text) else None
+    return d if d is not None else _parse_lines(text)
 
 
-def _parse_bulk(text: str) -> Optional[tuple[int, frozenset[tuple[int, int]]]]:
-    """(n, arcs) from text of plain digit lines, or None if a check fails."""
+def _parse_bulk(text: str) -> Optional[Digraph]:
+    """The digraph of text of plain digit lines, or None if a check fails;
+    a duplicate arc shows as fewer distinct arcs than declared."""
     nums = list(map(int, text.split()))
     n, m = nums[0], nums[1]
     us, vs = nums[2::2], nums[3::2]
     if len(us) != m or max(us, default=-1) >= n or max(vs, default=-1) >= n:
         return None
-    arcs = frozenset(zip(us, vs))
-    return (n, arcs) if len(arcs) == m and not any(map(eq, us, vs)) else None
+    heads: defaultdict[int, set[int]] = defaultdict(set)
+    for u, v in zip(us, vs):
+        heads[u].add(v)
+    d = Digraph.__new__(Digraph)._build(n, heads)
+    return d if d.m == m and not any(map(eq, us, vs)) else None
 
 
 def _parse_lines(text: str) -> Digraph:
     header: Optional[tuple[int, int]] = None
-    arcs: list[tuple[int, int]] = []
-    seen: set[tuple[int, int]] = set()
+    heads: defaultdict[int, set[int]] = defaultdict(set)
+    count = 0
     for lineno, raw in enumerate(text.splitlines(), start=1):
         line = raw.strip()
         if not line or line.startswith("#"):
@@ -316,23 +329,23 @@ def _parse_lines(text: str) -> Digraph:
             raise ParseError(lineno, f"arc ({u},{v}) out of range for n={n}")
         if u == v:
             raise ParseError(lineno, f"loop arc ({u},{u}) not allowed")
-        if (u, v) in seen:
+        if v in heads[u]:
             raise ParseError(lineno, f"duplicate arc ({u},{v})")
-        seen.add((u, v))
-        arcs.append((u, v))
-        if len(arcs) > header[1]:
+        heads[u].add(v)
+        count += 1
+        if count > header[1]:
             raise ParseError(lineno, f"more than the declared {header[1]} arcs")
     if header is None:
         raise ParseError(1, "empty input: missing 'n m' header")
-    if len(arcs) != header[1]:
+    if count != header[1]:
         raise ParseError(
             len(text.splitlines()) or 1,
-            f"declared {header[1]} arcs but found {len(arcs)}",
+            f"declared {header[1]} arcs but found {count}",
         )
-    return Digraph.__new__(Digraph)._build(header[0], arcs)
+    return Digraph.__new__(Digraph)._build(header[0], heads)
 
 
 def format_digraph(d: Digraph) -> str:
-    lines = [f"{d.n} {len(d.arcs)}"]
-    lines.extend(f"{u} {v}" for u, v in sorted(d.arcs))
+    lines = [f"{d.n} {d.m}"]
+    lines.extend(f"{u} {v}" for u, vs in enumerate(d.out_lists()) for v in vs)
     return "\n".join(lines) + "\n"

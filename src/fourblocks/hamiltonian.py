@@ -49,9 +49,13 @@ class HamiltonianCycle:
         return len(self.order)
 
     def is_valid_for(self, d: Digraph) -> bool:
+        """Whether the order is a Hamiltonian directed cycle of d. Each
+        vertex is the tail of one cycle pair, so the out-list scans read at
+        most m heads."""
         if len(self.order) != d.n or d.n < 2 or sorted(self.order) != list(range(d.n)):
             return False
-        return d.arcs.issuperset(zip(self.order, self.order[1:] + self.order[:1]))
+        out = d.out_lists()
+        return all(v in out[u] for u, v in zip(self.order, self.order[1:] + self.order[:1]))
 
     def positions(self) -> list[int]:
         """positions()[v]: the index of vertex v in ``order``."""

@@ -136,8 +136,8 @@ def depth_first_out_tree(d: Digraph, r: int) -> OutTree:
     when it is handed this tree and this same d."""
     if not (0 <= r < d.n):
         raise ValueError(f"root {r} out of range")
-    if d.n > 1 and len(d.arcs) < d.n:
-        raise NotStronglyConnected(f"{d.n} vertices but only {len(d.arcs)} arcs")
+    if d.n > 1 and d.m < d.n:
+        raise NotStronglyConnected(f"{d.n} vertices but only {d.m} arcs")
     out = d.out_lists()
     parent: list[Optional[int]] = [None] * d.n
     level = [0] * d.n
@@ -196,10 +196,11 @@ def _check_vertex_count(d: Digraph, t: OutTree) -> None:
 
 def is_final(d: Digraph, t: OutTree) -> bool:
     """True iff every backward arc (x,y) has y on the root path of x: one
-    scan of the arcs, O(m) on every call."""
+    scan of the out-lists, O(n + m) on every call."""
     _check_vertex_count(d, t)
     level, num = t.level, t.numbering
-    return all(level[x] < level[y] or num.is_ancestor(y, x) for x, y in d.arcs)
+    return all(level[x] < level[y] or num.is_ancestor(y, x)
+               for x, ys in enumerate(d.out_lists()) for y in ys)
 
 
 def finalize(d: Digraph, t: OutTree) -> OutTree:

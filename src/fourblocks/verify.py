@@ -43,11 +43,11 @@ def _check(d: Digraph, cert: dict) -> VerifyResult:
             return VerifyResult(False, "empty stall core")
         if not all(0 <= v < d.n for v in core):
             raise ValueError(f"core vertices must lie in 0..{d.n - 1}")
-        # undirected core neighbors, from the arcs inside the core, so the
-        # check costs no step per vertex outside it; a digon counts once
+        # undirected core neighbors from the core vertices' out-lists alone,
+        # so no step per vertex outside the core; a digon counts once
         adj: dict[int, set[int]] = {v: set() for v in core}
-        for u, v in d.arcs:
-            if u in adj and v in adj:
+        for u in core:
+            for v in adj.keys() & d.out_neighbors(u):
                 adj[u].add(v)
                 adj[v].add(u)
         min_deg = min(map(len, adj.values()))
@@ -92,7 +92,7 @@ def _coloring(d: Digraph, cert: dict) -> VerifyResult:
     if not isinstance(colors, list) or len(colors) != d.n:
         raise ValueError(f"colors must list all {d.n} vertices")
     coloring = Coloring({v: json_int(c) for v, c in enumerate(colors)})
-    if any(coloring.colors[u] == coloring.colors[v] for u, v in d.arcs):
+    if any(colors[u] == colors[v] for u, vs in enumerate(d.out_lists()) for v in vs):
         return VerifyResult(False, "coloring is not proper")
     if coloring.palette_size > bound:
         return VerifyResult(False, f"palette {coloring.palette_size} exceeds bound {bound}")

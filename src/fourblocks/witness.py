@@ -124,10 +124,12 @@ def find_cycle_subdivision(
     exhausted. Raises BudgetExceeded when the node budget runs out first.
     The kernel answers ABSENT without a node when the blocks need more
     than n vertices or fewer than two tails or two heads carry two arcs;
-    those cases are decided here from the arcs, before the kernel's set-up
-    costs a step per declared vertex. The kernel reads ``d.out_lists()``.
+    those cases are decided here in one pass over the out-lists, which
+    stops once two of each are seen, before the kernel's set-up builds an
+    in-list per declared vertex. The kernel reads the same out-lists.
     """
-    if sum(p.blocks) > d.n or not _has_two_forks_each_way(d.arcs):
+    arcs = ((u, v) for u, vs in enumerate(d.out_lists()) for v in vs)
+    if sum(p.blocks) > d.n or not _has_two_forks_each_way(arcs):
         return None
     status, payload, nodes = _kernel.search_cycle_subdivision(
         d.out_lists(), *p.blocks, budget

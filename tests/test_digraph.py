@@ -88,10 +88,66 @@ class TestDigraph:
         for v in range(d.n):
             assert d.out_neighbors(v) == tuple(sorted(w for u, w in d.arcs if u == v))
 
+    def test_first_bad_arc_in_input_order_is_reported(self):
+        with pytest.raises(ValueError, match=r"loop arc \(2,2\)"):
+            Digraph(3, [(0, 1), (2, 2), (0, 5)])
+        with pytest.raises(ValueError, match=r"arc \(0,5\) out of range"):
+            Digraph(3, [(0, 1), (0, 5), (2, 2)])
+
     def test_neighbor_sets_built_once(self):
         d = Digraph(3, [(0, 1), (1, 0), (2, 0)])
         assert d.neighbor_sets() == [{1, 2}, {0}, {0}]
         assert d.neighbor_sets() is d.neighbor_sets()
+
+
+def seeded_arcs(seed):
+    """(n, arc list) drawn from seed, in draw order with repeats. The last
+    vertex has an empty out-list but is a head, so that has_arc meets both
+    an empty out-list and heads above the last one of a list."""
+    rng = Rng(seed)
+    n = 3 + rng.randrange(10)
+    arcs = []
+    for _ in range(n + rng.randrange(3 * n)):
+        u, v = rng.randrange(n - 1), rng.randrange(n)
+        if u != v:
+            arcs.append((u, v))
+    arcs.append((0, n - 1))
+    return n, arcs + arcs[: len(arcs) // 3 + 1]
+
+
+SEEDS = [1, 2, 3, 4, 5, 6, 7, 8]
+
+
+class TestRepresentation:
+    """A Digraph is n, its arc count m and its sorted out-lists; has_arc,
+    the arc set and the text format are read off them. TestTextFormat checks
+    that the parsers build the same digraph as Digraph(n, arcs)."""
+
+    @pytest.mark.parametrize("seed", SEEDS)
+    def test_has_arc_is_membership_in_the_arc_set(self, seed):
+        n, arcs = seeded_arcs(seed)
+        d, want = Digraph(n, arcs), set(arcs)
+        assert d.out_neighbors(n - 1) == ()
+        for u in range(-1, n + 1):
+            for v in range(-1, n + 2):
+                assert d.has_arc(u, v) == ((u, v) in want), (u, v)
+
+    @pytest.mark.parametrize("seed", SEEDS)
+    def test_m_counts_distinct_arcs(self, seed):
+        n, arcs = seeded_arcs(seed)
+        d = Digraph(n, arcs)
+        assert len(arcs) > d.m == len(set(arcs)) == sum(map(len, d.out_lists()))
+        assert d.arcs == frozenset(arcs)
+        assert d == Digraph(n, set(arcs)) == Digraph(n, reversed(arcs))
+
+    @pytest.mark.parametrize("seed", SEEDS)
+    def test_format_writes_the_arc_lines_sorted(self, seed):
+        n, arcs = seeded_arcs(seed)
+        d = Digraph(n, arcs)
+        head, *lines = format_digraph(d).splitlines()
+        assert head == f"{n} {len(set(arcs))}"
+        assert lines == [f"{u} {v}" for u, v in sorted(set(arcs))]
+        assert parse_digraph(format_digraph(d)) == d
 
 
 class TestUnderlyingGraph:
@@ -360,6 +416,13 @@ PLAIN = [
 ]
 
 
+def seeded_text(seed):
+    """The plain text of seeded_arcs(seed): each arc once, in draw order."""
+    n, arcs = seeded_arcs(seed)
+    distinct = list(dict.fromkeys(arcs))
+    return "\n".join([f"{n} {len(distinct)}"] + [f"{u} {v}" for u, v in distinct]) + "\n"
+
+
 # (text, line, message) of the ParseError each text raises.
 PARSE_ERRORS = [
     ("2 2\n0 1\n0 1\n", 3, "duplicate arc (0,1)"),
@@ -399,7 +462,10 @@ class TestTextFormat:
         text = "# a digraph\n3 2\n\n0 1\n# middle\n1 2\n"
         assert parse_digraph(text) == Digraph(3, [(0, 1), (1, 2)])
 
-    @pytest.mark.parametrize("text,arcs", PLAIN)
+    @pytest.mark.parametrize(
+        "text,arcs",
+        PLAIN + [pytest.param(seeded_text(s), seeded_arcs(s)[1], id=f"seed{s}") for s in SEEDS],
+    )
     def test_plain_text_never_reaches_the_line_parser(self, monkeypatch, text, arcs):
         def line_parser(text):
             raise AssertionError("plain text reached the line parser")
@@ -418,10 +484,14 @@ class TestTextFormat:
             ("11 1\n1_0 0\n", 11, [(10, 0)]),
             ("3 1\n\u0661 0\n", 3, [(1, 0)]),
             ("3 1\n0\u30001\n", 3, [(0, 1)]),
-        ],
+        ]
+        # a leading comment line sends the same text to the line parser
+        + [pytest.param(comment + seeded_text(s), *seeded_arcs(s), id=f"seed{s}{tag}")
+           for s in SEEDS for comment, tag in (("", ""), ("# c\n", "-comment"))],
     )
     def test_valid_texts(self, text, n, arcs):
-        assert same_parse(text) == Digraph(n, arcs)
+        got, want = same_parse(text), Digraph(n, arcs)
+        assert got == want and hash(got) == hash(want)
 
     @pytest.mark.parametrize(
         "text,line,message",

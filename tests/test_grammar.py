@@ -16,6 +16,11 @@ that 3.10 requires: ``int.to_bytes`` takes ``length`` and ``byteorder``,
 and ``int.from_bytes`` takes ``byteorder``; their defaults are new in
 3.11. A call whose arguments are unpacked (``*args``, ``**kwargs``) is not
 judged.
+
+One layering rule is walked the same way: a ``Digraph`` stores its arcs as
+sorted out-lists, and only ``digraph.py`` knows that, so no other module of
+the library uses an attribute named ``arcs``. Its ``Digraph.arcs`` builds a
+frozenset on each read and stays for callers outside the library.
 """
 
 import ast
@@ -160,3 +165,39 @@ def test_every_short_byte_call_is_found():
         "int.from_bytes(b, **kw)",
         "to_bytes()",
     ])) == []
+
+
+LIBRARY = ROOT / "src" / "fourblocks"
+
+
+def arc_attributes(source: str) -> list[str]:
+    """Each use of an attribute named ``arcs`` in source, as "line: text"."""
+    return sorted(f"{node.lineno}: {ast.unparse(node)}" for node in ast.walk(ast.parse(source))
+                  if isinstance(node, ast.Attribute) and node.attr == "arcs")
+
+
+@pytest.mark.parametrize(
+    "path",
+    [path for path in FILES if path.parent == LIBRARY and path.name != "digraph.py"],
+    ids=lambda p: p.name,
+)
+def test_only_digraph_py_reads_arcs(path):
+    assert arc_attributes(path.read_text()) == []
+
+
+def test_every_arc_attribute_is_found():
+    source = "\n".join([
+        "d.arcs",
+        "len(g.arcs)",
+        "for u, v in parse(text).arcs: pass",
+        "d.arcs = frozenset()",
+        "arcs = [(0, 1)]",
+        "inst.arcs_done",
+        "getattr(d, 'arcs')",
+    ])
+    assert arc_attributes(source) == [
+        "1: d.arcs", "2: g.arcs", "3: parse(text).arcs", "4: d.arcs",
+    ]
+    assert {path.name for path in FILES if path.parent == LIBRARY} >= {
+        "digraph.py", "outtree.py", "verify.py", "witness.py", "hamiltonian.py",
+    }

@@ -165,3 +165,23 @@ def test_stall_core_degree_counts_a_digon_once():
         assert verify_certificate(d, {"outcome": "stall", "k": 1, "core": core}).ok
     cert = {"outcome": "stall", "k": 1, "core": core[:6] + [7]}
     assert verify_certificate(digons, cert).reason == "core minimum degree 1 is below 6"
+
+
+def test_stall_core_inside_a_larger_digraph():
+    """The core's degrees count the arcs between core vertices whichever way
+    they point: vertex 6 has no out-arc into the core, and all six of its
+    core neighbors reach it by in-arcs. Arcs enter and leave the core
+    through vertices 7 to 9, which add nothing."""
+    inner = [(u, v) for u in range(6) for v in range(6) if u != v]
+    into_6 = [(u, 6) for u in range(6)]
+    outside = [(6, 7), (7, 0), (2, 8), (8, 3), (9, 6), (5, 9)]
+    core = [6, 3, 0, 1, 2, 4, 5]
+    cert = {"outcome": "stall", "k": 1, "core": core}
+    d = Digraph(10, inner + into_6 + outside)
+    assert verify_certificate(d, cert).reason == "valid stall core with minimum degree >= 6"
+    assert verify_certificate(d, cert).ok
+    one_way = Digraph(10, [a for a in inner if a != (1, 0)] + into_6 + outside)
+    assert verify_certificate(one_way, cert).ok
+    no_edge = Digraph(10, [a for a in inner if a not in {(0, 1), (1, 0)}] + into_6 + outside)
+    result = verify_certificate(no_edge, cert)
+    assert not result.ok and result.reason == "core minimum degree 5 is below 6"
