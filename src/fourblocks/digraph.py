@@ -57,7 +57,7 @@ class Digraph:
     @property
     def arcs(self) -> frozenset[tuple[int, int]]:
         """Every arc (u,v), built anew from the out-lists on each read, in
-        O(m). No module of the library reads it."""
+        O(n + m). No module of the library reads it."""
         return frozenset((u, v) for u, vs in enumerate(self._out) for v in vs)
 
     def out_neighbors(self, u: int) -> tuple[int, ...]:
